@@ -1,11 +1,16 @@
 #ifndef MINIRAID_NET_EVENT_LOOP_H_
 #define MINIRAID_NET_EVENT_LOOP_H_
 
-#include <deque>
+#include <atomic>
+#include <chrono>
+#include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <thread>
-#include <unordered_set>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/mutex.h"
@@ -14,10 +19,18 @@
 
 namespace miniraid {
 
-/// A single-threaded executor with timers: the real-time analogue of one
-/// site's execution context. Tasks posted from any thread run in FIFO order
-/// on the loop thread; timers fire on the loop thread too, so code running
-/// inside the loop never needs locks (mirroring the simulator's contract).
+/// A single-threaded executor with timers and fd readiness callbacks: the
+/// real-time analogue of one site's execution context. Tasks posted from
+/// any thread run in FIFO order on the loop thread; timers and fd callbacks
+/// run there too, so code running inside the loop never needs locks
+/// (mirroring the simulator's contract).
+///
+/// The loop sleeps in epoll on an eventfd plus every watched fd. Post and
+/// ScheduleAfter write the eventfd only when the loop is asleep, so a busy
+/// loop takes new work without a syscall. A loop that watches fds also
+/// polls them (zero timeout) between two back-to-back task batches, so a
+/// task stream that never drains cannot starve its sockets; a loop that
+/// watches none never polls while it has work.
 class EventLoop {
  public:
   EventLoop();
@@ -27,15 +40,29 @@ class EventLoop {
   EventLoop& operator=(const EventLoop&) = delete;
 
   /// Enqueues `task` to run on the loop thread. Safe from any thread.
-  /// Tasks posted after Stop() are dropped.
-  MR_RUNS_ON(any) void Post(std::function<void()> task);
+  /// Returns false, dropping the task, once Stop() has begun.
+  MR_RUNS_ON(any) bool Post(std::function<void()> task);
 
-  /// Runs `fn` on the loop thread after `delay`. Safe from any thread.
+  /// Runs `fn` on the loop thread after `delay`. Timers with equal
+  /// deadlines fire in the order they were scheduled. Safe from any thread.
   MR_RUNS_ON(any) TimerId ScheduleAfter(Duration delay, std::function<void()> fn);
 
-  /// Cancels a pending timer (no-op if it already fired). Safe from any
-  /// thread, including the loop thread.
+  /// Cancels a pending timer (no-op if it already fired or was cancelled).
+  /// Safe from any thread, including the loop thread.
   MR_RUNS_ON(any) void CancelTimer(TimerId id);
+
+  /// Calls `on_ready(revents)` on the loop thread whenever `fd` is ready
+  /// for `events` (EPOLLIN and/or EPOLLOUT, level-triggered; EPOLLERR and
+  /// EPOLLHUP are always reported). Watching a watched fd replaces its
+  /// interest set and callback. The caller keeps ownership of `fd` and
+  /// must Unwatch it before closing it. Loop thread only.
+  MR_RUNS_ON(loop)
+  void Watch(int fd, uint32_t events, std::function<void(uint32_t)> on_ready);
+
+  /// Stops watching `fd`. Safe from inside any fd callback, `fd`'s own
+  /// included: an event for `fd` still pending in this turn is dropped.
+  /// Loop thread only.
+  MR_RUNS_ON(loop) void Unwatch(int fd);
 
   /// Stops the loop and joins the thread. Pending tasks/timers are dropped.
   /// Idempotent. Must not be called from the loop thread.
@@ -46,31 +73,58 @@ class EventLoop {
   }
 
   /// Posts `task` and blocks until it has run (deadlocks if called from the
-  /// loop thread; asserted).
-  MR_RUNS_ON(client) void PostAndWait(std::function<void()> task);
+  /// loop thread; asserted). Returns false at once, without running the
+  /// task, if the loop has stopped.
+  MR_RUNS_ON(client) bool PostAndWait(std::function<void()> task);
 
   /// The queue mutex, public only so that other layers can name it in
   /// lock-order annotations (see TcpTransport: transport mutexes are
-  /// MR_ACQUIRED_BEFORE this one, making it the innermost lock — tasks and
-  /// timers always run with it released, so loop-thread code may take
-  /// transport locks, never the reverse). Do not lock it outside EventLoop.
+  /// MR_ACQUIRED_BEFORE this one, making it the innermost lock — tasks,
+  /// timers and fd callbacks always run with it released, so loop-thread
+  /// code may take transport locks, never the reverse). Do not lock it
+  /// outside EventLoop.
   Mutex mu_;
 
  private:
-  struct Timer {
-    TimerId id;
-    std::function<void()> fn;
+  /// Timers are keyed by (deadline, id): ids grow with every schedule, so
+  /// equal deadlines fire in schedule order.
+  using TimerKey = std::pair<std::chrono::steady_clock::time_point, TimerId>;
+
+  struct Watcher {
+    uint32_t seq;  // tells a stale event for a reused fd number apart
+    std::function<void(uint32_t)> on_ready;
   };
 
   MR_RUNS_ON(loop) void Run();
+  /// Waits up to `timeout_ns` (< 0: no limit) for watched fds or a wake-up
+  /// and dispatches the ready fd callbacks.
+  MR_RUNS_ON(loop) void Poll(int64_t timeout_ns);
+  MR_RUNS_ON(any) void Wake();
 
-  CondVar cv_;
-  std::deque<std::function<void()>> tasks_ MR_GUARDED_BY(mu_);
-  std::multimap<std::chrono::steady_clock::time_point, Timer> timers_
-      MR_GUARDED_BY(mu_);
-  std::unordered_set<TimerId> cancelled_ MR_GUARDED_BY(mu_);
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  // eventfd, registered edge-triggered: never read
+
+  std::vector<std::function<void()>> tasks_ MR_GUARDED_BY(mu_);
+  std::map<TimerKey, std::function<void()>> timers_ MR_GUARDED_BY(mu_);
+  /// id -> deadline of every pending timer, so a cancel is two lookups.
+  std::unordered_map<TimerId, std::chrono::steady_clock::time_point>
+      deadlines_ MR_GUARDED_BY(mu_);
   TimerId next_timer_id_ MR_GUARDED_BY(mu_) = 1;
-  bool stopping_ MR_GUARDED_BY(mu_) = false;
+  /// True while the loop waits (or is about to) in Poll; the first Post
+  /// that sees it writes the eventfd and clears it.
+  bool sleeping_ MR_GUARDED_BY(mu_) = false;
+  /// Written under mu_ (so Post never queues after Stop); also read
+  /// without it between the tasks of a batch, to stop promptly.
+  std::atomic<bool> stopping_{false};
+
+  /// Indexed by fd. A callback that unwatches (or re-watches) an fd parks
+  /// the old watcher in `retired_` until the dispatch pass ends, so no
+  /// running callback is destroyed under itself.
+  std::vector<std::unique_ptr<Watcher>> watchers_;
+  std::vector<std::unique_ptr<Watcher>> retired_;
+  size_t watched_ = 0;
+  uint32_t next_seq_ = 1;
+
   std::thread thread_;
 };
 

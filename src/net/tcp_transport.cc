@@ -1,11 +1,14 @@
 #include "net/tcp_transport.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -15,45 +18,20 @@
 namespace miniraid {
 namespace {
 
-/// Writes exactly `size` bytes; retries on partial writes and EINTR.
-Status WriteAll(int fd, const uint8_t* data, size_t size) {
-  size_t written = 0;
-  while (written < size) {
-    // Deliberate exception: the TCP backend writes frames inline on the
-    // sender's thread (including loop threads). Localhost writes fit the
-    // socket buffer, so this "blocks" only under extreme backpressure —
-    // accepted in exchange for not running a writer thread per peer.
-    // miniraid-lint: allow(blocking-call)
-    const ssize_t n = ::send(fd, data + written, size - written, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(StrFormat("send: %s", std::strerror(errno)));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
-
-/// Reads exactly `size` bytes; returns NotFound on orderly EOF at a frame
-/// boundary start, IoError otherwise.
-Status ReadAll(int fd, uint8_t* data, size_t size) {
-  size_t read = 0;
-  while (read < size) {
-    const ssize_t n = ::recv(fd, data + read, size - read, 0);
-    if (n == 0) {
-      return read == 0 ? Status::NotFound("connection closed")
-                       : Status::IoError("connection closed mid-frame");
-    }
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(StrFormat("recv: %s", std::strerror(errno)));
-    }
-    read += static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
-
 constexpr uint32_t kMaxFrameBytes = 16u << 20;  // 16 MiB sanity bound
+constexpr size_t kHeaderBytes = 4;
+/// Read buffer per inbound connection; one recv() takes up to this much.
+constexpr size_t kReadBufferBytes = 64 * 1024;
+/// An outbound buffer grown past this by a large frame is released once
+/// it has been written.
+constexpr size_t kMaxRetainedOutBytes = 1 << 20;
+
+uint32_t FrameLength(const uint8_t* header) {
+  return uint32_t{header[0]} | (uint32_t{header[1]} << 8) |
+         (uint32_t{header[2]} << 16) | (uint32_t{header[3]} << 24);
+}
+
+bool WouldBlock(int err) { return err == EAGAIN || err == EWOULDBLOCK; }
 
 }  // namespace
 
@@ -65,177 +43,282 @@ TcpTransport::TcpTransport(SiteId self, std::map<SiteId, uint16_t> peers,
       loop_(loop),
       handler_(handler),
       options_(options),
-      injector_(options.faults) {}
+      injector_(options.faults) {
+  for (const auto& [id, port] : peers_) out_[id];
+}
 
-TcpTransport::~TcpTransport() { Stop(); }
+TcpTransport::~TcpTransport() {
+  Stop();
+  // A loop stopped before this transport never ran the teardown, and
+  // nothing runs on it any more: close what it left open here.
+  {
+    MutexLock lock(conn_mu_);
+    for (auto& [id, peer] : out_) {
+      if (peer.fd >= 0) ::close(peer.fd);
+    }
+  }
+  for (auto& [fd, conn] : inbound_) ::close(fd);
+  if (listen_fd_ >= 0) ::close(listen_fd_);
+}
 
 Status TcpTransport::Start() {
   if (handler_ == nullptr) {
     return Status::FailedPrecondition("TcpTransport started without handler");
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
     return Status::IoError(StrFormat("socket: %s", std::strerror(errno)));
   }
   const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
 
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(peers_.at(self_));
+  Status status = Status::Ok();
   if (::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr) !=
       1) {
-    return Status::InvalidArgument("bad bind address " +
-                                   options_.bind_address);
+    status = Status::InvalidArgument("bad bind address " +
+                                     options_.bind_address);
+  } else if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
+             0) {
+    status = Status::IoError(StrFormat("bind port %u: %s", peers_.at(self_),
+                                       std::strerror(errno)));
+  } else if (::listen(fd, 64) < 0) {
+    status = Status::IoError(StrFormat("listen: %s", std::strerror(errno)));
+  } else if (!loop_->PostAndWait([this, fd] {
+               listen_fd_ = fd;
+               loop_->Watch(fd, EPOLLIN, [this](uint32_t) { OnAcceptable(); });
+             })) {
+    status = Status::FailedPrecondition("event loop stopped");
   }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    return Status::IoError(StrFormat("bind port %u: %s", peers_.at(self_),
-                                     std::strerror(errno)));
-  }
-  if (::listen(listen_fd_, 64) < 0) {
-    return Status::IoError(StrFormat("listen: %s", std::strerror(errno)));
-  }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
-  return Status::Ok();
+  if (!status.ok()) ::close(fd);
+  return status;
 }
 
 void TcpTransport::Stop() {
-  if (stopping_.exchange(true)) {
-    if (accept_thread_.joinable()) accept_thread_.join();
-    return;
-  }
-  // Wake the accept thread with shutdown(), but only close the fd after
-  // joining it: closing first would let the kernel reuse the descriptor
-  // number while AcceptLoop may still be entering accept() on it.
-  const int listen_fd = listen_fd_.exchange(-1);
-  if (listen_fd >= 0) ::shutdown(listen_fd, SHUT_RDWR);
   {
     MutexLock lock(conn_mu_);
-    for (auto& [peer, fd] : out_fds_) ::close(fd);
-    out_fds_.clear();
+    stopping_ = true;
   }
-  std::vector<std::thread> readers;
+  // Every flush task was posted under conn_mu_ before stopping_ was set,
+  // so all of them run before the teardown and none after it.
+  loop_->PostAndWait([this] { Teardown(); });
+}
+
+void TcpTransport::Teardown() {
   {
-    MutexLock lock(readers_mu_);
-    for (int fd : in_fds_) ::shutdown(fd, SHUT_RDWR);
-    readers.swap(reader_threads_);
+    MutexLock lock(conn_mu_);
+    for (auto& [id, peer] : out_) Disconnect(peer);
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
-  if (listen_fd >= 0) ::close(listen_fd);
-  for (std::thread& t : readers) {
-    if (t.joinable()) t.join();
+  *alive_ = false;
+  for (auto& [fd, conn] : inbound_) {
+    loop_->Unwatch(fd);
+    ::close(fd);
   }
-  {
-    MutexLock lock(readers_mu_);
-    for (int fd : in_fds_) ::close(fd);
-    in_fds_.clear();
+  inbound_.clear();
+  if (listen_fd_ >= 0) {
+    loop_->Unwatch(listen_fd_);
+    ::close(listen_fd_);
+    listen_fd_ = -1;
   }
 }
 
-void TcpTransport::AcceptLoop() {
-  while (!stopping_.load()) {
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
+void TcpTransport::OnAcceptable() {
+  while (true) {
+    // The listen socket is O_NONBLOCK: with no pending connection this
+    // returns EAGAIN instead of waiting. miniraid-lint: allow(blocking-call)
+    const int fd = ::accept4(listen_fd_, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // listen socket closed (Stop) or fatal error
-    }
-    const int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    MutexLock lock(readers_mu_);
-    if (stopping_.load()) {
-      ::close(fd);
+      if (errno == EINTR || errno == ECONNABORTED) continue;
+      if (!WouldBlock(errno)) {
+        MR_LOG(kError) << "site " << self_ << ": accept: "
+                       << std::strerror(errno) << "; no longer accepting";
+        loop_->Unwatch(listen_fd_);
+      }
       return;
     }
-    in_fds_.push_back(fd);
-    reader_threads_.emplace_back([this, fd] { ReadLoop(fd); });
+    Inbound* conn = &inbound_[fd];
+    conn->fd = fd;
+    conn->buf = std::make_unique_for_overwrite<uint8_t[]>(kReadBufferBytes);
+    conn->capacity = kReadBufferBytes;
+    loop_->Watch(fd, EPOLLIN, [this, conn](uint32_t) { OnReadable(conn); });
   }
 }
 
-void TcpTransport::ReadLoop(int fd) {
-  while (!stopping_.load()) {
-    uint8_t header[4];
-    Status status = ReadAll(fd, header, sizeof(header));
-    if (!status.ok()) return;
-    const uint32_t length = uint32_t{header[0]} | (uint32_t{header[1]} << 8) |
-                            (uint32_t{header[2]} << 16) |
-                            (uint32_t{header[3]} << 24);
+void TcpTransport::OnReadable(Inbound* conn) {
+  ssize_t n = 0;
+  do {
+    // O_NONBLOCK socket: with nothing to read this returns EAGAIN instead
+    // of waiting. miniraid-lint: allow(blocking-call)
+    n = ::recv(conn->fd, conn->buf.get() + conn->end,
+               conn->capacity - conn->end, 0);
+  } while (n < 0 && errno == EINTR);
+  if (n < 0 && WouldBlock(errno)) return;
+  if (n <= 0) {
+    if (n < 0) {
+      MR_LOG(kWarn) << "site " << self_ << ": recv: " << std::strerror(errno);
+    }
+    CloseInbound(conn);  // orderly EOF or a broken connection
+    return;
+  }
+  conn->end += static_cast<size_t>(n);
+
+  // Decode every complete frame in place and deliver it inline: this is
+  // the site's own loop, so the handler runs in its context.
+  size_t begin = 0;
+  while (conn->end - begin >= kHeaderBytes) {
+    const uint8_t* frame = conn->buf.get() + begin;
+    const uint32_t length = FrameLength(frame);
     if (length > kMaxFrameBytes) {
       MR_LOG(kError) << "site " << self_ << ": oversized frame (" << length
                      << " bytes); closing connection";
+      CloseInbound(conn);
       return;
     }
-    std::vector<uint8_t> body(length);
-    status = ReadAll(fd, body.data(), body.size());
-    if (!status.ok()) return;
-    Result<Message> decoded = DecodeMessage(body);
+    if (conn->end - begin - kHeaderBytes < length) break;
+    Result<Message> decoded = DecodeMessage(frame + kHeaderBytes, length);
+    begin += kHeaderBytes + length;
     if (!decoded.ok()) {
       MR_LOG(kError) << "site " << self_ << ": undecodable frame: "
-                     << decoded.status().ToString();
+                     << decoded.status().ToString() << "; closing connection";
+      CloseInbound(conn);
       return;
     }
     messages_received_.fetch_add(1);
-    MessageHandler* handler = handler_;
-    loop_->Post(
-        [handler, msg = std::move(*decoded)] { handler->OnMessage(msg); });
+    handler_->OnMessage(*decoded);
   }
+
+  // Move the undecoded rest to the front, into a buffer that holds the
+  // whole frame it starts (its length passed the bound above); a buffer a
+  // large frame grew shrinks back once that frame is consumed.
+  const size_t rest = conn->end - begin;
+  size_t need = kReadBufferBytes;
+  if (rest >= kHeaderBytes) {
+    need = std::max(need, kHeaderBytes + FrameLength(conn->buf.get() + begin));
+  }
+  if (need > conn->capacity || (rest == 0 && conn->capacity > need)) {
+    auto buf = std::make_unique_for_overwrite<uint8_t[]>(need);
+    std::memcpy(buf.get(), conn->buf.get() + begin, rest);
+    conn->buf = std::move(buf);
+    conn->capacity = need;
+  } else if (rest > 0 && begin > 0) {
+    std::memmove(conn->buf.get(), conn->buf.get() + begin, rest);
+  }
+  conn->end = rest;
 }
 
-Status TcpTransport::ConnectTo(SiteId peer, int* fd_out) {
-  auto it = peers_.find(peer);
-  if (it == peers_.end()) {
-    return Status::InvalidArgument(StrFormat("unknown peer site %u", peer));
-  }
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+void TcpTransport::CloseInbound(Inbound* conn) {
+  const int fd = conn->fd;
+  loop_->Unwatch(fd);
+  ::close(fd);
+  inbound_.erase(fd);
+}
+
+Status TcpTransport::Connect(SiteId to, Peer& peer) {
+  const uint16_t port = peers_.at(to);
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return Status::IoError(StrFormat("socket: %s", std::strerror(errno)));
   }
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(it->second);
+  addr.sin_port = htons(port);
   ::inet_pton(AF_INET, options_.bind_address.c_str(), &addr.sin_addr);
-  // Same deliberate exception as WriteAll: the lazy localhost connect on
-  // first send is accepted inline. miniraid-lint: allow(blocking-call)
+  // The lazy connect on the first Send to a peer: on loopback the kernel
+  // completes the handshake against the peer's listen backlog, without
+  // waiting for the peer's loop. miniraid-lint: allow(blocking-call)
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
     const int err = errno;
     ::close(fd);
-    return Status::IoError(StrFormat("connect to site %u port %u: %s", peer,
-                                     it->second, std::strerror(err)));
+    return Status::IoError(StrFormat("connect to site %u port %u: %s", to,
+                                     port, std::strerror(err)));
   }
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-  *fd_out = fd;
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL) | O_NONBLOCK);
+  peer.fd = fd;
   return Status::Ok();
 }
 
-Status TcpTransport::SendFrame(SiteId to, const std::vector<uint8_t>& body) {
-  if (stopping_.load()) return Status::FailedPrecondition("transport stopped");
-  const uint32_t length = static_cast<uint32_t>(body.size());
-  uint8_t header[4] = {
+void TcpTransport::Disconnect(Peer& peer) {
+  if (peer.fd < 0) return;
+  if (peer.watching) loop_->Unwatch(peer.fd);
+  ::close(peer.fd);
+  peer = Peer{};
+}
+
+Status TcpTransport::Enqueue(SiteId to, const std::vector<uint8_t>& body) {
+  if (stopping_) return Status::FailedPrecondition("transport stopped");
+  auto it = out_.find(to);
+  if (it == out_.end()) {
+    return Status::InvalidArgument(StrFormat("unknown peer site %u", to));
+  }
+  Peer& peer = it->second;
+  if (peer.fd < 0) MINIRAID_RETURN_IF_ERROR(Connect(to, peer));
+  // Posted under conn_mu_, so the flush cannot run before the append.
+  if (!peer.flush_queued) {
+    if (!loop_->Post([this, to] { Flush(to); })) {
+      return Status::FailedPrecondition("event loop stopped");
+    }
+    peer.flush_queued = true;
+  }
+  const auto length = static_cast<uint32_t>(body.size());
+  const uint8_t header[kHeaderBytes] = {
       static_cast<uint8_t>(length), static_cast<uint8_t>(length >> 8),
       static_cast<uint8_t>(length >> 16), static_cast<uint8_t>(length >> 24)};
-
-  MutexLock lock(conn_mu_);
-  auto it = out_fds_.find(to);
-  if (it == out_fds_.end()) {
-    int fd = -1;
-    MINIRAID_RETURN_IF_ERROR(ConnectTo(to, &fd));
-    it = out_fds_.emplace(to, fd).first;
-  }
-  Status status = WriteAll(it->second, header, sizeof(header));
-  if (status.ok()) status = WriteAll(it->second, body.data(), body.size());
-  if (!status.ok()) {
-    // Drop the broken connection; the next Send retries with a fresh one.
-    ::close(it->second);
-    out_fds_.erase(it);
-    return status;
-  }
+  peer.out.insert(peer.out.end(), header, header + kHeaderBytes);
+  peer.out.insert(peer.out.end(), body.begin(), body.end());
   messages_sent_.fetch_add(1);
   return Status::Ok();
 }
 
+void TcpTransport::Flush(SiteId to) {
+  MutexLock lock(conn_mu_);
+  Peer& peer = out_.find(to)->second;
+  // Disconnected since the flush was queued, or about to be torn down.
+  if (peer.fd < 0 || stopping_) return;
+  if (peer.written < peer.out.size()) {
+    ssize_t n = 0;
+    do {
+      // O_NONBLOCK socket: a full send buffer returns EAGAIN instead of
+      // waiting for the receiver. miniraid-lint: allow(blocking-call)
+      n = ::send(peer.fd, peer.out.data() + peer.written,
+                 peer.out.size() - peer.written, MSG_NOSIGNAL);
+    } while (n < 0 && errno == EINTR);
+    if (n < 0 && !WouldBlock(errno)) {
+      // Drop the broken connection and its unsent frames; the next Send
+      // reconnects.
+      MR_LOG(kWarn) << "site " << self_ << ": send to site " << to << ": "
+                    << std::strerror(errno);
+      Disconnect(peer);
+      return;
+    }
+    if (n > 0) peer.written += static_cast<size_t>(n);
+  }
+  if (peer.written < peer.out.size()) {
+    // The socket took only part: finish once the receiver drains it.
+    if (!peer.watching) {
+      loop_->Watch(peer.fd, EPOLLOUT, [this, to](uint32_t) { Flush(to); });
+      peer.watching = true;
+    }
+    return;
+  }
+  peer.out.clear();
+  peer.written = 0;
+  if (peer.out.capacity() > kMaxRetainedOutBytes) {
+    std::vector<uint8_t>().swap(peer.out);
+  }
+  if (peer.watching) {
+    loop_->Unwatch(peer.fd);
+    peer.watching = false;
+  }
+  peer.flush_queued = false;
+}
+
 Status TcpTransport::Send(const Message& msg) {
-  if (stopping_.load()) return Status::FailedPrecondition("transport stopped");
   bool duplicate = false;
   {
     MutexLock lock(faults_mu_);
@@ -245,31 +328,21 @@ Status TcpTransport::Send(const Message& msg) {
     }
     duplicate = injector_.ShouldDuplicate();
   }
-  // Encode into pooled storage: the frame buffer cycles back to the pool
-  // once the socket write consumed it, so repeated sends (and channel
-  // retransmissions) reuse capacity instead of allocating per message.
-  Encoder enc = pool_.Acquire();
-  EncodeMessageInto(msg, enc);
-  std::vector<uint8_t> body = enc.TakeBuffer();
-  Status status = SendFrame(msg.to, body);
-  if (!status.ok()) {
-    pool_.Release(std::move(body));
-    return status;
+  MutexLock lock(conn_mu_);
+  EncodeMessageInto(msg, scratch_);
+  MINIRAID_RETURN_IF_ERROR(Enqueue(msg.to, scratch_.buffer()));
+  if (!duplicate) return Status::Ok();
+  const Duration delay = options_.faults.duplicate_delay;
+  if (delay <= 0) {
+    (void)Enqueue(msg.to, scratch_.buffer());
+    return Status::Ok();
   }
-  if (duplicate) {
-    const Duration delay = options_.faults.duplicate_delay;
-    if (delay > 0) {
-      // The delayed copy owns the buffer; it returns it after the write.
-      loop_->ScheduleAfter(
-          delay, [this, to = msg.to, b = std::move(body)]() mutable {
-            (void)SendFrame(to, b);  // stopping_ is re-checked inside
-            pool_.Release(std::move(b));
-          });
-      return Status::Ok();
-    }
-    (void)SendFrame(msg.to, body);
-  }
-  pool_.Release(std::move(body));
+  loop_->ScheduleAfter(delay, [this, alive = alive_, to = msg.to,
+                               body = scratch_.buffer()] {
+    if (!*alive) return;
+    MutexLock lock(conn_mu_);
+    (void)Enqueue(to, body);
+  });
   return Status::Ok();
 }
 
@@ -277,11 +350,13 @@ uint16_t PickEphemeralBasePort() {
   // The pid keeps concurrently running test binaries apart; the counter
   // keeps multiple clusters within one process apart (each cluster uses a
   // contiguous run of ports, so stride by more than any plausible cluster
-  // size).
+  // size). The range stays below the kernel's default ephemeral range
+  // (32768-60999): the local port of a closed outbound connection lingers
+  // there in TIME_WAIT without SO_REUSEADDR and would fail the listen bind.
   static std::atomic<uint32_t> next_cluster{0};
   const uint32_t slot = next_cluster.fetch_add(1);
   return static_cast<uint16_t>(
-      20000 + (uint32_t(::getpid()) * 37 + slot * 128) % 20000);
+      10000 + (uint32_t(::getpid()) * 37 + slot * 128) % 20000);
 }
 
 }  // namespace miniraid

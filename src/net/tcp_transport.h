@@ -4,7 +4,8 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
-#include <thread>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "common/mutex.h"
@@ -30,16 +31,30 @@ struct TcpTransportOptions {
 
 /// Message passing over real TCP sockets, one transport instance per site.
 /// One outbound connection per destination gives per-pair FIFO delivery
-/// (the paper's reliable ordered channel); inbound frames are decoded and
-/// posted to the site's EventLoop, preserving the single-threaded protocol
-/// contract.
+/// (the paper's reliable ordered channel).
+///
+/// Threading: one thread per endpoint, the site's own EventLoop. The loop
+/// accepts inbound connections, reads them non-blocking into a buffer per
+/// connection, and calls the handler inline for every complete frame, so
+/// the handler runs in the site's context with no hand-off. Send may run
+/// on any thread: it appends the frame to the destination's buffer, and
+/// the first append since the last write posts one flush task that writes
+/// the whole buffer with a single send() once the loop's current turn
+/// ends. A remainder the socket cannot take yet waits for EPOLLOUT; Send
+/// never blocks on the receiver. The only blocking call left is the lazy
+/// connect on the first Send to a peer, which on loopback completes in
+/// the kernel without waiting for the peer's loop.
 ///
 /// Wire format: u32 little-endian frame length, then EncodeMessage bytes.
+/// Frames above 16 MiB, and frames that do not decode, close the
+/// connection they arrived on.
 class TcpTransport : public Transport {
  public:
   /// `peers` maps every site id (including `self`) to its TCP port.
   /// `handler` may be null at construction (to break the transport<->site
   /// dependency cycle) but must be set via set_handler before Start().
+  /// Stop the transport before `loop`: the teardown runs there (if the
+  /// loop stops first, the destructor closes what is left).
   TcpTransport(SiteId self, std::map<SiteId, uint16_t> peers, EventLoop* loop,
                MessageHandler* handler,
                const TcpTransportOptions& options = TcpTransportOptions{});
@@ -53,17 +68,18 @@ class TcpTransport : public Transport {
   TcpTransport(const TcpTransport&) = delete;
   TcpTransport& operator=(const TcpTransport&) = delete;
 
-  /// Binds, listens, and starts the accept thread.
+  /// Binds, listens, and has the loop accept connections.
   MR_RUNS_ON(client) Status Start();
 
-  /// Closes all sockets and joins helper threads. Idempotent.
+  /// Closes every socket on the loop, dropping frames not yet written;
+  /// no message is delivered to the handler once it returns. Idempotent.
   MR_RUNS_ON(client) void Stop();
 
-  /// Thread-safe; lazily connects to the destination on first use. Writes
-  /// the frame to the socket inline — a deliberate blocking exception on
-  /// loop threads (see the allow(blocking-call) notes in tcp_transport.cc).
+  /// Thread-safe; lazily connects to the destination on first use.
   MR_RUNS_ON(any) Status Send(const Message& msg) override;
 
+  /// Messages framed for sending (a duplicated message counts twice) and
+  /// messages decoded and delivered, not socket calls.
   MR_RUNS_ON(any) uint64_t messages_sent() const {
     return messages_sent_.load();
   }
@@ -75,50 +91,78 @@ class TcpTransport : public Transport {
   }
 
  private:
-  /// Dedicated IO threads: blocking socket calls are their whole job.
-  MR_RUNS_ON(client) void AcceptLoop();
-  MR_RUNS_ON(client) void ReadLoop(int fd);
-  /// Opens the lazy outbound connection; called on the Send path with the
-  /// connection table locked (the map insert must be atomic with connect).
-  Status ConnectTo(SiteId peer, int* fd_out) MR_REQUIRES(conn_mu_);
-  /// Frames and writes one already-encoded message; the fault-free inner
-  /// send, also used for delayed duplicate copies (which must not re-draw
-  /// fault decisions).
-  Status SendFrame(SiteId to, const std::vector<uint8_t>& body);
+  /// One outbound connection and the frames not yet written to it.
+  struct Peer {
+    int fd = -1;
+    std::vector<uint8_t> out;   // framed bytes; [0, written) already sent
+    size_t written = 0;
+    bool flush_queued = false;  // a flush task or an EPOLLOUT watch is live
+    bool watching = false;      // EPOLLOUT watch registered
+  };
+
+  /// One accepted connection: `buf` starts with the `end` bytes read but
+  /// not yet decoded (a partial frame).
+  struct Inbound {
+    int fd = -1;
+    std::unique_ptr<uint8_t[]> buf;
+    size_t capacity = 0;
+    size_t end = 0;
+  };
+
+  MR_RUNS_ON(loop) void OnAcceptable();
+  MR_RUNS_ON(loop) void OnReadable(Inbound* conn);
+  MR_RUNS_ON(loop) void CloseInbound(Inbound* conn);
+  /// Writes `to`'s pending bytes with one send(); arms EPOLLOUT for a
+  /// remainder the socket cannot take yet.
+  MR_RUNS_ON(loop) void Flush(SiteId to);
+  MR_RUNS_ON(loop) void Teardown();
+  /// Frames `body` onto `to`'s buffer, connecting first if needed, and
+  /// queues the flush. The fault-free inner send, also used for delayed
+  /// duplicate copies (which must not re-draw fault decisions).
+  Status Enqueue(SiteId to, const std::vector<uint8_t>& body)
+      MR_REQUIRES(conn_mu_);
+  Status Connect(SiteId to, Peer& peer) MR_REQUIRES(conn_mu_);
+  MR_RUNS_ON(loop) void Disconnect(Peer& peer) MR_REQUIRES(conn_mu_);
 
   SiteId self_;
   std::map<SiteId, uint16_t> peers_;
   EventLoop* loop_;
-  MessageHandler* handler_;
+  /// Written once by set_handler() during wiring; read only by the loop's
+  /// fd callbacks, which Start() registers afterwards — the phases cannot
+  /// overlap.
+  MessageHandler* handler_ MR_CONTEXT_CONFINED(loop);
   TcpTransportOptions options_;
 
-  std::atomic<bool> stopping_{false};
-  // Atomic: written by Stop() (any thread) while AcceptLoop() reads it.
-  std::atomic<int> listen_fd_{-1};
-  std::thread accept_thread_;
-
   // Lock order (statically declared): each transport mutex comes before
-  // the destination EventLoop's queue mutex — a thread may post to a loop
-  // while holding a transport lock, but loop internals never call into the
-  // transport with their queue lock held (tasks run with it released).
-  // This forbids at compile time the loop<->transport deadlock class TSan
-  // can only observe on an unlucky interleaving.
+  // the EventLoop's queue mutex — Send posts the flush task while holding
+  // conn_mu_, but loop internals never call into the transport with their
+  // queue lock held (tasks and fd callbacks run with it released). This
+  // forbids at compile time the loop<->transport deadlock class TSan can
+  // only observe on an unlucky interleaving.
   Mutex conn_mu_ MR_ACQUIRED_BEFORE(loop_->mu_);
-  std::map<SiteId, int> out_fds_ MR_GUARDED_BY(conn_mu_);
-
-  Mutex readers_mu_ MR_ACQUIRED_BEFORE(loop_->mu_);
-  std::vector<std::thread> reader_threads_ MR_GUARDED_BY(readers_mu_);
-  std::vector<int> in_fds_ MR_GUARDED_BY(readers_mu_);
+  std::map<SiteId, Peer> out_ MR_GUARDED_BY(conn_mu_);
+  /// Encode scratch space: Send encodes here, then copies the frame into
+  /// the destination's buffer, so steady-state sends allocate nothing.
+  Encoder scratch_ MR_GUARDED_BY(conn_mu_);
+  /// Set by Stop() before the teardown is posted, so no Send connects or
+  /// queues a flush behind it.
+  bool stopping_ MR_GUARDED_BY(conn_mu_) = false;
 
   // Fault decisions mutate RNG state and Send runs on many threads; held
-  // only around the decision, never around a write or a loop post.
+  // only around the decision, never around a socket call or a loop post.
   Mutex faults_mu_ MR_ACQUIRED_BEFORE(loop_->mu_);
   FaultInjector injector_ MR_GUARDED_BY(faults_mu_);
 
-  /// Recycles frame buffers across Send calls (including ReliableChannel
-  /// retransmissions, which re-enter Send per attempt), so steady-state
-  /// encoding does not allocate per message.
-  SharedFramePool pool_;
+  /// Loop-confined: Start() hands the listen socket to the loop inside a
+  /// PostAndWait, and only loop callbacks and Teardown touch it after that
+  /// (the destructor closes what a stopped loop left behind).
+  int listen_fd_ MR_CONTEXT_CONFINED(loop) = -1;
+  /// Keyed by fd; map nodes stay put, so callbacks hold Inbound*.
+  /// Loop-confined like listen_fd_.
+  std::map<int, Inbound> inbound_ MR_CONTEXT_CONFINED(loop);
+  /// Cleared by Teardown on the loop; delayed duplicate copies, which run
+  /// there too, check it before touching the transport.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   std::atomic<uint64_t> messages_sent_{0};
   std::atomic<uint64_t> messages_received_{0};
@@ -128,7 +172,8 @@ class TcpTransport : public Transport {
 /// Returns a base port unlikely to collide between concurrently running
 /// test binaries (derived from the process id) or between multiple TCP
 /// clusters in one process (an atomic per-process counter advances the
-/// range on every call).
+/// range on every call). Ports come from 10000-30099, below the kernel's
+/// default ephemeral range.
 uint16_t PickEphemeralBasePort();
 
 }  // namespace miniraid

@@ -35,11 +35,12 @@ class SharedFramePool {
 ///
 /// OnMessage is MR_RUNS_ON(any) as a *delivery contract*: each transport
 /// guarantees by construction that it invokes the handler in the receiving
-/// endpoint's own execution context (posting to its EventLoop or scheduling
-/// on the simulator), so callers of the virtual boundary are context-clean
-/// wherever they run. miniraid-analyze re-anchors its call-graph walk at
-/// this annotation; the concrete overrides (Site: loop, ManagingSite:
-/// managing) carry their real confinement.
+/// endpoint's own execution context (posting to its EventLoop, calling it
+/// from that loop's own socket callback, or scheduling on the simulator),
+/// so callers of the virtual boundary are context-clean wherever they run.
+/// miniraid-analyze re-anchors its call-graph walk at this annotation; the
+/// concrete overrides (Site: loop, ManagingSite: managing) carry their real
+/// confinement.
 class MessageHandler {
  public:
   virtual ~MessageHandler() = default;
@@ -66,7 +67,11 @@ class MessageHandler {
 /// What stays true on every backend, faults or not: messages that are
 /// delivered arrive in the order sent per (from, to) pair — a duplicate's
 /// delayed copy is the one exception — and Send never blocks on the
-/// receiver.
+/// receiver: the in-process backends only enqueue, and TCP appends to a
+/// per-peer buffer that the sender's loop writes to a non-blocking socket,
+/// parking what the socket cannot take until it is writable. (TCP's one
+/// blocking call is the lazy loopback connect on the first Send to a
+/// peer, which does not wait for the peer's loop.)
 class Transport {
  public:
   virtual ~Transport() = default;

@@ -186,6 +186,34 @@ class Site {
   EXPECT_EQ(CountRule(findings, "blocking-call"), 1);
 }
 
+TEST(BlockingTest, EpollWaitsAndAcceptFourAreBlocking) {
+  // An fd-driven loop sleeps in one of the epoll waits; each is a blocking
+  // call anywhere but the loop's own waived idle wait.
+  auto findings = Analyze({{"src/net/x.cc", std::string(kPreamble) + R"(
+int epoll_wait(int epfd, void* events, int max, int timeout_ms);
+int epoll_pwait(int epfd, void* events, int max, int timeout_ms,
+                const void* sigmask);
+int epoll_pwait2(int epfd, void* events, int max, const void* timeout,
+                 const void* sigmask);
+int accept4(int fd, void* addr, void* len, int flags);
+class Loop {
+ public:
+  MR_RUNS_ON(loop) void A(int fd) { epoll_wait(fd, nullptr, 1, -1); }
+  MR_RUNS_ON(loop) void B(int fd) { epoll_pwait(fd, nullptr, 1, -1, nullptr); }
+  MR_RUNS_ON(any) void C(int fd) {
+    epoll_pwait2(fd, nullptr, 1, nullptr, nullptr);
+  }
+  MR_RUNS_ON(loop) void D(int fd) { accept4(fd, nullptr, nullptr, 0); }
+  MR_RUNS_ON(loop) void Idle(int fd) {
+    // miniraid-lint: allow(blocking-call)
+    epoll_pwait2(fd, nullptr, 1, nullptr, nullptr);
+  }
+};
+)"}});
+  EXPECT_EQ(CountRule(findings, "blocking-call"), 4);
+  EXPECT_EQ(CountRule(findings, "blocking-call", true), 5);
+}
+
 TEST(BlockingTest, ClientContextMayBlock) {
   auto findings = Analyze({{"src/core/x.cc", std::string(kPreamble) + R"(
 void sleep_for(int ms);

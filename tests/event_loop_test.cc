@@ -1,8 +1,16 @@
 #include "net/event_loop.h"
 
+#include <fcntl.h>
+#include <sys/epoll.h>
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <functional>
+#include <thread>
 #include <vector>
 
 namespace miniraid {
@@ -103,8 +111,187 @@ TEST(EventLoopTest, StopIsIdempotent) {
 TEST(EventLoopTest, PostAfterStopIsDropped) {
   EventLoop loop;
   loop.Stop();
-  loop.Post([] { FAIL() << "task ran after Stop"; });
+  EXPECT_FALSE(loop.Post([] { FAIL() << "task ran after Stop"; }));
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
+}
+
+TEST(EventLoopTest, PostAndWaitAfterStopReturnsAtOnce) {
+  EventLoop loop;
+  loop.Stop();
+  bool ran = false;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_FALSE(loop.PostAndWait([&ran] { ran = true; }));
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_FALSE(ran);
+}
+
+TEST(EventLoopTest, SleepingLoopWakesForEveryPost) {
+  // Each round trip finds the loop asleep in epoll, so every one of them
+  // depends on its eventfd write being seen.
+  EventLoop loop;
+  for (int i = 0; i < 2000; ++i) ASSERT_TRUE(loop.PostAndWait([] {}));
+}
+
+TEST(EventLoopTest, CancelEveryOtherOfManyTimers) {
+  constexpr int kTimers = 10000;
+  constexpr int kBuckets = 10;
+  constexpr Duration kStep = Milliseconds(20);
+  EventLoop loop;
+  std::vector<int> fired;  // loop thread only, until the final sync
+  std::atomic<int> live{kTimers / 2};
+  auto bucket_of = [](int i) { return (i / 2 * 3) % kBuckets; };
+  std::chrono::steady_clock::duration span{};
+  loop.PostAndWait([&] {
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<TimerId> ids;
+    for (int i = 0; i < kTimers; ++i) {
+      ids.push_back(loop.ScheduleAfter(kStep * (bucket_of(i) + 1), [&, i] {
+        fired.push_back(i);
+        --live;
+      }));
+    }
+    // Timers 2k and 2k+1 share a delay, so every bucket keeps live timers
+    // between the cancelled ones.
+    for (int i = 0; i < kTimers; i += 2) loop.CancelTimer(ids[i]);
+    span = std::chrono::steady_clock::now() - start;
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (live > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(live, 0);
+  loop.PostAndWait([] {});  // every cancelled deadline has passed too
+
+  // Equal delays were scheduled in index order on one thread, so their
+  // deadlines never decrease: each bucket fires in index order.
+  std::vector<std::vector<int>> by_bucket(kBuckets);
+  for (int i : fired) {
+    ASSERT_EQ(i % 2, 1) << "cancelled timer " << i << " fired";
+    by_bucket[bucket_of(i)].push_back(i);
+  }
+  for (int b = 0; b < kBuckets; ++b) {
+    EXPECT_EQ(by_bucket[b].size(), size_t{kTimers / 2 / kBuckets});
+    EXPECT_TRUE(std::is_sorted(by_bucket[b].begin(), by_bucket[b].end()));
+  }
+  // Buckets are kStep apart, so if scheduling took less than kStep the
+  // whole firing order is known: bucket by bucket.
+  if (span < std::chrono::nanoseconds(kStep)) {
+    std::vector<int> expected;
+    for (const auto& bucket : by_bucket) {
+      expected.insert(expected.end(), bucket.begin(), bucket.end());
+    }
+    EXPECT_EQ(fired, expected);
+  }
+}
+
+/// A non-blocking pipe, closed on scope exit.
+struct Pipe {
+  Pipe() { EXPECT_EQ(::pipe2(fds, O_NONBLOCK | O_CLOEXEC), 0); }
+  ~Pipe() {
+    ::close(fds[0]);
+    ::close(fds[1]);
+  }
+  int read_end() const { return fds[0]; }
+  void Write() const { EXPECT_EQ(::write(fds[1], "x", 1), 1); }
+  int fds[2] = {-1, -1};
+};
+
+bool WaitFor(const std::function<bool()>& done) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+TEST(EventLoopTest, WatchedFdCallbackRunsOnLoopAndMayUnwatchItself) {
+  EventLoop loop;
+  Pipe pipe;
+  std::atomic<int> calls{0};
+  std::atomic<bool> on_loop{false};
+  loop.PostAndWait([&] {
+    loop.Watch(pipe.read_end(), EPOLLIN, [&](uint32_t events) {
+      on_loop = loop.IsCurrentThread() && (events & EPOLLIN) != 0;
+      ++calls;
+      loop.Unwatch(pipe.read_end());
+    });
+  });
+  pipe.Write();
+  ASSERT_TRUE(WaitFor([&] { return calls > 0; }));
+  // The byte is never read, so the pipe stays readable: another call would
+  // mean the unwatch did not take.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  loop.PostAndWait([] {});
+  EXPECT_EQ(calls, 1);
+  EXPECT_TRUE(on_loop);
+}
+
+TEST(EventLoopTest, UnwatchDropsAnEventPendingInTheSamePass) {
+  EventLoop loop;
+  Pipe first, second;
+  first.Write();
+  second.Write();
+  std::atomic<int> calls{0};
+  // Both pipes are readable before either is watched, so one poll reports
+  // both; whichever callback runs first unwatches the other.
+  loop.PostAndWait([&] {
+    auto unwatch_both = [&](uint32_t) {
+      ++calls;
+      loop.Unwatch(first.read_end());
+      loop.Unwatch(second.read_end());
+    };
+    loop.Watch(first.read_end(), EPOLLIN, unwatch_both);
+    loop.Watch(second.read_end(), EPOLLIN, unwatch_both);
+  });
+  ASSERT_TRUE(WaitFor([&] { return calls > 0; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  loop.PostAndWait([] {});
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(EventLoopTest, BusyLoopStillServicesReadableFd) {
+  EventLoop loop;
+  Pipe pipe;
+  std::atomic<bool> seen{false};
+  std::atomic<bool> spinning{true};
+  loop.PostAndWait([&] {
+    loop.Watch(pipe.read_end(), EPOLLIN, [&](uint32_t) {
+      char c;
+      EXPECT_EQ(::read(pipe.read_end(), &c, 1), 1);
+      seen = true;
+    });
+  });
+  // A task that re-posts itself keeps the queue from ever draining.
+  std::function<void()> spin = [&] {
+    if (spinning) loop.Post(spin);
+  };
+  loop.Post(spin);
+  pipe.Write();
+  const bool serviced = WaitFor([&] { return seen.load(); });
+  spinning = false;
+  loop.PostAndWait([&] { loop.Unwatch(pipe.read_end()); });
+  EXPECT_TRUE(serviced);
+}
+
+TEST(EventLoopTest, TimerFiresOnTimeWhileFdsAreWatched) {
+  EventLoop loop;
+  Pipe pipe;
+  loop.PostAndWait(
+      [&] { loop.Watch(pipe.read_end(), EPOLLIN, [](uint32_t) {}); });
+  const auto start = std::chrono::steady_clock::now();
+  std::atomic<int64_t> fired_after_ns{-1};
+  loop.ScheduleAfter(Milliseconds(5), [&] {
+    fired_after_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                         std::chrono::steady_clock::now() - start)
+                         .count();
+  });
+  ASSERT_TRUE(WaitFor([&] { return fired_after_ns >= 0; }));
+  EXPECT_GE(fired_after_ns, Milliseconds(5));
+  EXPECT_LT(fired_after_ns, Milliseconds(100));
+  loop.PostAndWait([&] { loop.Unwatch(pipe.read_end()); });
 }
 
 TEST(ThreadSiteRuntimeTest, NowAdvances) {

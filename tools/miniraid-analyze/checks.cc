@@ -9,7 +9,8 @@
 //   context-coverage    - every public method of a class that annotates at
 //                         least one method must itself be annotated, so the
 //                         call-graph pass has no blind entry points.
-//   blocking-call       - no sleep / blocking syscall / CondVar::Wait is
+//   blocking-call       - no sleep / blocking syscall (socket calls, poll,
+//                         select, the epoll waits) / CondVar::Wait is
 //                         reachable from a managing-, loop-, or any-context
 //                         entry point.
 //   fail-lock-mutation  - FailLockTable mutators called outside the owning
@@ -556,10 +557,12 @@ CheckOptions CheckOptions::Defaults() {
       "SessionVector",
       {"Set", "MarkDown", "MarkUp", "MergeFrom"},
       {"site.cc", "site.h", "session_vector.cc", "session_vector.h"}});
-  opts.blocking_free = {"sleep_for", "sleep_until", "usleep",  "sleep",
-                        "nanosleep", "recv",        "send",    "accept",
-                        "connect",   "poll",        "select",  "fsync",
-                        "fdatasync", "system"};
+  opts.blocking_free = {"sleep_for",  "sleep_until", "usleep",
+                        "sleep",      "nanosleep",   "recv",
+                        "send",       "accept",      "accept4",
+                        "connect",    "poll",        "select",
+                        "epoll_wait", "epoll_pwait", "epoll_pwait2",
+                        "fsync",      "fdatasync",   "system"};
   opts.blocking_members = {{"CondVar", {"Wait", "WaitFor", "WaitUntil"}},
                            {"thread", {"join"}}};
   opts.dispatch_enum = "MsgType";

@@ -1,6 +1,7 @@
 // Fixture: blocking calls reachable from loop- and any-context entries —
 // directly, transitively through a helper, and inside a lambda (timer
-// callbacks run on the loop, so the blocking pass follows lambda bodies).
+// callbacks run on the loop, so the blocking pass follows lambda bodies) —
+// including the epoll waits an fd-driven loop sleeps in.
 #if defined(__clang__)
 #define MR_RUNS_ON(ctx) __attribute__((annotate("mr_runs_on:" #ctx)))
 #else
@@ -12,6 +13,12 @@ struct Duration {
 };
 
 void sleep_for(Duration d);
+
+struct epoll_event;
+struct timespec;
+int epoll_wait(int epfd, epoll_event* events, int max, int timeout_ms);
+int epoll_pwait2(int epfd, epoll_event* events, int max,
+                 const timespec* timeout, const void* sigmask);
 
 class Mutex {};
 
@@ -52,5 +59,14 @@ class Site {
 
   MR_RUNS_ON(loop) void TimerSleep(Runtime& rt) {
     rt.ScheduleAfter(Duration{5}, [] { sleep_for(Duration{1}); });
+  }
+
+  // A handler that waits for more input instead of returning to its loop.
+  MR_RUNS_ON(loop) void WaitForMore(int epfd) {
+    epoll_wait(epfd, nullptr, 1, -1);
+  }
+
+  MR_RUNS_ON(any) void PollPeers(int epfd) {
+    epoll_pwait2(epfd, nullptr, 1, nullptr, nullptr);
   }
 };
