@@ -14,8 +14,8 @@ namespace miniraid {
 /// MR_GUARDED_BY(mu_) are compile-time rejected when accessed without it.
 /// All concurrent code outside src/common/ must use this wrapper (and
 /// MutexLock / CondVar below) instead of the raw standard-library types —
-/// scripts/miniraid_lint.py enforces that textually, the `clang-tsa`
-/// preset enforces the lock discipline itself.
+/// miniraid-analyze's raw-mutex rule enforces that, the `clang-tsa` preset
+/// enforces the lock discipline itself.
 class MR_CAPABILITY("mutex") Mutex {
  public:
   Mutex() = default;

@@ -11,8 +11,8 @@
 /// Build with the `clang-tsa` CMake preset (clang++, -Wthread-safety
 /// -Werror=thread-safety) to enforce; GCC builds compile the annotations
 /// away. Use the annotated wrappers in common/mutex.h rather than
-/// std::mutex — scripts/miniraid_lint.py rejects raw standard-library
-/// synchronization types outside src/common/.
+/// std::mutex — miniraid-analyze's raw-mutex rule rejects raw
+/// standard-library synchronization types outside src/common/.
 ///
 /// Reference: https://clang.llvm.org/docs/ThreadSafetyAnalysis.html
 
@@ -41,25 +41,14 @@
 
 /// Declares lock order: this capability must be acquired before / after
 /// the listed ones. Violations are whole deadlock classes; clang checks
-/// them under -Wthread-safety-beta, and miniraid-analyze's lock-order pass
-/// checks the declared graph for cycles and diffs it against the acquisition
-/// order actually observed in function bodies (docs/ANALYSIS.md §8).
-///
-/// On clang the edge is additionally emitted as an annotate attribute
-/// ("mr_acquired_before:<targets>") so the AST frontend sees the same
-/// vocabulary the built-in indexer reads from the macro tokens.
-#if defined(__clang__)
-#define MR_LOCK_EDGE_ANNOTATE_(dir, ...) \
-  __attribute__((annotate(dir #__VA_ARGS__)))
-#else
-#define MR_LOCK_EDGE_ANNOTATE_(dir, ...)
-#endif
-#define MR_ACQUIRED_BEFORE(...)                           \
-  MR_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))     \
-  MR_LOCK_EDGE_ANNOTATE_("mr_acquired_before:", __VA_ARGS__)
-#define MR_ACQUIRED_AFTER(...)                            \
-  MR_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))      \
-  MR_LOCK_EDGE_ANNOTATE_("mr_acquired_after:", __VA_ARGS__)
+/// them under -Wthread-safety-beta (as warnings only), and miniraid-analyze's
+/// lock-order pass checks the declared graph for cycles and diffs it against
+/// the acquisition order actually observed in function bodies
+/// (docs/ANALYSIS.md §8). The analyzer reads the macro tokens themselves.
+#define MR_ACQUIRED_BEFORE(...) \
+  MR_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
+#define MR_ACQUIRED_AFTER(...) \
+  MR_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
 
 /// Function requires the listed capabilities to be held on entry (and does
 /// not release them).
@@ -115,15 +104,9 @@
 /// annotated for one context never reaches a function confined to another,
 /// that no blocking call is reachable from managing/loop/any entry points,
 /// and that every public method of an annotated class carries a context.
-/// On clang the annotation is also visible to the AST frontend as
-/// __attribute__((annotate("mr_runs_on:<ctx>"))); on other compilers it
-/// compiles away and the built-in indexer reads the macro token directly.
+/// The macro compiles away on every compiler; the analyzer reads its token.
 /// ---------------------------------------------------------------------------
-#if defined(__clang__)
-#define MR_RUNS_ON(ctx) __attribute__((annotate("mr_runs_on:" #ctx)))
-#else
 #define MR_RUNS_ON(ctx)
-#endif
 
 /// Field-level confinement waiver for the shared-state pass
 /// (docs/ANALYSIS.md §9). Declares that a field, although reachable from
@@ -136,12 +119,8 @@
 ///
 /// The waiver is an auditable claim, not an enforcement: each use must
 /// carry a comment at the field explaining why the phases cannot overlap.
-/// Prefer MR_GUARDED_BY when a mutex exists.
-#if defined(__clang__)
-#define MR_CONTEXT_CONFINED(ctx) \
-  __attribute__((annotate("mr_context_confined:" #ctx)))
-#else
+/// Prefer MR_GUARDED_BY when a mutex exists. Compiles away, like
+/// MR_RUNS_ON.
 #define MR_CONTEXT_CONFINED(ctx)
-#endif
 
 #endif  // MINIRAID_COMMON_THREAD_ANNOTATIONS_H_

@@ -988,6 +988,13 @@ void Site::HandleCommitAck(const Message& msg) {
       it->second.phase != Coordination::Phase::kCommit) {
     return;
   }
+  if (it->second.group != 0) {
+    // A batch member commits with its batch (HandleBatchCommitAck); a
+    // singleton ack for it must not finish it alone, outside the batch's
+    // participant pruning.
+    ++counters_.duplicate_msgs_ignored;
+    return;
+  }
   Coordination& c = it->second;
   c.awaiting.erase(msg.from);
   if (c.awaiting.empty()) {
@@ -1440,11 +1447,23 @@ void Site::HandleDecisionQuery(const Message& msg) {
     // querier's CommitDecision was evidently lost: re-send it. Before the
     // commit phase there is no decision yet — stay silent and let the
     // querier's next timeout re-ask.
-    if (deciding->second.phase == Coordination::Phase::kCommit) {
+    const Coordination& c = deciding->second;
+    if (c.phase != Coordination::Phase::kCommit) return;
+    if (c.group == 0) {
       ++counters_.decision_queries_answered;
       Charge(options_.costs.ack_format);
       SendTo(msg.from, CommitArgs{txn});
+      return;
     }
+    // A batch member's in-flight decision is its batch frame: the
+    // querier's BatchCommitAck then counts toward the batch, whose commit
+    // timeout alone decides which silent participants leave the set.
+    auto batch = active_batches_.find(c.group);
+    if (batch == active_batches_.end()) return;
+    const ActiveBatch& b = batch->second;
+    ++counters_.decision_queries_answered;
+    Charge(options_.costs.ack_format);
+    SendTo(msg.from, BatchCommitArgs{b.id, b.commits, b.aborts});
     return;
   }
   const std::optional<bool> finished = RecentOutcome(txn);

@@ -1,13 +1,18 @@
-// Unit and regression tests for the miniraid-analyze semantic core.
+// Tests for miniraid-analyze, all through the one Analyze() pipeline the
+// CLI runs.
 //
-// These drive the built-in indexer + checks over inline sources, pinning the
-// exact behaviours the fixture selftest cannot express file-by-file:
-// receiver-type resolution through aliases and accessor chains, the lambda
-// asymmetry between the confinement and blocking passes, and the defects
-// found while bringing the analyzer up (decode-sequence file attribution,
-// no implicit base->override context inheritance).
+// The unit tests drive inline sources and pin behaviours a fixture file
+// cannot express on its own: receiver-type resolution through aliases and
+// accessor chains, the lambda asymmetry between the confinement and blocking
+// passes, no implicit base->override context inheritance, and the path
+// scoping of the per-file rules. The fixture suite then holds every rule to
+// its testdata/<rule>/{bad,good,suppressed}.cc contract, and the last test
+// runs the per-file rules over the real src/ tree. tests/CMakeLists.txt
+// also registers these groups as ctest entries of their own.
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -21,21 +26,15 @@ namespace miniraid {
 namespace analyze {
 namespace {
 
-Model BuildModel(
-    const std::vector<std::pair<std::string, std::string>>& sources) {
-  Indexer indexer;
-  for (const auto& [path, content] : sources) {
-    indexer.AddFile(LexFile(path, content));
-  }
-  return indexer.Build();
+Analysis AnalyzeSources(const std::vector<Source>& sources,
+                        const std::string& effects_golden = "") {
+  CheckOptions opts = CheckOptions::Defaults();
+  opts.effects_golden = effects_golden;
+  return Analyze(sources, opts);
 }
 
-std::vector<Finding> Analyze(
-    const std::vector<std::pair<std::string, std::string>>& sources) {
-  Model model = BuildModel(sources);
-  std::vector<Finding> findings = RunChecks(model, CheckOptions::Defaults());
-  ApplySuppressions(model, &findings);
-  return findings;
+std::vector<Finding> FindingsOf(const std::vector<Source>& sources) {
+  return AnalyzeSources(sources).findings;
 }
 
 int CountRule(const std::vector<Finding>& findings, const std::string& rule,
@@ -45,6 +44,15 @@ int CountRule(const std::vector<Finding>& findings, const std::string& rule,
     if (f.rule == rule && (include_suppressed || !f.suppressed)) ++n;
   }
   return n;
+}
+
+// The first finding of `rule`; a test failure when there is none.
+Finding FirstOf(const std::vector<Finding>& findings, const std::string& rule) {
+  for (const Finding& f : findings) {
+    if (f.rule == rule) return f;
+  }
+  ADD_FAILURE() << "no " << rule << " finding";
+  return Finding{};
 }
 
 // Annotation macro preamble shared by the context-rule sources. The
@@ -58,7 +66,7 @@ constexpr char kPreamble[] = R"(
 // ---------------------------------------------------------------------------
 
 TEST(OwnershipTest, ResolvesReceiverThroughTypeAlias) {
-  auto findings = Analyze({{"src/core/recovery_helper.cc", R"(
+  auto findings = FindingsOf({{"src/core/recovery_helper.cc", R"(
 class FailLockTable {
  public:
   void Set(int from, int to);
@@ -70,7 +78,7 @@ void Tamper(LockTable& t) { t.Set(1, 2); }
 }
 
 TEST(OwnershipTest, ResolvesReceiverThroughAccessorChain) {
-  auto findings = Analyze({{"src/core/recovery_helper.cc", R"(
+  auto findings = FindingsOf({{"src/core/recovery_helper.cc", R"(
 class SessionVector {
  public:
   void MarkDown(int site);
@@ -88,7 +96,7 @@ TEST(OwnershipTest, ResolvesReceiverThroughDerivedClass) {
   // Regression: the base-clause parser returned the access specifier as the
   // "type" of `: public FailLockTable` and dropped it, so DerivesFrom never
   // saw any inheritance edge and subclass receivers escaped the rule.
-  auto findings = Analyze({{"src/core/recovery_helper.cc", R"(
+  auto findings = FindingsOf({{"src/core/recovery_helper.cc", R"(
 class FailLockTable {
  public:
   void Set(int from, int to);
@@ -103,7 +111,7 @@ void Tamper(InstrumentedTable& t) { t.Set(1, 2); }
 }
 
 TEST(OwnershipTest, SameNamedMethodOnUnrelatedTypeIsClean) {
-  auto findings = Analyze({{"src/core/recovery_helper.cc", R"(
+  auto findings = FindingsOf({{"src/core/recovery_helper.cc", R"(
 class Bitmap {
  public:
   void Set(int bit, bool value);
@@ -114,7 +122,7 @@ void Flip(Bitmap& b) { b.Set(7, true); }
 }
 
 TEST(OwnershipTest, MutationInHomeFileIsAllowed) {
-  auto findings = Analyze({{"src/core/site.cc", R"(
+  auto findings = FindingsOf({{"src/core/site.cc", R"(
 class FailLockTable {
  public:
   void Set(int from, int to);
@@ -129,7 +137,7 @@ void Engine(FailLockTable& t) { t.Set(1, 2); }
 // ---------------------------------------------------------------------------
 
 TEST(ConfinementTest, FlagsTransitiveCrossContextCall) {
-  auto findings = Analyze({{"src/core/x.cc", std::string(kPreamble) + R"(
+  auto findings = FindingsOf({{"src/core/x.cc", std::string(kPreamble) + R"(
 class Site {
  public:
   MR_RUNS_ON(loop) void Crash();
@@ -146,7 +154,7 @@ class Driver {
 TEST(ConfinementTest, LambdaBodyIsMarshalledNotInherited) {
   // Posting a lambda is the sanctioned way to hop contexts: the confinement
   // pass must not walk into the lambda body from the enclosing function.
-  auto findings = Analyze({{"src/core/x.cc", std::string(kPreamble) + R"(
+  auto findings = FindingsOf({{"src/core/x.cc", std::string(kPreamble) + R"(
 class Site {
  public:
   MR_RUNS_ON(loop) void Crash();
@@ -169,7 +177,7 @@ class Driver {
 TEST(BlockingTest, LambdaBodyIsFollowedForBlockingCalls) {
   // The opposite asymmetry: a timer callback runs on the loop, so a sleep
   // inside a lambda handed to the runtime IS reachable from the loop entry.
-  auto findings = Analyze({{"src/core/x.cc", std::string(kPreamble) + R"(
+  auto findings = FindingsOf({{"src/core/x.cc", std::string(kPreamble) + R"(
 void sleep_for(int ms);
 class Runtime {
  public:
@@ -189,7 +197,7 @@ class Site {
 TEST(BlockingTest, EpollWaitsAndAcceptFourAreBlocking) {
   // An fd-driven loop sleeps in one of the epoll waits; each is a blocking
   // call anywhere but the loop's own waived idle wait.
-  auto findings = Analyze({{"src/net/x.cc", std::string(kPreamble) + R"(
+  auto findings = FindingsOf({{"src/net/x.cc", std::string(kPreamble) + R"(
 int epoll_wait(int epfd, void* events, int max, int timeout_ms);
 int epoll_pwait(int epfd, void* events, int max, int timeout_ms,
                 const void* sigmask);
@@ -215,7 +223,7 @@ class Loop {
 }
 
 TEST(BlockingTest, ClientContextMayBlock) {
-  auto findings = Analyze({{"src/core/x.cc", std::string(kPreamble) + R"(
+  auto findings = FindingsOf({{"src/core/x.cc", std::string(kPreamble) + R"(
 void sleep_for(int ms);
 class Driver {
  public:
@@ -230,7 +238,7 @@ TEST(BlockingTest, AnnotatedCalleeReanchorsTraversal) {
   // at the contract boundary, so the sleep inside the any-context helper is
   // reported exactly once (from the helper's own root), not re-reported
   // from every caller that reaches it.
-  auto findings = Analyze({{"src/core/x.cc", std::string(kPreamble) + R"(
+  auto findings = FindingsOf({{"src/core/x.cc", std::string(kPreamble) + R"(
 void sleep_for(int ms);
 class Rt {
  public:
@@ -253,7 +261,7 @@ TEST(ConfinementTest, OverridesDoNotInheritBaseContext) {
   // thread, so its overrides are deliberately unannotated. Propagating the
   // base method's client context into the override produced false
   // cross-context findings against the simulator internals.
-  auto findings = Analyze({{"src/core/x.cc", std::string(kPreamble) + R"(
+  auto findings = FindingsOf({{"src/core/x.cc", std::string(kPreamble) + R"(
 class Site {
  public:
   MR_RUNS_ON(loop) void Step();
@@ -275,7 +283,7 @@ class SimCluster : public Cluster {
 TEST(ConfinementTest, UnannotatedVirtualFansOutToOverrides) {
   // But when the BASE method is unannotated, a call through it must still
   // fan out to derived overrides so annotated implementations are checked.
-  auto findings = Analyze({{"src/core/x.cc", std::string(kPreamble) + R"(
+  auto findings = FindingsOf({{"src/core/x.cc", std::string(kPreamble) + R"(
 class Site {
  public:
   MR_RUNS_ON(loop) void Step();
@@ -303,7 +311,7 @@ class Driver {
 // ---------------------------------------------------------------------------
 
 TEST(CoverageTest, FlagsUnannotatedPublicMethodOfAnnotatedClass) {
-  auto findings = Analyze({{"src/core/x.cc", std::string(kPreamble) + R"(
+  auto findings = FindingsOf({{"src/core/x.cc", std::string(kPreamble) + R"(
 class SubmitWindow {
  public:
   MR_RUNS_ON(client) void Submit(int txn);
@@ -314,7 +322,7 @@ class SubmitWindow {
 }
 
 TEST(CoverageTest, UnannotatedClassesAndSpecialMembersAreExempt) {
-  auto findings = Analyze({{"src/core/x.cc", std::string(kPreamble) + R"(
+  auto findings = FindingsOf({{"src/core/x.cc", std::string(kPreamble) + R"(
 class Unaware {
  public:
   void Anything();
@@ -337,7 +345,7 @@ class SubmitWindow {
 // ---------------------------------------------------------------------------
 
 TEST(SuppressionTest, AllowCommentCoversOwnAndNextLine) {
-  auto findings = Analyze({{"src/core/recovery_helper.cc", R"(
+  auto findings = FindingsOf({{"src/core/recovery_helper.cc", R"(
 class FailLockTable {
  public:
   void Set(int from, int to);
@@ -357,7 +365,7 @@ void Tamper(FailLockTable& t) {
 }
 
 TEST(SuppressionTest, AllowForDifferentRuleDoesNotSuppress) {
-  auto findings = Analyze({{"src/core/recovery_helper.cc", R"(
+  auto findings = FindingsOf({{"src/core/recovery_helper.cc", R"(
 class FailLockTable {
  public:
   void Set(int from, int to);
@@ -375,7 +383,7 @@ void Tamper(FailLockTable& t) {
 // ---------------------------------------------------------------------------
 
 TEST(DispatchTest, DefaultlessDispatchSwitchMustBeExhaustive) {
-  auto findings = Analyze({{"src/core/x.cc", R"(
+  auto findings = FindingsOf({{"src/core/x.cc", R"(
 enum class MsgType : unsigned char { kPrepare, kCommit };
 class Site {
  public:
@@ -393,7 +401,7 @@ class Site {
 }
 
 TEST(DispatchTest, MissingCaseAndUnhandledEnumeratorBothReport) {
-  auto findings = Analyze({{"src/core/x.cc", R"(
+  auto findings = FindingsOf({{"src/core/x.cc", R"(
 enum class MsgType : unsigned char { kPrepare, kCommit };
 class Site {
  public:
@@ -408,101 +416,6 @@ class Site {
   // One finding at the switch (missing kCommit) and one at the enum
   // (kCommit handled by no dispatcher anywhere).
   EXPECT_EQ(CountRule(findings, "msg-dispatch"), 2);
-}
-
-// ---------------------------------------------------------------------------
-// Codec symmetry, incl. the decode-sequence file-attribution regression.
-// ---------------------------------------------------------------------------
-
-TEST(CodecTest, CountMismatchReportsAtDecoderCaseInDecoderFile) {
-  // Regression: with the encoder and decoder in different files, the
-  // finding must carry the decoder's file, not the file that happened to
-  // hold the last-indexed function.
-  auto findings = Analyze(
-      {{"src/net/encode.cc", R"(
-enum class MsgType : unsigned char { kPing };
-struct PingArgs { unsigned long long seq; unsigned char hop; };
-class Encoder {
- public:
-  void PutU8(unsigned char v);
-  void PutU64(unsigned long long v);
-};
-struct PayloadEncoder {
-  Encoder& enc;
-  void operator()(const PingArgs& a) {
-    enc.PutU64(a.seq);
-    enc.PutU8(a.hop);
-  }
-};
-class Site {
- public:
-  void OnMessage(MsgType t) {
-    switch (t) {
-      case MsgType::kPing:
-        break;
-    }
-  }
-};
-)"},
-       {"src/net/decode.cc", R"(
-enum class MsgType : unsigned char { kPing };
-class Decoder {
- public:
-  bool GetU64(unsigned long long* v);
-};
-bool DecodePayload(Decoder& dec, MsgType type) {
-  switch (type) {
-    case MsgType::kPing: {
-      unsigned long long seq = 0;
-      return dec.GetU64(&seq);
-    }
-  }
-  return false;
-}
-)"}});
-  ASSERT_EQ(CountRule(findings, "codec-symmetry"), 1);
-  const auto it = std::find_if(
-      findings.begin(), findings.end(),
-      [](const Finding& f) { return f.rule == "codec-symmetry"; });
-  EXPECT_EQ(it->file, "src/net/decode.cc");
-}
-
-TEST(CodecTest, SymmetricCodecIsClean) {
-  auto findings = Analyze({{"src/net/codec.cc", R"(
-enum class MsgType : unsigned char { kPing };
-struct PingArgs { unsigned long long seq; };
-class Encoder {
- public:
-  void PutU64(unsigned long long v);
-};
-class Decoder {
- public:
-  bool GetU64(unsigned long long* v);
-};
-struct PayloadEncoder {
-  Encoder& enc;
-  void operator()(const PingArgs& a) { enc.PutU64(a.seq); }
-};
-bool DecodePayload(Decoder& dec, MsgType type) {
-  switch (type) {
-    case MsgType::kPing: {
-      unsigned long long seq = 0;
-      return dec.GetU64(&seq);
-    }
-  }
-  return false;
-}
-class Site {
- public:
-  void OnMessage(MsgType t) {
-    switch (t) {
-      case MsgType::kPing:
-        break;
-    }
-  }
-};
-)"}});
-  EXPECT_EQ(CountRule(findings, "codec-symmetry"), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -529,15 +442,11 @@ class MR_SCOPED_CAPABILITY MutexLock {
 };
 )";
 
-std::vector<Finding> AnalyzeWithGraph(
-    const std::vector<std::pair<std::string, std::string>>& sources,
-    LockGraph* graph) {
-  Model model = BuildModel(sources);
-  CheckOptions opts = CheckOptions::Defaults();
-  std::vector<Finding> findings = RunChecks(model, opts);
-  *graph = BuildLockGraph(model, opts, &findings);
-  ApplySuppressions(model, &findings);
-  return findings;
+std::vector<Finding> AnalyzeWithGraph(const std::vector<Source>& sources,
+                                      LockGraph* graph) {
+  Analysis analysis = AnalyzeSources(sources);
+  *graph = std::move(analysis.lock_graph);
+  return analysis.findings;
 }
 
 TEST(LockOrderTest, SeededDeclaredCycleIsDetected) {
@@ -637,55 +546,51 @@ class Site {
 };
 )";
 
-std::string DispatchSourceSending(const std::string& payload) {
+std::vector<Source> DispatchSending(const std::string& payload) {
   std::string src = kDispatchSource;
   std::string::size_type pos;
   while ((pos = src.find("%PAYLOAD%")) != std::string::npos) {
     src.replace(pos, 9, payload);
   }
-  return src;
+  return {{"src/core/x.cc", src}};
 }
 
 TEST(ProtocolEffectTest, ComputesHandlerSummariesFromDispatchCases) {
-  Model model = BuildModel({{"src/core/x.cc", DispatchSourceSending("PongArgs")}});
-  EffectMap map = BuildEffectMap(model, CheckOptions::Defaults());
+  EffectMap map = AnalyzeSources(DispatchSending("PongArgs")).effects;
   ASSERT_EQ(map.handlers.size(), 2u);
   EXPECT_EQ(map.handlers["kPing"], std::set<std::string>{"send:kPong"});
   EXPECT_TRUE(map.handlers["kStop"].empty());
 }
 
 TEST(ProtocolEffectTest, SeededDriftAgainstGoldenIsDetected) {
-  Model model = BuildModel({{"src/core/x.cc", DispatchSourceSending("ExtraArgs")}});
-  EffectMap map = BuildEffectMap(model, CheckOptions::Defaults());
-  std::vector<Finding> findings;
-  DiffEffectsAgainstGolden(map, "kPing: send:kPong\nkStop: -\n", &findings);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_EQ(findings[0].rule, "protocol-effect");
-  EXPECT_NE(findings[0].message.find("send:kExtra"), std::string::npos)
-      << findings[0].message;
-  EXPECT_NE(findings[0].message.find("send:kPong"), std::string::npos)
-      << findings[0].message;
+  auto findings = AnalyzeSources(DispatchSending("ExtraArgs"),
+                                 "kPing: send:kPong\nkStop: -\n")
+                      .findings;
+  ASSERT_EQ(CountRule(findings, "protocol-effect"), 1);
+  const Finding drift = FirstOf(findings, "protocol-effect");
+  EXPECT_NE(drift.message.find("send:kExtra"), std::string::npos)
+      << drift.message;
+  EXPECT_NE(drift.message.find("send:kPong"), std::string::npos)
+      << drift.message;
 }
 
 TEST(ProtocolEffectTest, MatchingGoldenAndCommentsProduceNoFindings) {
-  Model model = BuildModel({{"src/core/x.cc", DispatchSourceSending("PongArgs")}});
-  EffectMap map = BuildEffectMap(model, CheckOptions::Defaults());
-  std::vector<Finding> findings;
-  DiffEffectsAgainstGolden(
-      map, "# comment\nkPing: send:kPong  # trailing\n\nkStop: -\n",
-      &findings);
+  auto findings =
+      AnalyzeSources(DispatchSending("PongArgs"),
+                     "# comment\nkPing: send:kPong  # trailing\n\nkStop: -\n")
+          .findings;
   EXPECT_TRUE(findings.empty());
 }
 
 TEST(ProtocolEffectTest, GoldenHandlerWithoutDispatchCaseReports) {
-  Model model = BuildModel({{"src/core/x.cc", DispatchSourceSending("PongArgs")}});
-  EffectMap map = BuildEffectMap(model, CheckOptions::Defaults());
-  std::vector<Finding> findings;
-  DiffEffectsAgainstGolden(
-      map, "kPing: send:kPong\nkStop: -\nkRetired: send:kPong\n", &findings);
-  ASSERT_EQ(findings.size(), 1u);
-  EXPECT_NE(findings[0].message.find("kRetired"), std::string::npos);
-  EXPECT_NE(findings[0].message.find("no dispatch case"), std::string::npos);
+  auto findings =
+      AnalyzeSources(DispatchSending("PongArgs"),
+                     "kPing: send:kPong\nkStop: -\nkRetired: send:kPong\n")
+          .findings;
+  ASSERT_EQ(CountRule(findings, "protocol-effect"), 1);
+  const Finding stale = FirstOf(findings, "protocol-effect");
+  EXPECT_NE(stale.message.find("kRetired"), std::string::npos);
+  EXPECT_NE(stale.message.find("no dispatch case"), std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
@@ -719,14 +624,11 @@ class EventLoop {
 };
 )";
 
-SharedStateReport AnalyzeShared(
-    const std::vector<std::pair<std::string, std::string>>& sources,
-    std::vector<Finding>* findings) {
-  Model model = BuildModel(sources);
-  SharedStateReport report =
-      BuildSharedStateReport(model, CheckOptions::Defaults(), findings);
-  ApplySuppressions(model, findings);
-  return report;
+SharedStateReport AnalyzeShared(const std::vector<Source>& sources,
+                                std::vector<Finding>* findings) {
+  Analysis analysis = AnalyzeSources(sources);
+  *findings = std::move(analysis.findings);
+  return std::move(analysis.shared_state);
 }
 
 const SharedStateReport::Field* FieldVerdict(const SharedStateReport& report,
@@ -863,40 +765,12 @@ class Tally {
   EXPECT_TRUE(f->common_guards.count("Tally::mu_"));
 }
 
-TEST(SharedStateTest, JsonReportIsDeterministicAcrossRuns) {
-  const std::vector<std::pair<std::string, std::string>> sources = {
-      {"src/core/x.cc", std::string(kDataflowPreamble) + R"(
-class Counter {
- public:
-  MR_RUNS_ON(loop) void Tick() { a_ = a_ + 1; b_ = b_ + 1; }
- private:
-  int a_ = 0;
-  int b_ = 0;
-};
-)"}};
-  std::vector<Finding> f1, f2;
-  std::ostringstream os1, os2;
-  WriteSharedStateJson(AnalyzeShared(sources, &f1), os1);
-  WriteSharedStateJson(AnalyzeShared(sources, &f2), os2);
-  EXPECT_FALSE(os1.str().empty());
-  EXPECT_EQ(os1.str(), os2.str());
-}
-
 // ---------------------------------------------------------------------------
 // View-escape pass (buffer-lifetime analysis).
 // ---------------------------------------------------------------------------
 
-std::vector<Finding> AnalyzeViews(
-    const std::vector<std::pair<std::string, std::string>>& sources) {
-  Model model = BuildModel(sources);
-  std::vector<Finding> findings;
-  CheckViewEscape(model, CheckOptions::Defaults(), &findings);
-  ApplySuppressions(model, &findings);
-  return findings;
-}
-
 TEST(ViewEscapeTest, ViewOfLocalBufferStoredInFieldIsFlagged) {
-  auto findings = AnalyzeViews({{"src/core/x.cc", R"(
+  auto findings = FindingsOf({{"src/core/x.cc", R"(
 class Parser {
  public:
   void Parse() {
@@ -910,11 +784,12 @@ class Parser {
 };
 )"}});
   ASSERT_EQ(CountRule(findings, "view-escape"), 1);
-  EXPECT_NE(findings[0].message.find("view_"), std::string::npos);
+  EXPECT_NE(FirstOf(findings, "view-escape").message.find("view_"),
+            std::string::npos);
 }
 
 TEST(ViewEscapeTest, MemberArenaViewStoredInFieldIsClean) {
-  auto findings = AnalyzeViews({{"src/core/x.cc", R"(
+  auto findings = FindingsOf({{"src/core/x.cc", R"(
 class Arena {
  public:
   void Reindex() {
@@ -930,7 +805,7 @@ class Arena {
 }
 
 TEST(ViewEscapeTest, PointerIntoLocalBufferReturnedIsFlagged) {
-  auto findings = AnalyzeViews({{"src/core/x.cc", R"(
+  auto findings = FindingsOf({{"src/core/x.cc", R"(
 class Renderer {
  public:
   const char* Render() {
@@ -942,12 +817,13 @@ class Renderer {
 };
 )"}});
   ASSERT_EQ(CountRule(findings, "view-escape"), 1);
-  EXPECT_NE(findings[0].message.find("scratch"), std::string::npos);
+  EXPECT_NE(FirstOf(findings, "view-escape").message.find("scratch"),
+            std::string::npos);
 }
 
 TEST(ViewEscapeTest, ByRefCaptureIntoDeferredPostIsFlagged) {
   auto findings =
-      AnalyzeViews({{"src/core/x.cc", std::string(kDataflowPreamble) + R"(
+      FindingsOf({{"src/core/x.cc", std::string(kDataflowPreamble) + R"(
 class Worker {
  public:
   void Go() {
@@ -959,7 +835,8 @@ class Worker {
 };
 )"}});
   ASSERT_EQ(CountRule(findings, "view-escape"), 1);
-  EXPECT_NE(findings[0].message.find("'n'"), std::string::npos);
+  EXPECT_NE(FirstOf(findings, "view-escape").message.find("'n'"),
+            std::string::npos);
 }
 
 TEST(ViewEscapeTest, PostAndWaitStackCaptureIsAllowed) {
@@ -967,7 +844,7 @@ TEST(ViewEscapeTest, PostAndWaitStackCaptureIsAllowed) {
   // returns, so the same capture that is a defect through Post is the
   // intended synchronous-handoff idiom through PostAndWait.
   auto findings =
-      AnalyzeViews({{"src/core/x.cc", std::string(kDataflowPreamble) + R"(
+      FindingsOf({{"src/core/x.cc", std::string(kDataflowPreamble) + R"(
 class Collector {
  public:
   int Sample() {
@@ -983,7 +860,7 @@ class Collector {
 }
 
 TEST(ViewEscapeTest, ViewInsertedIntoMemberContainerIsFlagged) {
-  auto findings = AnalyzeViews({{"src/core/x.cc", R"(
+  auto findings = FindingsOf({{"src/core/x.cc", R"(
 class Splitter {
  public:
   void Split() {
@@ -997,43 +874,233 @@ class Splitter {
 };
 )"}});
   ASSERT_EQ(CountRule(findings, "view-escape"), 1);
-  EXPECT_NE(findings[0].message.find("parts_"), std::string::npos);
+  EXPECT_NE(FirstOf(findings, "view-escape").message.find("parts_"),
+            std::string::npos);
 }
 
 // ---------------------------------------------------------------------------
-// SARIF output.
+// Per-file rules: path scoping, the cases a fixture under one virtual path
+// cannot show.
 // ---------------------------------------------------------------------------
 
-TEST(SarifTest, EmitsUnsuppressedFindingsWithRuleAndLocation) {
-  std::vector<Finding> findings;
-  Finding a;
-  a.rule = "view-escape";
-  a.file = "src/core/x.cc";
-  a.line = 7;
-  a.message = "dangling view";
-  findings.push_back(a);
-  Finding b;
-  b.rule = "shared-state";
-  b.file = "src/core/y.cc";
-  b.line = 0;  // must clamp to startLine >= 1
-  b.message = "race";
-  findings.push_back(b);
-  Finding c = a;
-  c.suppressed = true;  // must be omitted
-  c.message = "suppressed defect";
-  findings.push_back(c);
+struct FileRuleCase {
+  const char* path;
+  const char* source;
+  const char* rule;  // the one rule expected to fire; nullptr = clean
+};
 
-  std::ostringstream os;
-  WriteSarif(findings, os);
-  const std::string sarif = os.str();
-  EXPECT_NE(sarif.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"name\": \"miniraid-analyze\""), std::string::npos);
-  EXPECT_NE(sarif.find("{\"id\": \"shared-state\"}"), std::string::npos);
-  EXPECT_NE(sarif.find("{\"id\": \"view-escape\"}"), std::string::npos);
-  EXPECT_NE(sarif.find("\"ruleId\": \"view-escape\""), std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\": 7"), std::string::npos);
-  EXPECT_NE(sarif.find("\"startLine\": 1"), std::string::npos);
-  EXPECT_EQ(sarif.find("suppressed defect"), std::string::npos);
+const FileRuleCase kFileRuleCases[] = {
+    {"src/net/bad_guard.cc",
+     "void F() { std::lock_guard<std::mutex> lock(mu_); }\n", "raw-mutex"},
+    {"src/common/mutex_impl.cc", "static std::mutex m;\n", nullptr},
+    {"tests/helper.cc", "static std::mutex m;\n", nullptr},
+    {"src/core/bad_callback.cc",
+     "void F() {\n  MutexLock lock(mu_);\n  callback(reply);\n}\n",
+     "callback-under-lock"},
+    {"src/txn/good_callback.cc", "void F() { callback(reply); }\n", nullptr},
+    {"src/replication/not_in_scope.cc",
+     "void F() {\n  MutexLock lock(mu_);\n  callback(reply);\n}\n", nullptr},
+    {"src/net/bad_sideways.cc", "#include \"storage/wal.h\"\n", "layering"},
+    {"src/core/bad_check_dep.cc", "#include \"check/abstract_model.h\"\n",
+     "layering"},
+    {"src/core/good_own.cc", "#include \"core/invariants.h\"\n", nullptr},
+    {"src/txn/driver.cc",
+     "#include \"core/cluster_api.h\"\n#include \"txn/transaction.h\"\n",
+     nullptr},
+    {"src/txn/bad_driver_dep.cc", "#include \"txn/driver.h\"\n", "layering"},
+    {"/checkout/src/core/bad_guard_name.h",
+     "#ifndef WRONG_H_\n#define WRONG_H_\n#endif\n", "header-guard"},
+    {"src/core/late_guard.h",
+     "#include <string>\n#ifndef MINIRAID_CORE_LATE_GUARD_H_\n"
+     "#define MINIRAID_CORE_LATE_GUARD_H_\n#endif\n",
+     "header-guard"},
+};
+
+TEST(FileRulesTest, EachCaseFiresOnlyItsRuleAndAllowSilencesIt) {
+  for (const FileRuleCase& c : kFileRuleCases) {
+    SCOPED_TRACE(c.path);
+    const std::vector<Finding> findings = FindingsOf({{c.path, c.source}});
+    if (c.rule == nullptr) {
+      EXPECT_TRUE(findings.empty()) << findings.front().rule;
+      continue;
+    }
+    ASSERT_FALSE(findings.empty());
+    // The allow() comment is part of the contract: appended to each line
+    // that fired, it must silence every finding.
+    std::vector<std::string> lines;
+    std::istringstream in(c.source);
+    for (std::string line; std::getline(in, line);) lines.push_back(line);
+    for (const Finding& f : findings) {
+      EXPECT_EQ(f.rule, c.rule) << f.message;
+      ASSERT_TRUE(f.line >= 1 && static_cast<size_t>(f.line) <= lines.size());
+      lines[f.line - 1] += std::string("  // miniraid-lint: allow(") + c.rule +
+                           ")";
+    }
+    std::string allowed;
+    for (const std::string& line : lines) allowed += line + "\n";
+    const std::vector<Finding> silenced = FindingsOf({{c.path, allowed}});
+    EXPECT_EQ(CountRule(silenced, c.rule), 0) << allowed;
+    EXPECT_EQ(CountRule(silenced, c.rule, true), CountRule(findings, c.rule));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Fixture contract: every rule ships testdata/<rule>/{bad,good,suppressed}.cc.
+//   bad.cc        fires the rule, unsuppressed, and no other rule
+//   good.cc       yields no finding at all, suppressed or not
+//   suppressed.cc yields a suppressed finding of the rule (the check still
+//                 sees the defect; the allow() comment silences it) and no
+//                 unsuppressed finding
+// ---------------------------------------------------------------------------
+
+struct RuleFixture {
+  const char* rule;
+  // Where the fixture is lexed. The per-file rules key on the path, so
+  // their fixtures take a virtual src/<component>/ one; the others keep
+  // testdata/<rule>/, outside src/, where the per-file rules stay silent.
+  const char* dir;
+  const char* ext;
+};
+
+// The whole-program passes (instantiated as Passes/RuleFixtureTest).
+const RuleFixture kPassFixtures[] = {
+    {"cross-context-call", nullptr, ".cc"},
+    {"context-coverage", nullptr, ".cc"},
+    {"blocking-call", nullptr, ".cc"},
+    {"fail-lock-mutation", nullptr, ".cc"},
+    {"session-mutation", nullptr, ".cc"},
+    {"msg-dispatch", nullptr, ".cc"},
+    {"lock-order", nullptr, ".cc"},
+    {"protocol-effect", nullptr, ".cc"},
+    {"shared-state", nullptr, ".cc"},
+    {"view-escape", nullptr, ".cc"},
+};
+
+// The per-file rules (instantiated as FileRules/RuleFixtureTest).
+const RuleFixture kFileRuleFixtures[] = {
+    {"raw-mutex", "src/core/", ".cc"},
+    {"callback-under-lock", "src/net/", ".cc"},
+    {"layering", "src/replication/", ".cc"},
+    {"header-guard", "src/core/", ".h"},
+};
+
+template <size_t N>
+bool HasRule(const RuleFixture (&fixtures)[N], const std::string& rule) {
+  return std::any_of(std::begin(fixtures), std::end(fixtures),
+                     [&rule](const RuleFixture& f) { return rule == f.rule; });
+}
+
+void PrintTo(const RuleFixture& fixture, std::ostream* os) {
+  *os << fixture.rule;
+}
+
+bool ReadFile(const std::string& path, std::string* content) {
+  std::ifstream in(path);
+  if (!in) return false;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  *content = buf.str();
+  return true;
+}
+
+bool ReadTestdata(const std::string& rel, std::string* content) {
+  return ReadFile(std::string(MINIRAID_ANALYZE_TESTDATA) + "/" + rel, content);
+}
+
+std::vector<Finding> RunFixture(const RuleFixture& fixture,
+                                const std::string& kind) {
+  const std::string rule = fixture.rule;
+  Source source;
+  source.path = fixture.dir != nullptr
+                    ? std::string(fixture.dir) + kind + fixture.ext
+                    : "testdata/" + rule + "/" + kind + ".cc";
+  EXPECT_TRUE(ReadTestdata(rule + "/" + kind + ".cc", &source.content))
+      << rule << "/" << kind << ".cc missing";
+  // A rule that ships a golden (protocol-effect) is diffed against it.
+  std::string golden;
+  ReadTestdata(rule + "/golden.txt", &golden);
+  return AnalyzeSources({source}, golden).findings;
+}
+
+std::string Describe(const Finding& f) {
+  return f.file + ":" + std::to_string(f.line) + ": [" + f.rule + "] " +
+         f.message;
+}
+
+class RuleFixtureTest : public ::testing::TestWithParam<RuleFixture> {};
+
+TEST_P(RuleFixtureTest, BadFiresOnlyItsOwnRule) {
+  const std::vector<Finding> findings = RunFixture(GetParam(), "bad");
+  EXPECT_GE(CountRule(findings, GetParam().rule), 1);
+  for (const Finding& f : findings) {
+    EXPECT_EQ(f.rule, GetParam().rule) << Describe(f);
+  }
+}
+
+TEST_P(RuleFixtureTest, GoodIsSilent) {
+  for (const Finding& f : RunFixture(GetParam(), "good")) {
+    ADD_FAILURE() << Describe(f);
+  }
+}
+
+TEST_P(RuleFixtureTest, SuppressedIsSeenAndSilenced) {
+  const std::vector<Finding> findings = RunFixture(GetParam(), "suppressed");
+  EXPECT_GE(CountRule(findings, GetParam().rule, true), 1);
+  for (const Finding& f : findings) {
+    EXPECT_TRUE(f.suppressed) << Describe(f);
+  }
+}
+
+std::string FixtureName(const ::testing::TestParamInfo<RuleFixture>& info) {
+  std::string name = info.param.rule;
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Passes, RuleFixtureTest,
+                         ::testing::ValuesIn(kPassFixtures), FixtureName);
+INSTANTIATE_TEST_SUITE_P(FileRules, RuleFixtureTest,
+                         ::testing::ValuesIn(kFileRuleFixtures), FixtureName);
+
+TEST(FixtureCorpusTest, EveryTestdataDirectoryIsARegisteredRule) {
+  for (const auto& entry :
+       std::filesystem::directory_iterator(MINIRAID_ANALYZE_TESTDATA)) {
+    const std::string name = entry.path().filename().string();
+    if (name == "seeded") continue;
+    EXPECT_TRUE(HasRule(kPassFixtures, name) ||
+                HasRule(kFileRuleFixtures, name))
+        << "testdata/" << name << " has no entry in a fixture table";
+  }
+}
+
+TEST(FixtureCorpusTest, SeededCodecViewReuseIsCaught) {
+  Source source{"testdata/seeded/codec_view_reuse.cc", ""};
+  ASSERT_TRUE(ReadTestdata("seeded/codec_view_reuse.cc", &source.content));
+  const std::vector<Finding> findings = AnalyzeSources({source}).findings;
+  EXPECT_GE(CountRule(findings, "view-escape"), 1);
+  for (const Finding& f : findings) {
+    EXPECT_EQ(f.rule, "view-escape") << Describe(f);
+  }
+}
+
+// The per-file rules over the real tree: src/ must come back clean of them
+// (the other passes gate src/ through the miniraid-analyze CLI).
+TEST(SourceTreeTest, PerFileRulesAreCleanOverSrc) {
+  std::vector<Source> sources;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(MINIRAID_SOURCE_DIR)) {
+    const std::string ext = entry.path().extension().string();
+    if (!entry.is_regular_file() || (ext != ".h" && ext != ".cc")) continue;
+    Source source{entry.path().string(), ""};
+    ASSERT_TRUE(ReadFile(source.path, &source.content)) << source.path;
+    sources.push_back(std::move(source));
+  }
+  ASSERT_FALSE(sources.empty());
+  for (const Finding& f : FindingsOf(sources)) {
+    if (!f.suppressed && HasRule(kFileRuleFixtures, f.rule)) {
+      ADD_FAILURE() << Describe(f);
+    }
+  }
 }
 
 }  // namespace

@@ -279,5 +279,55 @@ TEST(BatchingTest, PostBatchDecisionQueryAnswersEveryMember) {
   EXPECT_EQ(cluster.site(0).counters().decisions_presumed_abort, 0u);
 }
 
+TEST(BatchingTest, InFlightDecisionQueryForBatchMemberResendsTheBatchFrame) {
+  // A commit-phase batch member's in-flight decision is its batch frame
+  // (PROTOCOL.md §8.4). Site 1 loses the first three BatchCommit frames and
+  // queries the decision of each member; site 2 loses every BatchCommit
+  // and crashes right after acking the prepare. Answering site 1 with the
+  // batch frame keeps its ack on the batch, so the batch's commit timeout
+  // still drops silent site 2 and the coalesced maintenance fail-locks its
+  // copies. A singleton kCommit answer would let one CommitAck finish the
+  // member outside the batch with site 2 still a participant: no fail-lock,
+  // and the recovered site 2 would serve its stale copy without a copier.
+  ClusterOptions options = Options(3);
+  options.site.retry_limit = 3;
+  bool site2_acked = false;
+  int dropped_to_site1 = 0;
+  options.transport.drop_filter = [&](const Message& msg) {
+    if (msg.type == MsgType::kBatchPrepareAck && msg.from == 2) {
+      site2_acked = true;
+    }
+    if (msg.type != MsgType::kBatchCommit) return false;
+    return msg.to == 2 || (msg.to == 1 && dropped_to_site1++ < 3);
+  };
+  auto cluster_owner = MakeSimCluster(options);
+  SimCluster& cluster = *cluster_owner;
+  std::vector<std::optional<TxnResult>> replies(2);
+  for (TxnId id : {1u, 2u}) {
+    const TxnSpec txn = MakeTxn(id, {Operation::Write(id - 1, 10 * id)});
+    cluster.managing().Submit(txn, 0, [&replies, id](const TxnResult& r) {
+      replies[id - 1] = r;
+    });
+  }
+  ASSERT_TRUE(cluster.Drive([&site2_acked] { return site2_acked; }));
+  cluster.Fail(2);
+  for (const auto& reply : replies) {
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->outcome, TxnOutcome::kCommitted);
+  }
+  EXPECT_EQ(cluster.site(0).counters().batch_rounds_coordinated, 1u);
+  EXPECT_GE(cluster.site(1).counters().decision_queries_sent, 1u);
+  // Site 1 applied the frame with its prepare-time participant set, so
+  // the coordinator's commit-timeout maintenance is what keeps the bits.
+  EXPECT_TRUE(cluster.site(0).fail_locks().IsSet(0, 2));
+  EXPECT_TRUE(cluster.site(0).fail_locks().IsSet(1, 2));
+
+  cluster.Recover(2);
+  const TxnResult read = cluster.RunTxn(MakeTxn(3, {Operation::Read(0)}), 2);
+  ASSERT_EQ(read.outcome, TxnOutcome::kCommitted);
+  EXPECT_EQ(read.reads.at(0).value, 10);
+  EXPECT_EQ(cluster.site(2).counters().copier_transactions, 1u);
+}
+
 }  // namespace
 }  // namespace miniraid

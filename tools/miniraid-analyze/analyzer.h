@@ -1,14 +1,13 @@
 #ifndef MINIRAID_TOOLS_MINIRAID_ANALYZE_ANALYZER_H_
 #define MINIRAID_TOOLS_MINIRAID_ANALYZE_ANALYZER_H_
 
-// miniraid-analyze: whole-program semantic analysis for the execution-context
-// and protocol-ownership disciplines the engine relies on (docs/ANALYSIS.md
-// §7). The analysis core in this header is frontend-independent: facts about
-// the program (classes, functions, calls with resolved receiver types,
-// switches, codec sequences) are extracted into a `Model` either by the
-// built-in indexer (lexer.cc + indexer.cc, no toolchain dependency) or by the
-// Clang LibTooling frontend (clang_frontend.cc, built when
-// MINIRAID_ANALYZE_CLANG=ON), and the checks in checks.cc run on the model.
+// miniraid-analyze: the repository's static analysis (docs/ANALYSIS.md §7).
+// The lexer (lexer.cc) turns each file into tokens plus the preprocessor
+// facts the per-file rules need (file_rules.cc); the indexer (indexer.cc)
+// extracts facts about the whole program (classes, functions, calls with
+// resolved receiver types, switches, lock scopes) into a `Model`; the model
+// passes (checks.cc, effects.cc, lock_order.cc, dataflow.cc) run on it.
+// Analyze() (analyze.cc) runs the whole pipeline.
 
 #include <map>
 #include <ostream>
@@ -56,7 +55,7 @@ struct Finding {
 };
 
 // ---------------------------------------------------------------------------
-// Tokens (built-in frontend).
+// Tokens.
 // ---------------------------------------------------------------------------
 struct Token {
   enum Kind { kIdent, kNumber, kString, kPunct };
@@ -68,13 +67,19 @@ struct Token {
 struct SourceFile {
   std::string path;
   std::vector<Token> tokens;
+  // Preprocessor lines stay out of the token stream; the per-file rules
+  // read these two facts from them. `includes` holds each quoted
+  // `#include "dir/file.h"` target with its line; `guard` is the macro of
+  // an opening `#ifndef X` / `#define X` pair ("" if the file has none).
+  std::vector<std::pair<std::string, int>> includes;
+  std::string guard;
   // line -> rules allowed on that line ("*" = all). A `// miniraid-lint:
-  // allow(rule)` comment covers its own line and the next line, matching
-  // scripts/miniraid_lint.py.
+  // allow(rule)` comment covers its own line and the next line.
   std::map<int, std::set<std::string>> allow;
 };
 
-// Lexes `content`; records suppression comments, skips preprocessor lines.
+// Lexes `content`; records suppression comments, include targets and the
+// include guard, and keeps other preprocessor lines out of the tokens.
 SourceFile LexFile(const std::string& path, const std::string& content);
 
 // ---------------------------------------------------------------------------
@@ -97,11 +102,6 @@ struct CallSite {
   int line = 0;
   int file_index = -1;
   size_t tok = 0;             // index of the callee token in the file stream
-                              // (clang frontend: source offset — used only
-                              // for ordering against CaseLabel::tok)
-  std::string last_ident_arg; // last argument when it is a lone identifier;
-                              // pre-resolved by the clang frontend (the
-                              // built-in indexer recovers it from tokens)
 };
 
 // A read or write of a class field observed in a function (or lambda) body.
@@ -111,7 +111,7 @@ struct CallSite {
 // and are attributed there. `via_call` is the trailing member call on the
 // access chain ("push_back" in `items_.push_back(x)`): whether it mutates is
 // the shared-state pass's decision (CheckOptions::mutating_members), not the
-// frontend's.
+// indexer's.
 struct FieldAccess {
   std::string cls;       // class that declares the field (may be a base)
   std::string field;
@@ -198,17 +198,10 @@ struct SwitchInfo {
   int file_index = -1;
 };
 
-// One encoder write or decoder read, in source order.
-struct CodecOp {
-  std::string kind;    // "U8", "U64", "Varint", "String", "Vector", ...
-  std::string helper;  // for Vector: the element helper ("PutOperation")
-  int line = 0;
-};
-
 // A scoped lock acquisition: `MutexLock lock(mu_);`. The lock is held from
-// `tok` until the enclosing block closes at `release_tok` (both in the same
-// token/offset space as CallSite::tok, so lock ops and calls interleave by
-// simple comparison).
+// `tok` until the enclosing block closes at `release_tok` (both token
+// indices, like CallSite::tok, so lock ops and calls interleave by simple
+// comparison).
 struct ScopedAcquire {
   std::string node;        // "OwnerClass::field" of the locked mutex, "" if
                            // the constructor argument did not resolve
@@ -254,8 +247,8 @@ struct FunctionInfo {
 struct ClassInfo {
   std::string name;
   bool is_struct = false;
-  bool is_capability = false;         // MR_CAPABILITY / clang `capability`
-  bool is_scoped_capability = false;  // MR_SCOPED_CAPABILITY / scoped_lockable
+  bool is_capability = false;         // MR_CAPABILITY
+  bool is_scoped_capability = false;  // MR_SCOPED_CAPABILITY
   std::vector<std::string> bases;
   std::map<std::string, std::string> fields;      // field name -> core type
   std::map<std::string, int> field_lines;         // field name -> decl line
@@ -354,11 +347,8 @@ struct CheckOptions {
   // convention, mapped to their dispatch enumerator (e.g. "TxnResult" ->
   // "kTxnReply").
   std::map<std::string, std::string> codec_aliases;
-  bool check_codec = true;
-  bool check_contexts = true;
 
   // --- lock-order pass -----------------------------------------------------
-  bool check_lock_order = true;
   // Item-lock layer: methods that enqueue waiters or run grant callbacks
   // synchronously; calling them (directly or transitively) while holding a
   // mutex is flagged, because grant callbacks execute on lock-release paths.
@@ -389,7 +379,6 @@ struct CheckOptions {
   std::vector<DeferredSink> sinks;
 
   // --- shared-state pass ---------------------------------------------------
-  bool check_shared_state = true;
   // Field types that are internally synchronized (or are themselves locks);
   // their accesses are not evidence of a race.
   std::set<std::string> shared_state_exempt_types;
@@ -398,7 +387,6 @@ struct CheckOptions {
   std::set<std::string> mutating_members;
 
   // --- view-escape pass ----------------------------------------------------
-  bool check_view_escape = true;
   std::set<std::string> view_types;         // string_view, Slice, span
   std::set<std::string> buffer_types;       // string, vector, ...
   std::set<std::string> view_source_calls;  // data, c_str: yield raw views
@@ -407,14 +395,18 @@ struct CheckOptions {
   static CheckOptions Defaults();
 };
 
+// Per-file rules (file_rules.cc): raw-mutex, callback-under-lock, layering
+// and header-guard. They read one file's path, tokens and preprocessor facts,
+// and apply only to files under a `src/` directory.
+void CheckFileRules(const SourceFile& file, std::vector<Finding>* findings);
+
 std::vector<Finding> RunChecks(const Model& model, const CheckOptions& opts);
 
 // Call-target resolution shared by every interprocedural pass (checks.cc):
 // annotated methods found through the receiver type are contracts (no
 // virtual fan-out); unannotated methods fan out to derived overrides.
 std::vector<int> ResolveCallTargets(const Model& m, const CallSite& c);
-// The call's last argument when it is a lone identifier (pre-resolved by the
-// clang frontend, recovered from tokens by the built-in indexer).
+// The call's last argument when it is a lone identifier, "" otherwise.
 std::string CallLastIdentArg(const Model& m, const CallSite& c);
 
 // ---------------------------------------------------------------------------
@@ -437,14 +429,11 @@ struct LockGraph {
     std::string file;
     int line = 0;
   };
-  std::set<std::string> nodes;
   std::vector<Edge> edges;
 };
 
 LockGraph BuildLockGraph(const Model& model, const CheckOptions& opts,
                          std::vector<Finding>* findings);
-void WriteLockGraphDot(const LockGraph& graph, std::ostream& os);
-void WriteLockGraphJson(const LockGraph& graph, std::ostream& os);
 
 // ---------------------------------------------------------------------------
 // Protocol-effect pass (effects.cc).
@@ -466,7 +455,6 @@ struct EffectMap {
 EffectMap BuildEffectMap(const Model& model, const CheckOptions& opts);
 // One `kEnumerator: effect effect...` line per handler ("-" when pure).
 std::string FormatEffectMap(const EffectMap& map);
-void WriteEffectMapJson(const EffectMap& map, std::ostream& os);
 // Diffs `map` against golden text ('#' comments allowed); appends one
 // "protocol-effect" finding per drifted, missing, or unexpected handler.
 void DiffEffectsAgainstGolden(const EffectMap& map, const std::string& golden,
@@ -521,15 +509,12 @@ struct SharedStateReport {
   struct Field {
     std::string cls;
     std::string field;
-    std::string type;
     std::string file;
     int line = 0;
     std::set<std::string> contexts;       // context names reaching accesses
     std::set<std::string> common_guards;  // lock nodes held at every access
     std::string declared_guard;           // resolved MR_GUARDED_BY node
     std::string waiver;                   // MR_CONTEXT_CONFINED ctx name
-    int reads = 0;
-    int writes = 0;
     // "single-context" | "read-only" | "annotated" | "confined" |
     // "guarded" | "race" | "guard-disagreement"
     std::string verdict;
@@ -540,24 +525,34 @@ struct SharedStateReport {
 SharedStateReport BuildSharedStateReport(const Model& model,
                                          const CheckOptions& opts,
                                          std::vector<Finding>* findings);
-void WriteSharedStateJson(const SharedStateReport& report, std::ostream& os);
 
 void CheckViewEscape(const Model& model, const CheckOptions& opts,
                      std::vector<Finding>* findings);
 
 // ---------------------------------------------------------------------------
-// Reporting.
+// The pipeline (analyze.cc): the one entry point of the CLI and the tests.
 // ---------------------------------------------------------------------------
-// Marks findings covered by a `// miniraid-lint: allow(...)` comment.
-void ApplySuppressions(const Model& model, std::vector<Finding>* findings);
+struct Source {
+  std::string path;  // as reported in findings; the per-file rules key on it
+  std::string content;
+};
+
+struct Analysis {
+  std::vector<Finding> findings;  // sorted; suppressed ones marked, not gone
+  EffectMap effects;
+  LockGraph lock_graph;
+  SharedStateReport shared_state;
+};
+
+// Lexes and indexes `sources`, then runs every pass: the per-file rules, the
+// model checks, the effect-golden diff (when opts.effects_golden is set),
+// lock-order, shared-state and view-escape; last, it applies the
+// `// miniraid-lint: allow(...)` suppressions.
+Analysis Analyze(const std::vector<Source>& sources, const CheckOptions& opts);
+
 // Prints unsuppressed findings as clickable file:line diagnostics; returns
 // the number of unsuppressed findings.
 int PrintFindings(const std::vector<Finding>& findings, std::ostream& os);
-// Writes the full findings list (including suppressed) as JSON.
-void WriteJson(const std::vector<Finding>& findings, std::ostream& os);
-// Writes unsuppressed findings as a minimal SARIF 2.1.0 log for CI
-// code-scanning upload.
-void WriteSarif(const std::vector<Finding>& findings, std::ostream& os);
 
 }  // namespace analyze
 }  // namespace miniraid

@@ -1,5 +1,4 @@
-// The frontend-independent analysis passes. All of them consume the Model
-// built by either frontend:
+// The model checks. All of them consume the Model built by the indexer:
 //
 //   cross-context-call  - call-graph reachability from every MR_RUNS_ON
 //                         entry point; a root confined to one context must
@@ -19,9 +18,6 @@
 //   msg-dispatch        - switches over MsgType without a default cover
 //                         every enumerator, and every enumerator is handled
 //                         by some OnMessage dispatch switch.
-//   codec-symmetry      - encoder writes match decoder reads field-by-field
-//                         for every payload struct, including vector element
-//                         helpers (PutFoo/GetFoo pairs).
 
 #include <algorithm>
 #include <sstream>
@@ -47,18 +43,9 @@ std::string Join(const std::set<std::string>& items, const char* sep) {
   return out;
 }
 
-bool StartsWith(const std::string& s, const char* prefix) {
-  return s.rfind(prefix, 0) == 0;
-}
-
-bool EndsWith(const std::string& s, const std::string& suffix) {
-  return s.size() >= suffix.size() &&
-         s.compare(s.size() - suffix.size(), suffix.size(), suffix) == 0;
-}
-
 // Returns the text of the last top-level argument of the call whose callee
-// identifier is at `tok` — used to recover the element helper passed to
-// PutVector / GetVector. Empty if the argument is not a lone identifier.
+// identifier is at `tok` (the mutex a CondVar wait releases, the value a
+// container insert stores). Empty if the argument is not a lone identifier.
 std::string LastArg(const SourceFile& file, size_t tok) {
   const std::vector<Token>& t = file.tokens;
   size_t open = tok + 1;
@@ -88,23 +75,14 @@ std::string LastArg(const SourceFile& file, size_t tok) {
 
 class Checker {
  public:
-  Checker(const Model& m, const CheckOptions& opts) : m_(m), opts_(opts) {
-    for (const auto& kv : m_.classes) {
-      for (const std::string& b : kv.second.bases) {
-        derived_[b].push_back(kv.first);
-      }
-    }
-  }
+  Checker(const Model& m, const CheckOptions& opts) : m_(m), opts_(opts) {}
 
   std::vector<Finding> Run() {
-    if (opts_.check_contexts) {
-      CheckCrossContext();
-      CheckCoverage();
-      CheckBlocking();
-    }
+    CheckCrossContext();
+    CheckCoverage();
+    CheckBlocking();
     CheckOwnership();
     CheckDispatch();
-    if (opts_.check_codec) CheckCodec();
     std::sort(findings_.begin(), findings_.end());
     return std::move(findings_);
   }
@@ -308,199 +286,8 @@ class Checker {
     }
   }
 
-  // ---------------- codec-symmetry ----------------
-  struct Seq {
-    std::vector<CodecOp> ops;
-    std::string file;
-    int line = 0;
-  };
-
-  Seq CollectOps(const FunctionInfo& fn, const char* prefix) const {
-    Seq seq;
-    seq.file = fn.file;
-    seq.line = fn.line;
-    for (const CallSite& call : fn.calls) {
-      if (!StartsWith(call.callee, prefix)) continue;
-      CodecOp op;
-      op.kind = call.callee.substr(3);
-      op.line = call.line;
-      if (op.kind == "Vector") {
-        op.helper = call.last_ident_arg;
-        if (op.helper.empty() && call.file_index >= 0) {
-          op.helper = LastArg(m_.files[call.file_index], call.tok);
-        }
-      }
-      seq.ops.push_back(std::move(op));
-    }
-    return seq;
-  }
-
-  static std::string HelperSuffix(const std::string& helper) {
-    if (StartsWith(helper, "Put") || StartsWith(helper, "Get")) {
-      return helper.substr(3);
-    }
-    return helper;
-  }
-
-  void CompareSeqs(const std::string& what, const Seq& enc, const Seq& dec) {
-    if (enc.ops.size() != dec.ops.size()) {
-      std::ostringstream msg;
-      msg << "codec asymmetry for " << what << ": encoder writes "
-          << enc.ops.size() << " field(s) but decoder reads "
-          << dec.ops.size();
-      Report("codec-symmetry", dec.file, dec.line ? dec.line : enc.line,
-             msg.str());
-      return;
-    }
-    for (size_t i = 0; i < enc.ops.size(); ++i) {
-      const CodecOp& e = enc.ops[i];
-      const CodecOp& d = dec.ops[i];
-      if (e.kind != d.kind) {
-        std::ostringstream msg;
-        msg << "codec asymmetry for " << what << ": field #" << (i + 1)
-            << " is written as " << e.kind << " but read as " << d.kind;
-        Report("codec-symmetry", dec.file, d.line ? d.line : dec.line,
-               msg.str());
-        continue;
-      }
-      if (e.kind == "Vector" && !e.helper.empty() && !d.helper.empty() &&
-          HelperSuffix(e.helper) != HelperSuffix(d.helper)) {
-        std::ostringstream msg;
-        msg << "codec asymmetry for " << what << ": field #" << (i + 1)
-            << " vector elements are written with " << e.helper
-            << " but read with " << d.helper;
-        Report("codec-symmetry", dec.file, d.line ? d.line : dec.line,
-               msg.str());
-      }
-    }
-  }
-
-  void CheckCodec() {
-    // Encoder sequences: PayloadEncoder::operator()(const XArgs&).
-    std::map<std::string, Seq> encode;
-    // Helper pairs: PutFoo(Encoder&, ...) / GetFoo(Decoder&, ...).
-    std::map<std::string, Seq> put_helpers, get_helpers;
-    const FunctionInfo* decode_fn = nullptr;
-    for (const FunctionInfo& fn : m_.functions) {
-      if (fn.cls == "PayloadEncoder" && fn.name == "operator()" &&
-          !fn.param0_type.empty()) {
-        encode[fn.param0_type] = CollectOps(fn, "Put");
-      } else if (fn.cls.empty() && fn.name == "DecodePayload") {
-        decode_fn = &fn;
-      } else if (fn.cls.empty() && StartsWith(fn.name, "Put") &&
-                 fn.name.size() > 3 && fn.param0_type == "Encoder") {
-        put_helpers[fn.name.substr(3)] = CollectOps(fn, "Put");
-      } else if (fn.cls.empty() && StartsWith(fn.name, "Get") &&
-                 fn.name.size() > 3 && fn.param0_type == "Decoder") {
-        get_helpers[fn.name.substr(3)] = CollectOps(fn, "Get");
-      }
-    }
-    if (encode.empty() && decode_fn == nullptr) return;
-
-    // Decoder sequences: Get* calls grouped by the MsgType case label they
-    // fall under, by token position.
-    std::map<std::string, Seq> decode;
-    if (decode_fn != nullptr) {
-      for (const SwitchInfo& sw : decode_fn->switches) {
-        std::vector<CaseLabel> labels;
-        for (const CaseLabel& c : sw.cases) {
-          if (c.enum_qual == opts_.dispatch_enum || opts_.dispatch_enum.empty())
-            labels.push_back(c);
-        }
-        if (labels.empty()) continue;
-        std::sort(labels.begin(), labels.end(),
-                  [](const CaseLabel& a, const CaseLabel& b) {
-                    return a.tok < b.tok;
-                  });
-        std::string sw_file = sw.file_index >= 0
-                                  ? m_.files[sw.file_index].path
-                                  : decode_fn->file;
-        for (size_t i = 0; i < labels.size(); ++i) {
-          Seq& seq = decode[labels[i].enumerator];
-          seq.file = sw_file;
-          seq.line = labels[i].line;
-        }
-        for (const CallSite& call : decode_fn->calls) {
-          if (!StartsWith(call.callee, "Get")) continue;
-          // Find the case region containing this call.
-          const CaseLabel* owner = nullptr;
-          for (const CaseLabel& c : labels) {
-            if (c.tok < call.tok) {
-              owner = &c;
-            } else {
-              break;
-            }
-          }
-          if (owner == nullptr) continue;
-          CodecOp op;
-          op.kind = call.callee.substr(3);
-          op.line = call.line;
-          if (op.kind == "Vector") {
-            op.helper = call.last_ident_arg;
-            if (op.helper.empty() && call.file_index >= 0) {
-              op.helper = LastArg(m_.files[call.file_index], call.tok);
-            }
-          }
-          decode[owner->enumerator].ops.push_back(std::move(op));
-        }
-      }
-    }
-
-    for (const auto& kv : encode) {
-      std::string enumerator;
-      auto alias = opts_.codec_aliases.find(kv.first);
-      if (alias != opts_.codec_aliases.end()) {
-        enumerator = alias->second;
-      } else if (EndsWith(kv.first, "Args")) {
-        enumerator = "k" + kv.first.substr(0, kv.first.size() - 4);
-      } else {
-        continue;
-      }
-      auto dit = decode.find(enumerator);
-      if (dit == decode.end()) {
-        if (decode_fn != nullptr) {
-          Report("codec-symmetry", kv.second.file, kv.second.line,
-                 "encoder overload for " + kv.first +
-                     " has no matching decoder case MsgType::" + enumerator);
-        }
-        continue;
-      }
-      CompareSeqs(kv.first, kv.second, dit->second);
-    }
-    for (const auto& kv : decode) {
-      std::string args = kv.first.substr(1) + "Args";
-      for (const auto& alias : opts_.codec_aliases) {
-        if (alias.second == kv.first) args = alias.first;
-      }
-      if (!encode.empty() && !encode.count(args)) {
-        Report("codec-symmetry", kv.second.file, kv.second.line,
-               "decoder case MsgType::" + kv.first +
-                   " has no matching encoder overload for " + args);
-      }
-    }
-    for (const auto& kv : put_helpers) {
-      auto git = get_helpers.find(kv.first);
-      if (git == get_helpers.end()) {
-        Report("codec-symmetry", kv.second.file, kv.second.line,
-               "codec helper Put" + kv.first + " has no Get" + kv.first +
-                   " counterpart");
-        continue;
-      }
-      CompareSeqs("codec helper pair Put/Get" + kv.first, kv.second,
-                  git->second);
-    }
-    for (const auto& kv : get_helpers) {
-      if (!put_helpers.count(kv.first)) {
-        Report("codec-symmetry", kv.second.file, kv.second.line,
-               "codec helper Get" + kv.first + " has no Put" + kv.first +
-                   " counterpart");
-      }
-    }
-  }
-
   const Model& m_;
   const CheckOptions& opts_;
-  std::map<std::string, std::vector<std::string>> derived_;
   std::set<std::string> reported_;
   std::vector<Finding> findings_;
 };
@@ -540,9 +327,7 @@ std::vector<int> ResolveCallTargets(const Model& m, const CallSite& c) {
 }
 
 std::string CallLastIdentArg(const Model& m, const CallSite& c) {
-  if (!c.last_ident_arg.empty()) return c.last_ident_arg;
-  if (c.file_index >= 0) return LastArg(m.files[c.file_index], c.tok);
-  return "";
+  return c.file_index >= 0 ? LastArg(m.files[c.file_index], c.tok) : "";
 }
 
 CheckOptions CheckOptions::Defaults() {

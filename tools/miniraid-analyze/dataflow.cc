@@ -14,7 +14,7 @@
 // mutex, no MR_GUARDED_BY, and no MR_CONTEXT_CONFINED waiver is a race
 // finding; a field whose declared guard is provably absent from the common
 // held set while some other mutex is always held is a guard-disagreement
-// finding. Everything else gets a benign verdict in the JSON report
+// finding. Everything else gets a benign verdict in the report
 // (single-context, read-only, annotated, confined, guarded).
 //
 // view-escape tracks string_view/Slice/span and raw character pointers
@@ -80,25 +80,6 @@ const CheckOptions::DeferredSink* MatchSink(const Model& m,
   return nullptr;
 }
 
-void JsonStr(const std::string& s, std::ostream& os) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xF] << hex[c & 0xF];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
 
 // Whole-program context and held-set inference, shared by both passes.
 struct Dataflow {
@@ -296,7 +277,6 @@ SharedStateReport BuildSharedStateReport(const Model& m,
                                          const CheckOptions& opts,
                                          std::vector<Finding>* findings) {
   SharedStateReport report;
-  if (!opts.check_shared_state) return report;
   Dataflow df{m, opts, {}, {}, {}};
   df.InferContexts();
   df.ComputeHeldSets();
@@ -362,14 +342,11 @@ SharedStateReport BuildSharedStateReport(const Model& m,
     SharedStateReport::Field out;
     out.cls = cls;
     out.field = field;
-    out.type = ftype;
     out.file = ci.file;
     auto lit = ci.field_lines.find(field);
     out.line = lit != ci.field_lines.end() ? lit->second : ci.line;
     out.contexts = CtxMaskNames(f.ctx_mask);
     if (f.held_defined) out.common_guards = f.common_held;
-    out.reads = f.reads;
-    out.writes = f.writes;
 
     auto git = ci.field_guards.find(field);
     if (git != ci.field_guards.end()) {
@@ -433,49 +410,8 @@ SharedStateReport BuildSharedStateReport(const Model& m,
   return report;
 }
 
-void WriteSharedStateJson(const SharedStateReport& report, std::ostream& os) {
-  os << "{\n  \"fields\": [";
-  bool first = true;
-  for (const SharedStateReport::Field& f : report.fields) {
-    if (!first) os << ",";
-    first = false;
-    os << "\n    {\"class\": ";
-    JsonStr(f.cls, os);
-    os << ", \"field\": ";
-    JsonStr(f.field, os);
-    os << ", \"type\": ";
-    JsonStr(f.type, os);
-    os << ", \"file\": ";
-    JsonStr(f.file, os);
-    os << ", \"line\": " << f.line << ", \"contexts\": [";
-    bool sep = false;
-    for (const std::string& c : f.contexts) {
-      if (sep) os << ", ";
-      JsonStr(c, os);
-      sep = true;
-    }
-    os << "], \"common_guards\": [";
-    sep = false;
-    for (const std::string& g : f.common_guards) {
-      if (sep) os << ", ";
-      JsonStr(g, os);
-      sep = true;
-    }
-    os << "], \"declared_guard\": ";
-    JsonStr(f.declared_guard, os);
-    os << ", \"waiver\": ";
-    JsonStr(f.waiver, os);
-    os << ", \"reads\": " << f.reads << ", \"writes\": " << f.writes
-       << ", \"verdict\": ";
-    JsonStr(f.verdict, os);
-    os << "}";
-  }
-  os << "\n  ],\n  \"total\": " << report.fields.size() << "\n}\n";
-}
-
 void CheckViewEscape(const Model& m, const CheckOptions& opts,
                      std::vector<Finding>* findings) {
-  if (!opts.check_view_escape) return;
   auto path_of = [&](int fi, const FunctionInfo& fn) {
     return fi >= 0 && fi < static_cast<int>(m.files.size())
                ? m.files[fi].path

@@ -129,8 +129,8 @@ struct EffectPass {
       }
       for (const CallSite& call : dispatcher->calls) {
         if (call.in_lambda) continue;
-        // Attribute the call to the case region containing it (same
-        // token-position technique as the codec-symmetry decoder regions).
+        // Attribute the call to the case region containing it: the last
+        // case label before it in token order.
         const CaseLabel* owner = nullptr;
         for (const CaseLabel& label : labels) {
           if (label.tok < call.tok) {
@@ -172,32 +172,6 @@ std::string FormatEffectMap(const EffectMap& map) {
     os << "\n";
   }
   return os.str();
-}
-
-void WriteEffectMapJson(const EffectMap& map, std::ostream& os) {
-  auto escape = [&os](const std::string& s) {
-    for (char c : s) {
-      if (c == '"' || c == '\\') os << '\\';
-      os << c;
-    }
-  };
-  os << "{\n  \"dispatcher\": {\"file\": \"";
-  escape(map.file);
-  os << "\", \"line\": " << map.line << "},\n  \"handlers\": {\n";
-  size_t i = 0;
-  for (const auto& kv : map.handlers) {
-    os << "    \"" << kv.first << "\": [";
-    bool sep = false;
-    for (const std::string& e : kv.second) {
-      if (sep) os << ", ";
-      os << "\"";
-      escape(e);
-      os << "\"";
-      sep = true;
-    }
-    os << "]" << (++i < map.handlers.size() ? ",\n" : "\n");
-  }
-  os << "  }\n}\n";
 }
 
 // Parses golden text: `kEnumerator: effect effect` per line, "-" for a pure

@@ -1,11 +1,10 @@
-// Built-in frontend: a two-pass syntactic indexer that builds the analysis
-// Model without a compiler. Pass 1 records declarations (classes, bases,
+// The indexer: a two-pass syntactic parser that builds the analysis Model
+// without a compiler. Pass 1 records declarations (classes, bases,
 // fields, method signatures, enums, aliases, MR_RUNS_ON annotations); pass 2
 // parses function bodies, resolving member-call receivers through locals,
 // parameters, fields (including inherited ones), accessor return types, and
 // type aliases. It is deliberately conservative: anything it cannot resolve
-// produces *no* call edge rather than a guess, and the Clang frontend
-// (clang_frontend.cc) provides exact resolution where this one approximates.
+// produces *no* call edge rather than a guess.
 
 #include <algorithm>
 #include <cassert>

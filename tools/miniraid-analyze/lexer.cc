@@ -1,11 +1,13 @@
-// Token stream for the built-in frontend. Deliberately small: identifiers,
-// numbers, string/char literals, multi-char punctuation the indexer cares
-// about ("::", "->"), comments (mined for miniraid-lint suppressions), and
-// preprocessor lines (skipped wholesale, so macro *definitions* never leak
-// tokens while macro *invocations* in normal code are seen verbatim).
+// Token stream for the indexer. Deliberately small: identifiers, numbers,
+// string/char literals, multi-char punctuation the indexer cares about
+// ("::", "->"), comments (mined for miniraid-lint suppressions), and
+// preprocessor lines (kept out of the tokens, so macro *definitions* never
+// leak tokens while macro *invocations* in normal code are seen verbatim;
+// include targets and the include guard are recorded on the SourceFile).
 
 #include <cctype>
 #include <cstring>
+#include <sstream>
 
 #include "analyzer.h"
 
@@ -14,8 +16,8 @@ namespace analyze {
 
 namespace {
 
-// Records `// miniraid-lint: allow(rule-a, rule-b)` for `line` and line+1,
-// mirroring scripts/miniraid_lint.py (same-line or preceding-line comment).
+// Records `// miniraid-lint: allow(rule-a, rule-b)` for `line` and line+1
+// (a same-line or preceding-line comment).
 void ParseAllowComment(const std::string& comment, int line, SourceFile* out) {
   size_t at = comment.find("miniraid-lint:");
   if (at == std::string::npos) return;
@@ -42,6 +44,23 @@ void ParseAllowComment(const std::string& comment, int line, SourceFile* out) {
   flush();
 }
 
+// Records what the per-file rules need from the preprocessor line `text`
+// (the part after '#'), the `index`-th directive of the file: a quoted
+// include target, or the macro of an opening `#ifndef X` / `#define X`.
+void RecordDirective(const std::string& text, int line, int index,
+                     std::string* opening_ifndef, SourceFile* out) {
+  std::istringstream is(text);
+  std::string name, arg;
+  is >> name >> arg;
+  if (name == "include" && arg.size() > 2 && arg.front() == '"') {
+    out->includes.emplace_back(arg.substr(1, arg.find('"', 1) - 1), line);
+  } else if (index == 0 && name == "ifndef") {
+    *opening_ifndef = arg;
+  } else if (index == 1 && name == "define" && arg == *opening_ifndef) {
+    out->guard = arg;
+  }
+}
+
 bool IsIdentStart(char c) {
   return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
 }
@@ -58,6 +77,8 @@ SourceFile LexFile(const std::string& path, const std::string& content) {
   size_t i = 0;
   int line = 1;
   bool at_line_start = true;
+  int directives = 0;
+  std::string opening_ifndef;
 
   auto push = [&](Token::Kind kind, std::string text) {
     Token t;
@@ -81,6 +102,8 @@ SourceFile LexFile(const std::string& path, const std::string& content) {
     }
     // Preprocessor line: skip to end of line, honouring continuations.
     if (c == '#' && at_line_start) {
+      const size_t start = i + 1;
+      const int start_line = line;
       while (i < n) {
         if (content[i] == '\n') {
           if (i > 0 && content[i - 1] == '\\') {
@@ -92,6 +115,9 @@ SourceFile LexFile(const std::string& path, const std::string& content) {
         }
         ++i;
       }
+      const std::string text = content.substr(start, i - start);
+      RecordDirective(text, start_line, directives++, &opening_ifndef, &out);
+      ParseAllowComment(text, start_line, &out);
       continue;
     }
     at_line_start = false;

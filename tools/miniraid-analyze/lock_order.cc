@@ -170,15 +170,10 @@ struct LockOrderPass {
     return ResolveLockNode(m, cls, chain);
   }
 
-  // --- phase 1: nodes and declared edges ---------------------------------
+  // --- phase 1: declared edges -------------------------------------------
   void CollectDeclared() {
     for (const auto& kv : m.classes) {
       const ClassInfo& ci = kv.second;
-      for (const auto& fkv : ci.fields) {
-        if (IsCapabilityType(fkv.second)) {
-          graph.nodes.insert(ci.name + "::" + fkv.first);
-        }
-      }
       for (const ClassInfo::LockEdge& e : ci.lock_edges) {
         std::string self = ci.name + "::" + e.field;
         std::string target = ResolveTarget(ci.name, e.target);
@@ -193,8 +188,6 @@ struct LockOrderPass {
         }
         std::string from = e.before ? self : target;
         std::string to = e.before ? target : self;
-        graph.nodes.insert(self);
-        graph.nodes.insert(target);
         LockGraph::Edge edge;
         edge.from = from;
         edge.to = to;
@@ -500,68 +493,13 @@ struct LockOrderPass {
   }
 };
 
-void JsonEscapeTo(const std::string& s, std::ostream& os) {
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      default: os << c;
-    }
-  }
-}
-
 }  // namespace
 
 LockGraph BuildLockGraph(const Model& model, const CheckOptions& opts,
                          std::vector<Finding>* findings) {
   LockOrderPass pass{model, opts, findings, {}, {}, {}, {}, {}};
-  if (opts.check_lock_order) pass.Run();
+  pass.Run();
   return std::move(pass.graph);
-}
-
-void WriteLockGraphDot(const LockGraph& graph, std::ostream& os) {
-  os << "digraph lock_order {\n";
-  os << "  rankdir=LR;\n";
-  for (const std::string& n : graph.nodes) {
-    os << "  \"" << n << "\";\n";
-  }
-  for (const LockGraph::Edge& e : graph.edges) {
-    os << "  \"" << e.from << "\" -> \"" << e.to << "\" [label=\"" << e.kind;
-    if (!e.via.empty()) os << " via " << e.via;
-    os << "\"";
-    if (e.kind == "observed") os << ", style=dashed";
-    os << "];\n";
-  }
-  os << "}\n";
-}
-
-void WriteLockGraphJson(const LockGraph& graph, std::ostream& os) {
-  os << "{\n  \"nodes\": [";
-  bool sep = false;
-  for (const std::string& n : graph.nodes) {
-    if (sep) os << ", ";
-    os << "\"";
-    JsonEscapeTo(n, os);
-    os << "\"";
-    sep = true;
-  }
-  os << "],\n  \"edges\": [\n";
-  for (size_t i = 0; i < graph.edges.size(); ++i) {
-    const LockGraph::Edge& e = graph.edges[i];
-    os << "    {\"from\": \"";
-    JsonEscapeTo(e.from, os);
-    os << "\", \"to\": \"";
-    JsonEscapeTo(e.to, os);
-    os << "\", \"kind\": \"" << e.kind << "\", \"via\": \"";
-    JsonEscapeTo(e.via, os);
-    os << "\", \"file\": \"";
-    JsonEscapeTo(e.file, os);
-    os << "\", \"line\": " << e.line << "}";
-    os << (i + 1 < graph.edges.size() ? ",\n" : "\n");
-  }
-  os << "  ]\n}\n";
 }
 
 }  // namespace analyze

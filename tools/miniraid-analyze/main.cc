@@ -1,30 +1,16 @@
 // miniraid-analyze CLI.
 //
-//   miniraid-analyze [options] <paths...>
+//   miniraid-analyze [--effects-golden <path>] [--effects <path>] <paths...>
 //
-//   --frontend=index   built-in semantic indexer (default; no toolchain
-//                      dependency, used by the local ctest entries)
-//   --frontend=clang   Clang LibTooling frontend over compile_commands.json
-//                      (available when built with MINIRAID_ANALYZE_CLANG=ON)
-//   -p <dir>           compilation database directory (clang frontend)
-//   --json <path>      write the full findings report (incl. suppressed)
-//   --no-context       skip the MR_RUNS_ON passes (fixture debugging)
-//   --effects <path>        write the computed protocol-effect map (text)
-//   --effects-json <path>   write the computed protocol-effect map (JSON)
-//   --effects-golden <path> diff the effect map against a golden; drift is
-//                           reported under the "protocol-effect" rule
-//   --lock-graph-dot <path>  write the lock acquisition graph (Graphviz)
-//   --lock-graph-json <path> write the lock acquisition graph (JSON)
-//   --shared-state-json <path> write the per-field guarded-by inference
-//                              report (every field with its contexts,
-//                              common held mutexes, and verdict)
-//   --view-escape-json <path>  write the view-escape findings (JSON)
-//   --sarif <path>             write unsuppressed findings as SARIF 2.1.0
+//   --effects-golden <path>  diff the protocol-effect map against a golden;
+//                            drift is reported under the "protocol-effect"
+//                            rule
+//   --effects <path>         write the computed protocol-effect map (how the
+//                            golden is regenerated)
 //
 // Paths may be files or directories (directories are scanned recursively for
 // .h/.cc). Exit status: 0 clean, 1 unsuppressed findings, 2 usage/IO error.
 
-#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -36,14 +22,6 @@
 
 namespace miniraid {
 namespace analyze {
-
-#ifdef MINIRAID_ANALYZE_HAVE_CLANG
-// clang_frontend.cc
-int RunClangFrontend(const std::vector<std::string>& files,
-                     const std::string& build_path, Model* model,
-                     std::string* error);
-#endif
-
 namespace {
 
 namespace fs = std::filesystem;
@@ -54,59 +32,35 @@ void CollectSources(const std::string& path, std::vector<std::string>* out) {
     for (fs::recursive_directory_iterator it(path, ec), end;
          !ec && it != end; it.increment(ec)) {
       if (!it->is_regular_file(ec)) continue;
-      std::string p = it->path().string();
-      if (p.size() > 2 && (p.compare(p.size() - 2, 2, ".h") == 0 ||
-                           (p.size() > 3 &&
-                            p.compare(p.size() - 3, 3, ".cc") == 0))) {
-        out->push_back(p);
-      }
+      const std::string ext = it->path().extension().string();
+      if (ext == ".h" || ext == ".cc") out->push_back(it->path().string());
     }
     return;
   }
   out->push_back(path);
 }
 
+bool ReadFile(const std::string& path, std::string* content) {
+  std::ifstream in(path);
+  if (!in) return false;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  *content = buf.str();
+  return true;
+}
+
 int Run(int argc, char** argv) {
-  std::string frontend = "index";
-  std::string json_path;
-  std::string build_path;
-  std::string effects_path, effects_json_path, effects_golden_path;
-  std::string lock_dot_path, lock_json_path;
-  std::string shared_state_path, view_escape_path, sarif_path;
-  bool contexts = true;
+  std::string effects_path, effects_golden_path;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    if (arg.rfind("--frontend=", 0) == 0) {
-      frontend = arg.substr(11);
-    } else if (arg == "--json" && i + 1 < argc) {
-      json_path = argv[++i];
-    } else if (arg == "-p" && i + 1 < argc) {
-      build_path = argv[++i];
-    } else if (arg == "--effects" && i + 1 < argc) {
+    if (arg == "--effects" && i + 1 < argc) {
       effects_path = argv[++i];
-    } else if (arg == "--effects-json" && i + 1 < argc) {
-      effects_json_path = argv[++i];
     } else if (arg == "--effects-golden" && i + 1 < argc) {
       effects_golden_path = argv[++i];
-    } else if (arg == "--lock-graph-dot" && i + 1 < argc) {
-      lock_dot_path = argv[++i];
-    } else if (arg == "--lock-graph-json" && i + 1 < argc) {
-      lock_json_path = argv[++i];
-    } else if (arg == "--shared-state-json" && i + 1 < argc) {
-      shared_state_path = argv[++i];
-    } else if (arg == "--view-escape-json" && i + 1 < argc) {
-      view_escape_path = argv[++i];
-    } else if (arg == "--sarif" && i + 1 < argc) {
-      sarif_path = argv[++i];
-    } else if (arg == "--no-context") {
-      contexts = false;
     } else if (arg == "--help" || arg == "-h") {
-      std::cout << "usage: miniraid-analyze [--frontend=index|clang] "
-                   "[-p build-dir] [--json out.json] "
-                   "[--effects[-json] out] [--effects-golden golden.txt] "
-                   "[--lock-graph-dot|-json out] [--shared-state-json out] "
-                   "[--view-escape-json out] [--sarif out] <paths...>\n";
+      std::cout << "usage: miniraid-analyze [--effects-golden golden.txt] "
+                   "[--effects out.txt] <paths...>\n";
       return 0;
     } else if (!arg.empty() && arg[0] == '-') {
       std::cerr << "miniraid-analyze: unknown option '" << arg << "'\n";
@@ -126,116 +80,41 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  Model model;
-  if (frontend == "index") {
-    Indexer indexer;
-    for (const std::string& f : files) {
-      std::ifstream in(f);
-      if (!in) {
-        std::cerr << "miniraid-analyze: cannot read " << f << "\n";
-        return 2;
-      }
-      std::ostringstream content;
-      content << in.rdbuf();
-      indexer.AddFile(LexFile(f, content.str()));
-    }
-    model = indexer.Build();
-  } else if (frontend == "clang") {
-#ifdef MINIRAID_ANALYZE_HAVE_CLANG
-    std::string error;
-    if (RunClangFrontend(files, build_path, &model, &error) != 0) {
-      std::cerr << "miniraid-analyze: clang frontend failed: " << error
-                << "\n";
+  std::vector<Source> sources;
+  for (const std::string& f : files) {
+    Source source{f, ""};
+    if (!ReadFile(f, &source.content)) {
+      std::cerr << "miniraid-analyze: cannot read " << f << "\n";
       return 2;
     }
-#else
-    std::cerr << "miniraid-analyze: built without Clang support "
-                 "(reconfigure with -DMINIRAID_ANALYZE_CLANG=ON)\n";
-    return 2;
-#endif
-  } else {
-    std::cerr << "miniraid-analyze: unknown frontend '" << frontend << "'\n";
-    return 2;
+    sources.push_back(std::move(source));
   }
-
   CheckOptions opts = CheckOptions::Defaults();
-  opts.check_contexts = contexts;
-  if (!effects_golden_path.empty()) {
-    std::ifstream in(effects_golden_path);
-    if (!in) {
-      std::cerr << "miniraid-analyze: cannot read effect golden "
-                << effects_golden_path << "\n";
+  if (!effects_golden_path.empty() &&
+      !ReadFile(effects_golden_path, &opts.effects_golden)) {
+    std::cerr << "miniraid-analyze: cannot read effect golden "
+              << effects_golden_path << "\n";
+    return 2;
+  }
+  const Analysis analysis = Analyze(sources, opts);
+
+  if (!effects_path.empty()) {
+    std::ofstream out(effects_path);
+    if (!out) {
+      std::cerr << "miniraid-analyze: cannot write effect map "
+                << effects_path << "\n";
       return 2;
     }
-    std::ostringstream content;
-    content << in.rdbuf();
-    opts.effects_golden = content.str();
+    out << FormatEffectMap(analysis.effects);
   }
-  std::vector<Finding> findings = RunChecks(model, opts);
-
-  LockGraph lock_graph = BuildLockGraph(model, opts, &findings);
-  EffectMap effects = BuildEffectMap(model, opts);
-  if (!opts.effects_golden.empty()) {
-    DiffEffectsAgainstGolden(effects, opts.effects_golden, &findings);
-  }
-  SharedStateReport shared_state =
-      BuildSharedStateReport(model, opts, &findings);
-  CheckViewEscape(model, opts, &findings);
-  std::sort(findings.begin(), findings.end());
-  ApplySuppressions(model, &findings);
-
-  auto write_file = [](const std::string& path, const std::string& what,
-                       auto&& writer) {
-    if (path.empty()) return true;
-    std::ofstream out(path);
-    if (!out) {
-      std::cerr << "miniraid-analyze: cannot write " << what << " " << path
-                << "\n";
-      return false;
-    }
-    writer(out);
-    return true;
-  };
-  bool io_ok =
-      write_file(effects_path, "effect map",
-                 [&](std::ostream& os) { os << FormatEffectMap(effects); }) &&
-      write_file(effects_json_path, "effect map",
-                 [&](std::ostream& os) { WriteEffectMapJson(effects, os); }) &&
-      write_file(lock_dot_path, "lock graph",
-                 [&](std::ostream& os) { WriteLockGraphDot(lock_graph, os); }) &&
-      write_file(lock_json_path, "lock graph",
-                 [&](std::ostream& os) { WriteLockGraphJson(lock_graph, os); }) &&
-      write_file(shared_state_path, "shared-state report",
-                 [&](std::ostream& os) {
-                   WriteSharedStateJson(shared_state, os);
-                 }) &&
-      write_file(view_escape_path, "view-escape report",
-                 [&](std::ostream& os) {
-                   std::vector<Finding> ve;
-                   for (const Finding& f : findings) {
-                     if (f.rule == "view-escape") ve.push_back(f);
-                   }
-                   WriteJson(ve, os);
-                 }) &&
-      write_file(sarif_path, "SARIF report",
-                 [&](std::ostream& os) { WriteSarif(findings, os); });
-  if (!io_ok) return 2;
-
-  if (!json_path.empty()) {
-    std::ofstream out(json_path);
-    if (!out) {
-      std::cerr << "miniraid-analyze: cannot write " << json_path << "\n";
-      return 2;
-    }
-    WriteJson(findings, out);
-  }
-  int unsuppressed = PrintFindings(findings, std::cerr);
+  int unsuppressed = PrintFindings(analysis.findings, std::cerr);
   if (unsuppressed > 0) {
     std::cerr << unsuppressed << " finding(s)\n";
     return 1;
   }
   std::cout << "miniraid-analyze: " << files.size() << " file(s), "
-            << findings.size() << " finding(s), all suppressed or none\n";
+            << analysis.findings.size()
+            << " finding(s), all suppressed or none\n";
   return 0;
 }
 

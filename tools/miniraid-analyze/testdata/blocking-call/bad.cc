@@ -2,11 +2,7 @@
 // directly, transitively through a helper, and inside a lambda (timer
 // callbacks run on the loop, so the blocking pass follows lambda bodies) —
 // including the epoll waits an fd-driven loop sleeps in.
-#if defined(__clang__)
-#define MR_RUNS_ON(ctx) __attribute__((annotate("mr_runs_on:" #ctx)))
-#else
 #define MR_RUNS_ON(ctx)
-#endif
 
 struct Duration {
   long long ns;

@@ -1,10 +1,6 @@
 // Fixture: blocking is fine on client-context entries (drivers, dedicated
 // IO threads), and loop entries that stay non-blocking are clean.
-#if defined(__clang__)
-#define MR_RUNS_ON(ctx) __attribute__((annotate("mr_runs_on:" #ctx)))
-#else
 #define MR_RUNS_ON(ctx)
-#endif
 
 struct Duration {
   long long ns;

@@ -1,10 +1,6 @@
 // Fixture: justified blocking calls on a loop entry, suppressed in place
 // (the real tree does this for EventLoop's own idle wait in epoll).
-#if defined(__clang__)
-#define MR_RUNS_ON(ctx) __attribute__((annotate("mr_runs_on:" #ctx)))
-#else
 #define MR_RUNS_ON(ctx)
-#endif
 
 struct Duration {
   long long ns;

@@ -1,11 +1,7 @@
 // Fixture: a class that annotates one public method must annotate them
 // all — an unannotated public entry is a blind spot for the call-graph
 // passes.
-#if defined(__clang__)
-#define MR_RUNS_ON(ctx) __attribute__((annotate("mr_runs_on:" #ctx)))
-#else
 #define MR_RUNS_ON(ctx)
-#endif
 
 class SubmitWindow {
  public:

@@ -1,10 +1,6 @@
 // Fixture: full coverage — every public method annotated; constructors,
 // operators, private helpers and unannotated classes are exempt.
-#if defined(__clang__)
-#define MR_RUNS_ON(ctx) __attribute__((annotate("mr_runs_on:" #ctx)))
-#else
 #define MR_RUNS_ON(ctx)
-#endif
 
 class SubmitWindow {
  public:

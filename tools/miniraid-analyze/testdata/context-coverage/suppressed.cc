@@ -1,9 +1,5 @@
 // Fixture: the coverage gap silenced at the declaration line.
-#if defined(__clang__)
-#define MR_RUNS_ON(ctx) __attribute__((annotate("mr_runs_on:" #ctx)))
-#else
 #define MR_RUNS_ON(ctx)
-#endif
 
 class SubmitWindow {
  public:

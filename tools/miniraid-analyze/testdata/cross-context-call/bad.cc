@@ -1,11 +1,7 @@
 // Fixture: a client-context entry reaching loop-confined state, both
 // directly and transitively through an unannotated helper. Self-contained:
-// the macro is defined inline so both frontends see the annotation.
-#if defined(__clang__)
-#define MR_RUNS_ON(ctx) __attribute__((annotate("mr_runs_on:" #ctx)))
-#else
+// the macro is defined inline.
 #define MR_RUNS_ON(ctx)
-#endif
 
 class Site {
  public:

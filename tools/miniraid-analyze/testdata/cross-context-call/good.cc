@@ -1,11 +1,7 @@
 // Fixture: the legal shapes — calling MR_RUNS_ON(any) helpers from any
 // context, and marshalling into another context through a posted lambda
 // (the confinement pass does not follow lambda bodies by design).
-#if defined(__clang__)
-#define MR_RUNS_ON(ctx) __attribute__((annotate("mr_runs_on:" #ctx)))
-#else
 #define MR_RUNS_ON(ctx)
-#endif
 
 template <typename F>
 class Fn;

@@ -2,23 +2,11 @@
 // graph has a cycle (a_ before b_ AND b_ before a_) — no acquisition order
 // can satisfy it. (2) A function acquires locks in the order opposite to
 // the declared one, through an interprocedural call.
-#if defined(__clang__) && defined(__has_attribute)
-#if __has_attribute(capability)
-#define MR_CAPABILITY(x) __attribute__((capability(x)))
-#define MR_SCOPED_CAPABILITY __attribute__((scoped_lockable))
-#define MR_ACQUIRE(...) __attribute__((acquire_capability(__VA_ARGS__)))
-#define MR_RELEASE(...) __attribute__((release_capability(__VA_ARGS__)))
-#define MR_ACQUIRED_BEFORE(...) \
-  __attribute__((acquired_before(__VA_ARGS__)))
-#endif
-#endif
-#ifndef MR_CAPABILITY
 #define MR_CAPABILITY(x)
 #define MR_SCOPED_CAPABILITY
 #define MR_ACQUIRE(...)
 #define MR_RELEASE(...)
 #define MR_ACQUIRED_BEFORE(...)
-#endif
 
 class MR_CAPABILITY("mutex") Mutex {
  public:

@@ -2,23 +2,11 @@
 // an allow() comment at the call that acquires against the declared order.
 // The analyzer must still SEE the defect (a suppressed finding proves the
 // pass ran); the comment is what keeps the exit code at zero.
-#if defined(__clang__) && defined(__has_attribute)
-#if __has_attribute(capability)
-#define MR_CAPABILITY(x) __attribute__((capability(x)))
-#define MR_SCOPED_CAPABILITY __attribute__((scoped_lockable))
-#define MR_ACQUIRE(...) __attribute__((acquire_capability(__VA_ARGS__)))
-#define MR_RELEASE(...) __attribute__((release_capability(__VA_ARGS__)))
-#define MR_ACQUIRED_BEFORE(...) \
-  __attribute__((acquired_before(__VA_ARGS__)))
-#endif
-#endif
-#ifndef MR_CAPABILITY
 #define MR_CAPABILITY(x)
 #define MR_SCOPED_CAPABILITY
 #define MR_ACQUIRE(...)
 #define MR_RELEASE(...)
 #define MR_ACQUIRED_BEFORE(...)
-#endif
 
 class MR_CAPABILITY("mutex") Mutex {
  public:

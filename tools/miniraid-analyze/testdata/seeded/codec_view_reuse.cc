@@ -3,9 +3,8 @@
 // into a function-local scratch buffer, then stashes a string_view of the
 // payload in a field "to avoid a copy". The buffer dies (or is reused for
 // the next frame) the moment ReadNext returns — every later use of
-// payload() reads freed or overwritten memory. This fixture gates the
-// `miniraid_analyze_seeded_view_escape` ctest: the indexer frontend must
-// flag it (exit 1, rule view-escape) in under a minute.
+// payload() reads freed or overwritten memory. analyzer_test requires the
+// view-escape pass to flag it, and no other rule to fire.
 #include <cstdint>
 #include <string>
 #include <string_view>

@@ -3,27 +3,12 @@
 // MR_GUARDED_BY, and no MR_CONTEXT_CONFINED waiver — a cross-context race.
 // (2) A field declared MR_GUARDED_BY one mutex while every observed access
 // holds a different one — the annotation and the locking disagree.
-#if defined(__clang__) && defined(__has_attribute)
-#if __has_attribute(capability)
-#define MR_CAPABILITY(x) __attribute__((capability(x)))
-#define MR_SCOPED_CAPABILITY __attribute__((scoped_lockable))
-#define MR_ACQUIRE(...) __attribute__((acquire_capability(__VA_ARGS__)))
-#define MR_RELEASE(...) __attribute__((release_capability(__VA_ARGS__)))
-#define MR_GUARDED_BY(x) __attribute__((guarded_by(x)))
-#endif
-#endif
-#ifndef MR_CAPABILITY
 #define MR_CAPABILITY(x)
 #define MR_SCOPED_CAPABILITY
 #define MR_ACQUIRE(...)
 #define MR_RELEASE(...)
 #define MR_GUARDED_BY(x)
-#endif
-#if defined(__clang__)
-#define MR_RUNS_ON(ctx) __attribute__((annotate("mr_runs_on:" #ctx)))
-#else
 #define MR_RUNS_ON(ctx)
-#endif
 
 class MR_CAPABILITY("mutex") Mutex {
  public:

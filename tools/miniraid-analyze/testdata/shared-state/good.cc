@@ -4,30 +4,13 @@
 // MR_CONTEXT_CONFINED waiver documenting phase separation. (3) A field
 // only ever touched from one context. (4) A multi-context field that is
 // written only during construction and read-only afterwards.
-#if defined(__clang__) && defined(__has_attribute)
-#if __has_attribute(capability)
-#define MR_CAPABILITY(x) __attribute__((capability(x)))
-#define MR_SCOPED_CAPABILITY __attribute__((scoped_lockable))
-#define MR_ACQUIRE(...) __attribute__((acquire_capability(__VA_ARGS__)))
-#define MR_RELEASE(...) __attribute__((release_capability(__VA_ARGS__)))
-#define MR_GUARDED_BY(x) __attribute__((guarded_by(x)))
-#endif
-#endif
-#ifndef MR_CAPABILITY
 #define MR_CAPABILITY(x)
 #define MR_SCOPED_CAPABILITY
 #define MR_ACQUIRE(...)
 #define MR_RELEASE(...)
 #define MR_GUARDED_BY(x)
-#endif
-#if defined(__clang__)
-#define MR_RUNS_ON(ctx) __attribute__((annotate("mr_runs_on:" #ctx)))
-#define MR_CONTEXT_CONFINED(ctx) \
-  __attribute__((annotate("mr_context_confined:" #ctx)))
-#else
 #define MR_RUNS_ON(ctx)
 #define MR_CONTEXT_CONFINED(ctx)
-#endif
 
 class MR_CAPABILITY("mutex") Mutex {
  public:

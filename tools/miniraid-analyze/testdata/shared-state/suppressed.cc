@@ -2,11 +2,7 @@
 // allow() at the field declaration. The analyzer must still SEE the defect
 // (the JSON report shows a suppressed shared-state finding); the comment is
 // what keeps the exit code at zero.
-#if defined(__clang__)
-#define MR_RUNS_ON(ctx) __attribute__((annotate("mr_runs_on:" #ctx)))
-#else
 #define MR_RUNS_ON(ctx)
-#endif
 
 class Tally {
  public:
