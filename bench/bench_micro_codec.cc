@@ -1,7 +1,7 @@
 // Microbenchmarks for the wire codec: encode/decode of the messages the
 // protocol sends most often (phase-1 copy updates, copy replies, recovery
-// info with a full fail-lock table), the group-commit batch frames against
-// their singleton equivalents, and the pooled buffer-reuse encode path.
+// info with a full fail-lock table) and the group-commit batch frames
+// against their singleton equivalents.
 
 #include <benchmark/benchmark.h>
 
@@ -144,21 +144,6 @@ void BM_DecodeBatchPrepare(benchmark::State& state) {
   state.SetBytesProcessed(int64_t(state.iterations()) * int64_t(wire.size()));
 }
 BENCHMARK(BM_DecodeBatchPrepare)->Arg(2)->Arg(16);
-
-/// The retransmit-path allocation question: EncodeMessage allocates a fresh
-/// vector per frame; EncodeMessageInto on a FramePool buffer reuses the
-/// same storage in steady state.
-void BM_EncodePreparePooled(benchmark::State& state) {
-  const Message msg = MakePrepare(static_cast<size_t>(state.range(0)));
-  FramePool pool;
-  for (auto _ : state) {
-    Encoder enc = pool.Acquire();
-    EncodeMessageInto(msg, enc);
-    benchmark::DoNotOptimize(enc.buffer().data());
-    pool.Release(enc.TakeBuffer());
-  }
-}
-BENCHMARK(BM_EncodePreparePooled)->Arg(3)->Arg(50);
 
 /// The PutFixed hot loop in isolation (the memcpy rewrite of the old
 /// byte-at-a-time append).

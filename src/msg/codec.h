@@ -21,14 +21,6 @@ class Encoder {
  public:
   Encoder() = default;
 
-  /// Adopts `buf` as the output storage: contents are discarded, capacity
-  /// is kept. This is the buffer-reuse entry point — a FramePool hands the
-  /// same storage through many encode cycles so steady-state encoding
-  /// allocates nothing.
-  explicit Encoder(std::vector<uint8_t> buf) : buf_(std::move(buf)) {
-    buf_.clear();
-  }
-
   void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutU16(uint16_t v) { PutFixed(v); }
   void PutU32(uint32_t v) { PutFixed(v); }
@@ -89,40 +81,6 @@ class Encoder {
   /// Value type: encoders are stack-local to whichever context is
   /// serializing; the buffer never outlives the encode call chain.
   std::vector<uint8_t> buf_ MR_CONTEXT_CONFINED(any);
-};
-
-/// Recycles encode buffers between frames. Acquire() seeds an Encoder with
-/// previously released storage (capacity retained, contents cleared);
-/// Release() returns the frame's storage once the transport has consumed
-/// it. A plain free list, not a synchronized allocator: the owner confines
-/// it to one execution context or wraps it in a lock (SharedFramePool in
-/// net/transport.h does the latter for the multi-threaded send paths).
-class FramePool {
- public:
-  Encoder Acquire() {
-    if (free_.empty()) return Encoder();
-    std::vector<uint8_t> buf = std::move(free_.back());
-    free_.pop_back();
-    return Encoder(std::move(buf));
-  }
-
-  void Release(std::vector<uint8_t> buf) {
-    // Bound both the list length and the retained capacity so one huge
-    // frame (a wide batch, a full recovery-info table) does not pin its
-    // high-water mark forever.
-    if (free_.size() < kMaxFree && buf.capacity() <= kMaxRetainedCapacity) {
-      free_.push_back(std::move(buf));
-    }
-  }
-
-  size_t free_count() const { return free_.size(); }
-
- private:
-  static constexpr size_t kMaxFree = 16;
-  static constexpr size_t kMaxRetainedCapacity = 64 * 1024;
-  /// Value type like Encoder::buf_: confined to wherever the owning
-  /// instance lives (one loop context, or under the owner's lock).
-  std::vector<std::vector<uint8_t>> free_ MR_CONTEXT_CONFINED(any);
 };
 
 /// Bounds-checked reader over an encoded buffer. Every getter returns a

@@ -394,9 +394,10 @@ Message MakeMessage(SiteId from, SiteId to, Payload payload);
 /// Serializes `msg` to the wire encoding (without any transport framing).
 std::vector<uint8_t> EncodeMessage(const Message& msg);
 
-/// Serializes `msg` into `enc` (cleared first). With an encoder seeded from
-/// a FramePool buffer this is the allocation-free encode path: the frame is
-/// built in recycled storage instead of a fresh vector per message.
+/// Serializes `msg` into `enc` (cleared first). Reusing one encoder is the
+/// allocation-free encode path: the real transports keep one as scratch
+/// space, so steady-state sends build each frame in recycled storage
+/// instead of a fresh vector per message.
 void EncodeMessageInto(const Message& msg, Encoder& enc);
 
 /// Parses a message previously produced by EncodeMessage. Returns

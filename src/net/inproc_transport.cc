@@ -1,7 +1,10 @@
 #include "net/inproc_transport.h"
 
+#include <utility>
+
 #include "common/logging.h"
 #include "common/strings.h"
+#include "net/framing.h"
 
 namespace miniraid {
 
@@ -10,7 +13,7 @@ InProcTransport::InProcTransport(const InProcTransportOptions& options)
 
 void InProcTransport::Register(SiteId site, EventLoop* loop,
                                MessageHandler* handler) {
-  endpoints_[site] = Endpoint{loop, handler};
+  endpoints_[site] = std::make_shared<Inbox>(loop, handler);
 }
 
 Status InProcTransport::Send(const Message& msg) {
@@ -19,7 +22,7 @@ Status InProcTransport::Send(const Message& msg) {
     return Status::InvalidArgument(
         StrFormat("no endpoint registered for site %u", msg.to));
   }
-  const Endpoint endpoint = it->second;
+  const std::shared_ptr<Inbox>& inbox = it->second;
   bool duplicate = false;
   {
     // Draw fault decisions under the lock, deliver outside it.
@@ -30,42 +33,63 @@ Status InProcTransport::Send(const Message& msg) {
     }
     duplicate = injector_.ShouldDuplicate();
   }
-  std::function<void()> deliver;
-  if (options_.codec_roundtrip) {
-    // Encode into pooled storage; the destination loop returns the buffer
-    // to the pool right after decoding, so the frame's heap allocation is
-    // amortized across messages instead of paid per Send.
-    Encoder enc = pool_->Acquire();
-    EncodeMessageInto(msg, enc);
-    deliver = [endpoint, pool = pool_, wire = enc.TakeBuffer()]() mutable {
-      Result<Message> decoded = DecodeMessage(wire);
-      MR_CHECK(decoded.ok()) << "in-process codec round-trip failed: "
-                             << decoded.status().ToString();
-      pool->Release(std::move(wire));
-      endpoint.handler->OnMessage(*decoded);
-    };
-  } else {
-    deliver = [endpoint, msg] { endpoint.handler->OnMessage(msg); };
+  const Duration latency = options_.message_latency;
+  const Duration copy_latency = latency + options_.faults.duplicate_delay;
+  const bool copy_later = duplicate && copy_latency > 0;
+  std::vector<uint8_t> later;  // the body of the frames appended on a timer
+  bool post = false;
+  {
+    Inbox& box = *inbox;
+    MutexLock lock(box.mu);
+    EncodeMessageInto(msg, box.scratch);
+    const std::vector<uint8_t>& body = box.scratch.buffer();
+    if (latency > 0 || copy_later) later = body;
+    if (latency == 0) post = box.Append(body);
+    // Appended after the original, so the copy never arrives first.
+    if (duplicate && !copy_later) post |= box.Append(body);
   }
-  std::function<void()> deliver_copy;
-  if (duplicate) deliver_copy = deliver;
-  if (options_.message_latency > 0) {
-    endpoint.loop->ScheduleAfter(options_.message_latency, std::move(deliver));
-  } else {
-    endpoint.loop->Post(std::move(deliver));
-  }
-  if (duplicate) {
-    // Enqueued after the original so the copy never arrives first.
-    Duration dup_latency =
-        options_.message_latency + options_.faults.duplicate_delay;
-    if (dup_latency > 0) {
-      endpoint.loop->ScheduleAfter(dup_latency, std::move(deliver_copy));
-    } else {
-      endpoint.loop->Post(std::move(deliver_copy));
-    }
-  }
+  if (post) PostDrain(inbox);
+  if (latency > 0) AppendAfter(inbox, latency, later);
+  if (copy_later) AppendAfter(inbox, copy_latency, std::move(later));
   messages_sent_.fetch_add(1);
   return Status::Ok();
+}
+
+bool InProcTransport::Inbox::Append(const std::vector<uint8_t>& body) {
+  AppendFrame(body, frames);
+  return !std::exchange(drain_posted, true);
+}
+
+void InProcTransport::PostDrain(const std::shared_ptr<Inbox>& inbox) {
+  inbox->loop->Post([inbox] { Drain(*inbox); });
+}
+
+void InProcTransport::AppendAfter(const std::shared_ptr<Inbox>& inbox,
+                                  Duration delay, std::vector<uint8_t> body) {
+  inbox->loop->ScheduleAfter(delay, [inbox, body = std::move(body)] {
+    bool post = false;
+    {
+      Inbox& box = *inbox;
+      MutexLock lock(box.mu);
+      post = box.Append(body);
+    }
+    if (post) PostDrain(inbox);
+  });
+}
+
+void InProcTransport::Drain(Inbox& inbox) {
+  {
+    MutexLock lock(inbox.mu);
+    inbox.draining.swap(inbox.frames);
+    inbox.drain_posted = false;
+  }
+  // Frames appended from here on post the next drain, which runs after
+  // this one on the same loop.
+  const Result<size_t> consumed = DeliverFrames(
+      inbox.draining.data(), inbox.draining.size(), *inbox.handler);
+  MR_CHECK(consumed.ok() && *consumed == inbox.draining.size())
+      << "in-process frame delivery failed: " << consumed.status().ToString();
+  ResetFrameBuffer(inbox.draining);
 }
 
 }  // namespace miniraid

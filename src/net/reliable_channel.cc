@@ -4,6 +4,16 @@
 #include <utility>
 
 namespace miniraid {
+namespace {
+
+/// Retransmission timeout for the first re-send, multiplied by kBackoff
+/// per attempt up to kMaxRto, plus a uniform jitter in [0, kRtoJitter].
+constexpr Duration kInitialRto = Milliseconds(100);
+constexpr Duration kMaxRto = Seconds(2);
+constexpr double kBackoff = 2.0;
+constexpr Duration kRtoJitter = Milliseconds(20);
+
+}  // namespace
 
 ReliableChannel::ReliableChannel(SiteId self, Transport* inner,
                                  SiteRuntime* runtime, MessageHandler* upper,
@@ -152,17 +162,13 @@ void ReliableChannel::SendStandaloneAck(SiteId peer_id) {
 }
 
 Duration ReliableChannel::RtoFor(uint32_t attempts) {
-  double rto = double(options_.initial_rto);
+  double rto = double(kInitialRto);
   for (uint32_t i = 0; i < attempts; ++i) {
-    rto *= options_.backoff;
-    if (rto >= double(options_.max_rto)) break;
+    rto *= kBackoff;
+    if (rto >= double(kMaxRto)) break;
   }
-  Duration base = std::min<Duration>(Duration(rto), options_.max_rto);
-  Duration jitter =
-      options_.rto_jitter > 0
-          ? Duration(jitter_rng_.NextBounded(uint64_t(options_.rto_jitter) + 1))
-          : 0;
-  return base + jitter;
+  const Duration base = std::min<Duration>(Duration(rto), kMaxRto);
+  return base + Duration(jitter_rng_.NextBounded(uint64_t(kRtoJitter) + 1));
 }
 
 }  // namespace miniraid

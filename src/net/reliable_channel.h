@@ -17,15 +17,6 @@ struct ReliableChannelOptions {
   /// which is what the paper's reliable-network experiments assume.
   bool enabled = false;
 
-  /// Retransmission timeout for the first re-send, then multiplied by
-  /// `backoff` per attempt up to `max_rto`. A uniform jitter in
-  /// [0, rto_jitter] is added to every deadline so synchronized senders
-  /// decorrelate instead of retransmitting in lockstep.
-  Duration initial_rto = Milliseconds(100);
-  Duration max_rto = Seconds(2);
-  double backoff = 2.0;
-  Duration rto_jitter = Milliseconds(20);
-
   /// Retransmissions per message before the channel gives up and drops it
   /// (at-least-once, not exactly-always: a partitioned peer must not pin
   /// memory and timers forever). The protocol's own timeouts — coordinator
@@ -46,7 +37,10 @@ struct ReliableChannelOptions {
 /// inner transport delivers to. Per destination it assigns sequence
 /// numbers (from 1), buffers unacknowledged sends, and retransmits with
 /// exponential backoff + jitter until the peer's cumulative ack covers
-/// them or max_retransmits is exhausted. Per source it delivers in
+/// them or max_retransmits is exhausted. The retransmission timeout is
+/// fixed: 100 ms for the first re-send, doubled per attempt up to 2 s,
+/// plus a uniform jitter in [0, 20 ms] so synchronized senders decorrelate
+/// instead of retransmitting in lockstep. Per source it delivers in
 /// sequence order exactly once — duplicates (retransmissions or
 /// transport-injected copies) are suppressed and re-acked, gaps are
 /// buffered — so the upper layer keeps the per-pair FIFO ordering the
@@ -58,9 +52,9 @@ struct ReliableChannelOptions {
 /// acked or retransmitted (the next data arrival re-triggers one).
 ///
 /// Retransmissions re-enter the inner transport's Send per attempt; the
-/// transports encode through a recycled FramePool buffer (see
-/// SharedFramePool in transport.h), so a retry storm re-sends frames
-/// without allocating one buffer per attempt.
+/// real transports encode into reused scratch space and append to a
+/// reused frame buffer, so a retry storm re-sends frames without
+/// allocating one buffer per attempt.
 ///
 /// The channel is modelled below the protocol engine (kernel/NIC level):
 /// a simulated Site crash does not reset channel state, so sequence

@@ -14,22 +14,13 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
+#include "net/framing.h"
 
 namespace miniraid {
 namespace {
 
-constexpr uint32_t kMaxFrameBytes = 16u << 20;  // 16 MiB sanity bound
-constexpr size_t kHeaderBytes = 4;
 /// Read buffer per inbound connection; one recv() takes up to this much.
 constexpr size_t kReadBufferBytes = 64 * 1024;
-/// An outbound buffer grown past this by a large frame is released once
-/// it has been written.
-constexpr size_t kMaxRetainedOutBytes = 1 << 20;
-
-uint32_t FrameLength(const uint8_t* header) {
-  return uint32_t{header[0]} | (uint32_t{header[1]} << 8) |
-         (uint32_t{header[2]} << 16) | (uint32_t{header[3]} << 24);
-}
 
 bool WouldBlock(int err) { return err == EAGAIN || err == EWOULDBLOCK; }
 
@@ -166,38 +157,27 @@ void TcpTransport::OnReadable(Inbound* conn) {
   }
   conn->end += static_cast<size_t>(n);
 
-  // Decode every complete frame in place and deliver it inline: this is
-  // the site's own loop, so the handler runs in its context.
-  size_t begin = 0;
-  while (conn->end - begin >= kHeaderBytes) {
-    const uint8_t* frame = conn->buf.get() + begin;
-    const uint32_t length = FrameLength(frame);
-    if (length > kMaxFrameBytes) {
-      MR_LOG(kError) << "site " << self_ << ": oversized frame (" << length
-                     << " bytes); closing connection";
-      CloseInbound(conn);
-      return;
-    }
-    if (conn->end - begin - kHeaderBytes < length) break;
-    Result<Message> decoded = DecodeMessage(frame + kHeaderBytes, length);
-    begin += kHeaderBytes + length;
-    if (!decoded.ok()) {
-      MR_LOG(kError) << "site " << self_ << ": undecodable frame: "
-                     << decoded.status().ToString() << "; closing connection";
-      CloseInbound(conn);
-      return;
-    }
-    messages_received_.fetch_add(1);
-    handler_->OnMessage(*decoded);
+  // Deliver every complete frame inline: this is the site's own loop, so
+  // the handler runs in its context.
+  const Result<size_t> consumed =
+      DeliverFrames(conn->buf.get(), conn->end, *handler_);
+  if (!consumed.ok()) {
+    MR_LOG(kError) << "site " << self_ << ": "
+                   << consumed.status().ToString() << "; closing connection";
+    CloseInbound(conn);
+    return;
   }
 
   // Move the undecoded rest to the front, into a buffer that holds the
-  // whole frame it starts (its length passed the bound above); a buffer a
-  // large frame grew shrinks back once that frame is consumed.
+  // whole frame it starts (DeliverFrames checked its length against the
+  // bound); a buffer a large frame grew shrinks back once that frame is
+  // consumed.
+  const size_t begin = *consumed;
   const size_t rest = conn->end - begin;
   size_t need = kReadBufferBytes;
-  if (rest >= kHeaderBytes) {
-    need = std::max(need, kHeaderBytes + FrameLength(conn->buf.get() + begin));
+  if (rest >= kFrameHeaderBytes) {
+    need = std::max(need,
+                    kFrameHeaderBytes + FrameLength(conn->buf.get() + begin));
   }
   if (need > conn->capacity || (rest == 0 && conn->capacity > need)) {
     auto buf = std::make_unique_for_overwrite<uint8_t[]>(need);
@@ -265,13 +245,7 @@ Status TcpTransport::Enqueue(SiteId to, const std::vector<uint8_t>& body) {
     }
     peer.flush_queued = true;
   }
-  const auto length = static_cast<uint32_t>(body.size());
-  const uint8_t header[kHeaderBytes] = {
-      static_cast<uint8_t>(length), static_cast<uint8_t>(length >> 8),
-      static_cast<uint8_t>(length >> 16), static_cast<uint8_t>(length >> 24)};
-  peer.out.insert(peer.out.end(), header, header + kHeaderBytes);
-  peer.out.insert(peer.out.end(), body.begin(), body.end());
-  messages_sent_.fetch_add(1);
+  AppendFrame(body, peer.out);
   return Status::Ok();
 }
 
@@ -306,11 +280,8 @@ void TcpTransport::Flush(SiteId to) {
     }
     return;
   }
-  peer.out.clear();
+  ResetFrameBuffer(peer.out);
   peer.written = 0;
-  if (peer.out.capacity() > kMaxRetainedOutBytes) {
-    std::vector<uint8_t>().swap(peer.out);
-  }
   if (peer.watching) {
     loop_->Unwatch(peer.fd);
     peer.watching = false;
@@ -331,6 +302,7 @@ Status TcpTransport::Send(const Message& msg) {
   MutexLock lock(conn_mu_);
   EncodeMessageInto(msg, scratch_);
   MINIRAID_RETURN_IF_ERROR(Enqueue(msg.to, scratch_.buffer()));
+  messages_sent_.fetch_add(1);
   if (!duplicate) return Status::Ok();
   const Duration delay = options_.faults.duplicate_delay;
   if (delay <= 0) {

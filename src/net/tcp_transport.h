@@ -31,23 +31,24 @@ struct TcpTransportOptions {
 
 /// Message passing over real TCP sockets, one transport instance per site.
 /// One outbound connection per destination gives per-pair FIFO delivery
-/// (the paper's reliable ordered channel).
+/// (the paper's reliable ordered channel). InProcTransport is the same
+/// framing and delivery without the socket.
 ///
 /// Threading: one thread per endpoint, the site's own EventLoop. The loop
 /// accepts inbound connections, reads them non-blocking into a buffer per
-/// connection, and calls the handler inline for every complete frame, so
-/// the handler runs in the site's context with no hand-off. Send may run
-/// on any thread: it appends the frame to the destination's buffer, and
-/// the first append since the last write posts one flush task that writes
-/// the whole buffer with a single send() once the loop's current turn
-/// ends. A remainder the socket cannot take yet waits for EPOLLOUT; Send
-/// never blocks on the receiver. The only blocking call left is the lazy
-/// connect on the first Send to a peer, which on loopback completes in
-/// the kernel without waiting for the peer's loop.
+/// connection, and delivers every complete frame inline (DeliverFrames in
+/// net/framing.h), so the handler runs in the site's context with no
+/// hand-off. Send may run on any thread: it appends the frame to the
+/// destination's buffer, and the first append since the last write posts
+/// one flush task that writes the whole buffer with a single send() once
+/// the loop's current turn ends. A remainder the socket cannot take yet
+/// waits for EPOLLOUT; Send never blocks on the receiver. The only
+/// blocking call left is the lazy connect on the first Send to a peer,
+/// which on loopback completes in the kernel without waiting for the
+/// peer's loop.
 ///
-/// Wire format: u32 little-endian frame length, then EncodeMessage bytes.
-/// Frames above 16 MiB, and frames that do not decode, close the
-/// connection they arrived on.
+/// Wire format: the frames of net/framing.h. Frames above 16 MiB, and
+/// frames that do not decode, close the connection they arrived on.
 class TcpTransport : public Transport {
  public:
   /// `peers` maps every site id (including `self`) to its TCP port.
@@ -78,13 +79,10 @@ class TcpTransport : public Transport {
   /// Thread-safe; lazily connects to the destination on first use.
   MR_RUNS_ON(any) Status Send(const Message& msg) override;
 
-  /// Messages framed for sending (a duplicated message counts twice) and
-  /// messages decoded and delivered, not socket calls.
+  /// Messages accepted for sending, not socket calls: a duplicated
+  /// message counts once, as on the other backends.
   MR_RUNS_ON(any) uint64_t messages_sent() const {
     return messages_sent_.load();
-  }
-  MR_RUNS_ON(any) uint64_t messages_received() const {
-    return messages_received_.load();
   }
   MR_RUNS_ON(any) uint64_t messages_dropped() const {
     return messages_dropped_.load();
@@ -165,7 +163,6 @@ class TcpTransport : public Transport {
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   std::atomic<uint64_t> messages_sent_{0};
-  std::atomic<uint64_t> messages_received_{0};
   std::atomic<uint64_t> messages_dropped_{0};
 };
 

@@ -1,33 +1,12 @@
 #ifndef MINIRAID_NET_TRANSPORT_H_
 #define MINIRAID_NET_TRANSPORT_H_
 
-#include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 #include "msg/codec.h"
 #include "msg/message.h"
 
 namespace miniraid {
-
-/// A FramePool behind a mutex, for transport send paths that run on many
-/// threads (every site's loop plus the client). The lock is held only
-/// around acquire/release of the buffer free list; encoding and socket
-/// writes happen outside it.
-class SharedFramePool {
- public:
-  MR_RUNS_ON(any) Encoder Acquire() {
-    MutexLock lock(mu_);
-    return pool_.Acquire();
-  }
-  MR_RUNS_ON(any) void Release(std::vector<uint8_t> buf) {
-    MutexLock lock(mu_);
-    pool_.Release(std::move(buf));
-  }
-
- private:
-  Mutex mu_;
-  FramePool pool_ MR_GUARDED_BY(mu_);
-};
 
 /// Consumer of incoming messages. Each site implements this; the transport
 /// invokes it in the site's execution context (see SiteRuntime's threading
@@ -67,11 +46,14 @@ class MessageHandler {
 /// What stays true on every backend, faults or not: messages that are
 /// delivered arrive in the order sent per (from, to) pair — a duplicate's
 /// delayed copy is the one exception — and Send never blocks on the
-/// receiver: the in-process backends only enqueue, and TCP appends to a
-/// per-peer buffer that the sender's loop writes to a non-blocking socket,
-/// parking what the socket cannot take until it is writable. (TCP's one
-/// blocking call is the lazy loopback connect on the first Send to a
-/// peer, which does not wait for the peer's loop.)
+/// receiver. The simulator schedules each delivery as an event. The two
+/// real backends append a frame (net/framing.h) to a buffer under a short
+/// lock: InProcTransport to the receiver's inbox, which one posted task
+/// drains on the receiver's loop, and TCP to a per-peer buffer that the
+/// sender's loop writes to a non-blocking socket, parking what the socket
+/// cannot take until it is writable. (TCP's one blocking call is the lazy
+/// loopback connect on the first Send to a peer, which does not wait for
+/// the peer's loop.)
 class Transport {
  public:
   virtual ~Transport() = default;

@@ -178,45 +178,6 @@ TEST(CodecTest, PutBytesAndReserveMatchPushByteEncoding) {
   EXPECT_EQ(bulk.buffer(), manual.buffer());
 }
 
-TEST(CodecTest, ReuseConstructorKeepsCapacityDiscardsContents) {
-  Encoder first;
-  first.PutString(std::string(1000, 'a'));
-  std::vector<uint8_t> storage = first.TakeBuffer();
-  const size_t cap = storage.capacity();
-  ASSERT_GE(cap, 1000u);
-
-  Encoder reused(std::move(storage));
-  EXPECT_EQ(reused.size(), 0u);  // contents discarded...
-  reused.PutU64(7);
-  Encoder fresh;
-  fresh.PutU64(7);
-  EXPECT_EQ(reused.buffer(), fresh.buffer());  // ...encoding unaffected
-  EXPECT_GE(reused.TakeBuffer().capacity(), cap);  // ...capacity kept
-}
-
-TEST(CodecTest, FramePoolRecyclesBuffersWithinBounds) {
-  FramePool pool;
-  Encoder enc = pool.Acquire();
-  enc.PutString(std::string(2000, 'z'));
-  std::vector<uint8_t> buf = enc.TakeBuffer();
-  const uint8_t* data = buf.data();
-  pool.Release(std::move(buf));
-  EXPECT_EQ(pool.free_count(), 1u);
-
-  // The next acquire hands the same storage back: no allocation in steady
-  // state.
-  Encoder again = pool.Acquire();
-  again.PutU8(1);
-  EXPECT_EQ(again.buffer().data(), data);
-  EXPECT_EQ(pool.free_count(), 0u);
-
-  // An oversized frame is dropped instead of pinning its capacity.
-  std::vector<uint8_t> huge;
-  huge.reserve(1u << 20);
-  pool.Release(std::move(huge));
-  EXPECT_EQ(pool.free_count(), 0u);
-}
-
 TEST(CodecTest, GetStringViewIsBoundsChecked) {
   Encoder enc;
   enc.PutString("payload");

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <map>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "net/inproc_transport.h"
@@ -8,10 +13,52 @@
 namespace miniraid {
 namespace {
 
+using SteadyTime = std::chrono::steady_clock::time_point;
+
 class Recorder : public MessageHandler {
  public:
   void OnMessage(const Message& msg) override { messages.push_back(msg); }
   std::vector<Message> messages;
+};
+
+/// A Recorder that the test thread may read while the loop delivers, and
+/// that stamps each arrival.
+class Collector : public MessageHandler {
+ public:
+  void OnMessage(const Message& msg) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    messages_.push_back(msg);
+    arrivals_.push_back(std::chrono::steady_clock::now());
+  }
+
+  /// Waits up to 10 s for `n` messages.
+  bool WaitForCount(size_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < deadline) {
+      if (Count() >= n) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+  }
+
+  size_t Count() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return messages_.size();
+  }
+  Message At(size_t i) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return messages_.at(i);
+  }
+  SteadyTime ArrivalAt(size_t i) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return arrivals_.at(i);
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<Message> messages_;
+  std::vector<SteadyTime> arrivals_;
 };
 
 TEST(SimTransportTest, DeliversAfterLatency) {
@@ -145,6 +192,126 @@ TEST(InProcTransportTest, UnknownDestinationIsError) {
   InProcTransport transport;
   EXPECT_EQ(transport.Send(MakeMessage(0, 3, CommitArgs{1})).code(),
             StatusCode::kInvalidArgument);
+}
+
+TEST(InProcTransportTest, ConcurrentSendersEachKeepTheirOrder) {
+  // Four threads append to one inbox at once (run it under the tsan
+  // preset too); each sender's sequence must arrive whole and in order.
+  constexpr SiteId kSenders = 4;
+  constexpr TxnId kPerSender = 10000;
+  Collector collector;
+  EventLoop loop;
+  InProcTransport transport;
+  transport.Register(kSenders, &loop, &collector);
+  std::vector<std::thread> senders;
+  for (SiteId from = 0; from < kSenders; ++from) {
+    senders.emplace_back([&transport, from] {
+      for (TxnId t = 1; t <= kPerSender; ++t) {
+        ASSERT_TRUE(
+            transport.Send(MakeMessage(from, kSenders, CommitArgs{t})).ok());
+      }
+    });
+  }
+  for (std::thread& sender : senders) sender.join();
+  loop.PostAndWait([] {});  // every drain was posted before its Send returned
+  ASSERT_EQ(collector.Count(), size_t{kSenders} * kPerSender);
+  EXPECT_EQ(transport.messages_sent(), uint64_t{kSenders} * kPerSender);
+  std::vector<TxnId> last(kSenders, 0);
+  for (size_t i = 0; i < collector.Count(); ++i) {
+    const Message msg = collector.At(i);
+    ASSERT_LT(msg.from, kSenders);
+    ASSERT_EQ(msg.As<CommitArgs>().txn, last[msg.from] + 1)
+        << "sender " << msg.from;
+    last[msg.from] = msg.As<CommitArgs>().txn;
+  }
+}
+
+TEST(InProcTransportTest, LatencyDelaysEveryMessageInSendOrder) {
+  constexpr TxnId kCount = 50;
+  const Duration latency = Milliseconds(5);
+  Collector collector;
+  EventLoop loop;
+  InProcTransportOptions options;
+  options.message_latency = latency;
+  InProcTransport transport(options);
+  transport.Register(1, &loop, &collector);
+  std::vector<SteadyTime> sent;
+  for (TxnId t = 1; t <= kCount; ++t) {
+    sent.push_back(std::chrono::steady_clock::now());
+    ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
+    if (t % 10 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(collector.WaitForCount(kCount));
+  for (TxnId t = 1; t <= kCount; ++t) {
+    EXPECT_EQ(collector.At(t - 1).As<CommitArgs>().txn, t);
+    EXPECT_GE(collector.ArrivalAt(t - 1) - sent[t - 1],
+              std::chrono::nanoseconds(latency))
+        << "txn " << t;
+  }
+}
+
+TEST(InProcTransportTest, DuplicateCountsOnceAndFollowsItsOriginal) {
+  constexpr TxnId kCount = 100;
+  for (const Duration delay : {Duration{0}, Milliseconds(2)}) {
+    SCOPED_TRACE(delay);
+    Collector collector;
+    EventLoop loop;
+    InProcTransportOptions options;
+    options.faults.duplicate_probability = 1.0;
+    options.faults.duplicate_delay = delay;
+    InProcTransport transport(options);
+    transport.Register(1, &loop, &collector);
+    std::vector<SteadyTime> sent;
+    for (TxnId t = 1; t <= kCount; ++t) {
+      sent.push_back(std::chrono::steady_clock::now());
+      ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
+    }
+    ASSERT_TRUE(collector.WaitForCount(2 * kCount));
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_EQ(transport.messages_sent(), kCount);
+    ASSERT_EQ(collector.Count(), 2 * kCount);
+    // The first arrival of each message is its original, in send order;
+    // the second is its copy, `delay` or more after the Send (with no
+    // delay, right behind the original).
+    std::map<TxnId, int> seen;
+    TxnId next_original = 1;
+    for (size_t i = 0; i < 2 * kCount; ++i) {
+      const TxnId t = collector.At(i).As<CommitArgs>().txn;
+      if (++seen[t] == 1) {
+        EXPECT_EQ(t, next_original++);
+        continue;
+      }
+      EXPECT_EQ(seen[t], 2) << "txn " << t;
+      EXPECT_GE(collector.ArrivalAt(i) - sent[t - 1],
+                std::chrono::nanoseconds(delay));
+      if (delay == 0) {
+        EXPECT_EQ(collector.At(i - 1).As<CommitArgs>().txn, t);
+      }
+    }
+  }
+}
+
+TEST(InProcTransportTest, DestroyedWithDrainAndDelayedCopyQueued) {
+  // The queued drain and the copy's timer hold the inbox, not the
+  // transport (run it under the asan preset too).
+  Collector collector;
+  EventLoop loop;
+  std::atomic<bool> hold{true};
+  loop.Post([&hold] {
+    while (hold) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  {
+    InProcTransportOptions options;
+    options.faults.duplicate_probability = 1.0;
+    options.faults.duplicate_delay = Milliseconds(50);
+    InProcTransport transport(options);
+    transport.Register(1, &loop, &collector);
+    ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{7})).ok());
+  }
+  hold = false;
+  ASSERT_TRUE(collector.WaitForCount(2));
+  EXPECT_EQ(collector.At(0).As<CommitArgs>().txn, 7u);
+  EXPECT_EQ(collector.At(1).As<CommitArgs>().txn, 7u);
 }
 
 }  // namespace
