@@ -70,14 +70,25 @@ uint64_t Mix(uint64_t x) {
 struct ExecutionOutcome {
   uint64_t steps = 0;
   uint32_t choice_points = 0;
-  std::vector<InvariantViolation> violations;
+  /// The invariant violations of the first violating quiescent cut, or the
+  /// first committed read no scenario writer explains.
+  std::vector<std::string> violations;
   bool aborted = false;
 };
 
-void Inject(SimCluster& cluster, const ScheduleAction& action) {
+/// Injects `action`. A submission's reply goes through the read check;
+/// `schedule` and `bad_reads` must outlive the cluster.
+void Inject(SimCluster& cluster, const ScheduleAction& action,
+            const std::vector<ScheduleAction>* schedule,
+            std::vector<std::string>* bad_reads) {
   switch (action.kind) {
     case ScheduleAction::Kind::kSubmit:
-      cluster.SubmitTxn(action.txn, action.site, [](const TxnResult&) {});
+      cluster.SubmitTxn(action.txn, action.site,
+                        [schedule, bad_reads](const TxnResult& result) {
+                          std::string bad =
+                              CheckCommittedReads(result, *schedule);
+                          if (!bad.empty()) bad_reads->push_back(bad);
+                        });
       break;
     case ScheduleAction::Kind::kFail:
       cluster.managing().FailSite(action.site);
@@ -92,11 +103,14 @@ void Inject(SimCluster& cluster, const ScheduleAction& action) {
 /// enabled options are the events tied at the front virtual time (FIFO
 /// order) plus — unless the next action is serial — injecting that action;
 /// `choose` returns the index to take. The cluster-wide invariants are
-/// asserted at every quiescent cut (event queue drained); the execution
-/// stops at the first violating cut.
+/// asserted at every quiescent cut (event queue drained), and every
+/// committed read as its reply arrives; the execution stops at the first
+/// violation.
 ExecutionOutcome RunOneExecution(
     const SystematicOptions& sopts,
     const std::function<size_t(const std::vector<OptionKey>&)>& choose) {
+  // Declared before the cluster: its reply callbacks write here.
+  std::vector<std::string> bad_reads;
   ClusterOptions copts;
   copts.backend = ClusterBackend::kSim;
   copts.n_sites = sopts.n_sites;
@@ -115,18 +129,20 @@ ExecutionOutcome RunOneExecution(
   ExecutionOutcome out;
   size_t next_action = 0;
   while (true) {
+    if (!bad_reads.empty()) {
+      out.violations = std::move(bad_reads);
+      return out;
+    }
     std::vector<EventQueue::FrontEvent> events =
         cluster->runtime().RunnableEvents();
     const bool have_action = next_action < sopts.actions.size();
     if (events.empty()) {
       // Quiescent cut: every message delivered, no timer pending.
-      std::vector<InvariantViolation> found =
-          checker.Check(cluster->SnapshotSites());
-      if (!found.empty()) {
-        out.violations = std::move(found);
-        return out;
+      for (const InvariantViolation& v :
+           checker.Check(cluster->SnapshotSites())) {
+        out.violations.push_back(v.ToString());
       }
-      if (!have_action) return out;
+      if (!out.violations.empty() || !have_action) return out;
     }
     const ScheduleAction* next =
         have_action ? &sopts.actions[next_action] : nullptr;
@@ -147,7 +163,7 @@ ExecutionOutcome RunOneExecution(
     MR_CHECK(pick < options.size());
     if (options.size() > 1) ++out.choice_points;
     if (options[pick].action) {
-      Inject(*cluster, *next);
+      Inject(*cluster, *next, &sopts.actions, &bad_reads);
       ++next_action;
     } else {
       cluster->runtime().RunEventById(options[pick].event);
@@ -180,7 +196,45 @@ TxnSpec WriteTxn(TxnId id, ItemId item) {
   return txn;
 }
 
+TxnSpec ReadTxn(TxnId id, ItemId item) {
+  TxnSpec txn;
+  txn.id = id;
+  txn.ops.push_back(Operation::Read(item));
+  return txn;
+}
+
 }  // namespace
+
+std::string CheckCommittedReads(const TxnResult& result,
+                                const std::vector<ScheduleAction>& schedule) {
+  if (result.outcome != TxnOutcome::kCommitted) return {};
+  auto scenario_wrote = [&schedule](TxnId writer, ItemId item) {
+    for (const ScheduleAction& action : schedule) {
+      if (action.kind != ScheduleAction::Kind::kSubmit ||
+          action.txn.id != writer) {
+        continue;
+      }
+      for (const Operation& op : action.txn.ops) {
+        if (!op.is_read() && op.item == item) return true;
+      }
+    }
+    return false;
+  };
+  for (const ItemCopy& read : result.reads) {
+    const bool initial = read.value == 0 && read.version == 0;
+    const bool written = scenario_wrote(read.version, read.item) &&
+                         read.value == WriteValueFor(read.version, read.item);
+    if (!initial && !written) {
+      return StrFormat(
+          "read: txn %llu committed a read of item %u as value %lld at "
+          "version %llu, which no scenario writer wrote",
+          static_cast<unsigned long long>(result.txn), read.item,
+          static_cast<long long>(read.value),
+          static_cast<unsigned long long>(read.version));
+    }
+  }
+  return {};
+}
 
 SystematicResult ExploreSystematic(const SystematicOptions& sopts) {
   struct Branch {
@@ -290,11 +344,9 @@ SystematicResult ExploreSystematic(const SystematicOptions& sopts) {
       trace.fanouts = std::move(fanouts);
       trace.note = StrFormat("counterexample (execution %lu): %s",
                              static_cast<unsigned long>(result.executions),
-                             exec.violations.front().ToString().c_str());
+                             exec.violations.front().c_str());
       result.counterexample = std::move(trace);
-      for (const InvariantViolation& v : exec.violations) {
-        result.violations.push_back(v.ToString());
-      }
+      result.violations = std::move(exec.violations);
       break;
     }
     MR_CHECK(cursor == stack.size())
@@ -363,9 +415,7 @@ ReplayOutcome ReplayTrace(const CheckTrace& trace,
         "execution ended with %zu of %zu recorded picks unconsumed",
         trace.picks.size() - next_pick, trace.picks.size());
   }
-  for (const InvariantViolation& v : exec.violations) {
-    out.violations.push_back(v.ToString());
-  }
+  out.violations = std::move(exec.violations);
   return out;
 }
 
@@ -399,7 +449,7 @@ CheckTrace RecordGoldenTrace(const SystematicOptions& sopts) {
           ? StrFormat("golden schedule, %lu steps",
                       static_cast<unsigned long>(exec.steps))
           : StrFormat("golden schedule, VIOLATES: %s",
-                      exec.violations.front().ToString().c_str());
+                      exec.violations.front().c_str());
   return trace;
 }
 
@@ -410,8 +460,9 @@ InvariantChecker::Options SystematicOracleOptions() {
 }
 
 std::vector<std::string_view> ScenarioNames() {
-  return {"smoke", "recovery-skew", "recovery-window", "double-failure",
-          "interleaved-2pl", "batched-commit"};
+  return {"smoke",           "recovery-skew",  "recovery-window",
+          "double-failure",  "interleaved-2pl", "batched-commit",
+          "read-only-2pl"};
 }
 
 std::optional<SystematicOptions> ScenarioByName(std::string_view name) {
@@ -510,6 +561,34 @@ std::optional<SystematicOptions> ScenarioByName(std::string_view name) {
         ScheduleAction::Submit(WriteTxn(2, 0), 0),
         ScheduleAction::Submit(WriteTxn(3, 1), 0),
         ScheduleAction::Recover(2, /*serial=*/true),
+    };
+    s.max_branch_points = 32;
+    s.max_executions = 80000;
+    return s;
+  }
+  if (name == "read-only-2pl") {
+    // Read-only transactions finish at phase one under 2PL. A read-only
+    // transaction detects site 2's failure (prepare timeout, control type
+    // 2, no Abort to send). Then a read-only transaction at site 1 is
+    // injected at every point of an older conflicting write of item 0
+    // coordinated by site 0: the write's prepare at site 1 waits for the
+    // reader's shared lock, or the reader dies under wait-die, or it reads
+    // before or after the write. The write always commits and fail-locks
+    // site 2's copy, so after the recovery the last read runs a copier at
+    // site 2. Every committed read must return a scenario writer's value
+    // (CheckCommittedReads). Exhausts at ~11k executions; a second
+    // overlapping reader would take it past a million.
+    s.concurrency.mode = ConcurrencyMode::kTwoPhaseLocking;
+    s.concurrency.max_executors = 2;
+    s.concurrency.deadlock_policy = DeadlockPolicy::kWaitDie;
+    s.actions = {
+        ScheduleAction::Submit(WriteTxn(1, 0), 0, /*serial=*/true),
+        ScheduleAction::Fail(2, /*serial=*/true),
+        ScheduleAction::Submit(ReadTxn(2, 0), 1, /*serial=*/true),
+        ScheduleAction::Submit(WriteTxn(3, 0), 0, /*serial=*/true),
+        ScheduleAction::Submit(ReadTxn(4, 0), 1),
+        ScheduleAction::Recover(2, /*serial=*/true),
+        ScheduleAction::Submit(ReadTxn(5, 0), 2, /*serial=*/true),
     };
     s.max_branch_points = 32;
     s.max_executions = 80000;

@@ -9,6 +9,7 @@
 
 #include "check/trace_io.h"
 #include "core/invariants.h"
+#include "msg/message.h"
 
 namespace miniraid::check {
 
@@ -108,6 +109,14 @@ ReplayOutcome ReplayTrace(
 /// must keep replaying with ReplayOutcome::matched across code changes, so
 /// checked-in golden traces pin the simulator's byte-for-byte determinism.
 CheckTrace RecordGoldenTrace(const SystematicOptions& options);
+
+/// The read check the explorer applies to every reply: a committed read
+/// must return the initial (value 0, version 0) or a value a scenario
+/// transaction writes, WriteValueFor(version, item) with the writer's id
+/// as the version. Returns a description of the first read that is
+/// neither, or an empty string.
+std::string CheckCommittedReads(const TxnResult& result,
+                                const std::vector<ScheduleAction>& schedule);
 
 /// Canned schedules for minicheck and the tests. Each stresses one of the
 /// paper's failure/recovery windows.

@@ -53,6 +53,9 @@ struct SiteCounters {
 
   // -- participant role ----------------------------------------------------
   uint64_t prepares_handled = 0;
+  // Commit decisions applied here. Excludes read-only transactions under
+  // two-phase locking, which finish at phase one with no Commit (see
+  // Site::FinishesAtPhaseOne).
   uint64_t commits_handled = 0;
   uint64_t aborts_handled = 0;
   uint64_t coordinator_failures_detected = 0;
@@ -89,7 +92,9 @@ struct SiteCounters {
   // -- timing distributions (virtual time under the simulator) ------------
   DurationStats coord_txn_time;        // TxnRequest received -> reply sent
   DurationStats coord_txn_copier_time;  // same, txns that ran >= 1 copier
-  DurationStats participant_time;      // Prepare received -> CommitAck sent
+  // Prepare received -> CommitAck sent; no sample for a read-only
+  // transaction under two-phase locking (it has no Commit).
+  DurationStats participant_time;
   DurationStats recovery_time;         // type 1 at the recovering site
   DurationStats type1_serve_time;      // type 1 at an operational site
   DurationStats type2_receive_time;    // type 2 processing at a receiver
@@ -99,7 +104,9 @@ struct SiteCounters {
   // -- per-2PC-phase latency (coordinator side, committed txns) ------------
   DurationStats phase_copier_time;   // copier phase start -> all copies in
   DurationStats phase_prepare_time;  // Prepares sent -> all acks in
-  DurationStats phase_commit_time;   // CommitDecisions sent -> all acks in
+  // CommitDecisions sent -> all acks in; no sample for a read-only
+  // transaction under two-phase locking (it commits at phase one).
+  DurationStats phase_commit_time;
 };
 
 }  // namespace miniraid

@@ -121,11 +121,10 @@ struct SiteOptions {
   /// phase's message (copy request / Prepare / CommitDecision) to the
   /// still-silent sites only, a prepared participant queries the
   /// coordinator for the decision instead of unilaterally discarding, and
-  /// a recovering site re-announces the same session — each wait stretched
-  /// by retry_backoff per attempt. Only after the budget is exhausted does
-  /// the legacy failure handling run.
+  /// a recovering site re-announces the same session — each wait 1.5x the
+  /// one before. Only after the budget is exhausted does the legacy failure
+  /// handling run.
   uint32_t retry_limit = 0;
-  double retry_backoff = 1.5;
 
   /// Two-step recovery (paper §3.2 proposal). When the fraction of this
   /// site's copies that are fail-locked drops to or below this threshold,

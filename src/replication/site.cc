@@ -8,10 +8,14 @@
 namespace miniraid {
 namespace {
 
-/// Timeout for the (attempt+1)-th wait: base stretched by backoff^attempt.
-Duration RetryDelay(Duration base, uint32_t attempt, double backoff) {
+/// How much longer each lossy-network retry waits than the one before.
+constexpr double kRetryBackoff = 1.5;
+
+/// Timeout for the (attempt+1)-th wait: base stretched by
+/// kRetryBackoff^attempt.
+Duration RetryDelay(Duration base, uint32_t attempt) {
   double delay = static_cast<double>(base);
-  for (uint32_t i = 0; i < attempt; ++i) delay *= backoff;
+  for (uint32_t i = 0; i < attempt; ++i) delay *= kRetryBackoff;
   return static_cast<Duration>(delay);
 }
 
@@ -549,9 +553,11 @@ void Site::ExecuteAndPrepare(Coordination& c) {
   c.phase = Coordination::Phase::kPrepare;
   c.phase_start = runtime_->Now();
   c.retries_used = 0;
-  if (options_.batching.enabled() && options_.concurrency.locking()) {
+  if (options_.batching.enabled() && options_.concurrency.locking() &&
+      !FinishesAtPhaseOne(c.writes)) {
     // Group commit: coalesce with other prepare-ready coordinations toward
-    // the same participant set instead of opening a private 2PC round.
+    // the same participant set instead of opening a private 2PC round. A
+    // read-only coordination has no commit round to share.
     EnqueueIntoBatch(c);
     return;
   }
@@ -848,8 +854,7 @@ void Site::BatchTimeout(uint64_t batch_id) {
       }
     }
     b.timer = runtime_->ScheduleAfter(
-        RetryDelay(options_.ack_timeout, b.retries_used,
-                   options_.retry_backoff),
+        RetryDelay(options_.ack_timeout, b.retries_used),
         [this, batch_id] { BatchTimeout(batch_id); });
     return;
   }
@@ -940,9 +945,12 @@ void Site::HandlePrepareAck(const Message& msg) {
     }
     runtime_->CancelTimer(c.timer);
     c.timer = kInvalidTimer;
-    for (SiteId p : c.participants) {
-      Charge(options_.costs.ack_format);
-      SendTo(p, AbortArgs{c.txn.id});
+    if (!FinishesAtPhaseOne(c.writes)) {
+      // A read-only vote left nothing at any participant to discard.
+      for (SiteId p : c.participants) {
+        Charge(options_.costs.ack_format);
+        SendTo(p, AbortArgs{c.txn.id});
+      }
     }
     if (stale_view) {
       ReplyAndClear(c, TxnOutcome::kAbortedStaleView);
@@ -957,6 +965,14 @@ void Site::HandlePrepareAck(const Message& msg) {
     runtime_->CancelTimer(c.timer);
     c.timer = kInvalidTimer;
     counters_.phase_prepare_time.Add(runtime_->Now() - c.phase_start);
+    if (FinishesAtPhaseOne(c.writes)) {
+      // Every participant voted read-only and kept no state, so there is
+      // nothing for a commit round to finish. The reads were taken under
+      // this coordinator's shared locks, still held, so they stay ordered
+      // against every write.
+      FinishCommit(c);
+      return;
+    }
     StartCommitPhase(c);
   }
 }
@@ -1027,7 +1043,7 @@ void Site::CoordinationTimeout(TxnId txn, bool batch) {
 
   // Lossy-network retries: before declaring the silent parties failed,
   // re-send the current phase's message to exactly the sites still owed a
-  // reply, with the next wait stretched by retry_backoff. Every phase
+  // reply, with the next wait stretched by kRetryBackoff. Every phase
   // message is idempotent at the receiver (duplicate Prepare re-acks,
   // duplicate CommitDecision after teardown re-acks from the outcome
   // cache, duplicate copy requests re-serve), so re-sending is safe even
@@ -1065,8 +1081,7 @@ void Site::CoordinationTimeout(TxnId txn, bool batch) {
         break;
     }
     c.timer = runtime_->ScheduleAfter(
-        RetryDelay(options_.ack_timeout, c.retries_used,
-                   options_.retry_backoff),
+        RetryDelay(options_.ack_timeout, c.retries_used),
         [this, txn, batch] { CoordinationTimeout(txn, batch); });
     return;
   }
@@ -1089,10 +1104,12 @@ void Site::CoordinationTimeout(TxnId txn, bool batch) {
       break;
     }
     case Coordination::Phase::kPrepare: {
-      // "a participating site has failed": abort + control type 2.
+      // "a participating site has failed": abort + control type 2. The
+      // responsive participants discard their staging, unless they voted
+      // read-only and kept none.
       std::vector<SiteId> silent(c.awaiting.begin(), c.awaiting.end());
       for (SiteId p : c.participants) {
-        if (!c.awaiting.count(p)) {
+        if (!c.awaiting.count(p) && !FinishesAtPhaseOne(c.writes)) {
           Charge(options_.costs.ack_format);
           SendTo(p, AbortArgs{c.txn.id});
         }
@@ -1234,6 +1251,17 @@ void Site::HandlePrepare(const Message& msg) {
       MR_LOG(kWarn) << "site " << id_ << ": bad session vector in prepare: "
                     << merged.ToString();
     }
+  }
+
+  if (FinishesAtPhaseOne(args.writes)) {
+    // Read-only vote: nothing to stage, lock or maintain, so no
+    // Participation, patience timer, pin or outcome record. No Commit or
+    // Abort follows, and a duplicated Prepare is simply voted on again.
+    Trace(TraceEvent::kPrepareHandled, args.txn, 0);
+    Charge(options_.costs.ack_format);
+    SendTo(msg.from, PrepareAckArgs{args.txn, /*accepted=*/true, {}});
+    MaybeStartBatchCopier();
+    return;
   }
 
   Participation& part = participations_[args.txn];
@@ -1422,8 +1450,7 @@ void Site::ParticipationTimeout(TxnId txn) {
     Charge(options_.costs.ack_format);
     SendTo(part.coordinator, DecisionQueryArgs{txn});
     part.timer = runtime_->ScheduleAfter(
-        RetryDelay(options_.ack_timeout, part.queries_sent,
-                   options_.retry_backoff),
+        RetryDelay(options_.ack_timeout, part.queries_sent),
         [this, txn] { ParticipationTimeout(txn); });
     return;
   }
@@ -1832,8 +1859,7 @@ void Site::RecoveryTimeout() {
       SendTo(t, RecoveryAnnounceArgs{id_, recovery_->new_session});
     }
     recovery_->timer = runtime_->ScheduleAfter(
-        RetryDelay(options_.ack_timeout, recovery_->retries_used,
-                   options_.retry_backoff),
+        RetryDelay(options_.ack_timeout, recovery_->retries_used),
         [this] { RecoveryTimeout(); });
     return;
   }
@@ -2274,7 +2300,8 @@ void Site::AbortWoundedTxn(TxnId victim) {
     Coordination& c = cit->second;
     ++counters_.lock_wounds;
     ++counters_.txns_aborted_deadlock;
-    if (c.phase == Coordination::Phase::kPrepare) {
+    if (c.phase == Coordination::Phase::kPrepare &&
+        !FinishesAtPhaseOne(c.writes)) {
       // Participants may have staged (and locked) the writes: abort them.
       for (SiteId p : c.participants) {
         Charge(options_.costs.ack_format);
@@ -2282,7 +2309,8 @@ void Site::AbortWoundedTxn(TxnId victim) {
       }
     }
     // kCommit-phase coordinations are pinned and never wounded; kCopier /
-    // lock-wait coordinations have nothing remote to undo.
+    // lock-wait coordinations and read-only votes have nothing remote to
+    // undo.
     ReplyAndClear(c, TxnOutcome::kAbortedDeadlock);
     return;
   }

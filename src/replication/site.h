@@ -422,6 +422,18 @@ class Site : public MessageHandler {
   void MaintainFailLocks(const std::vector<ItemWrite>& writes,
                          const std::vector<SiteId>& participants);
 
+  /// True when a transaction with this write set finishes at phase one:
+  /// under kTwoPhaseLocking a read-only transaction gets R*'s read-only
+  /// vote. Its participants stage, lock and maintain nothing, so a commit
+  /// round would carry no work; they ack the Prepare without keeping any
+  /// state, and the coordinator commits at the last ack. kSerial keeps
+  /// Appendix A's two rounds for every transaction (Experiment 1's cost
+  /// model was fitted to them). Both sides decide from the Prepare's own
+  /// write set and the shared options, so they always agree.
+  bool FinishesAtPhaseOne(const std::vector<ItemWrite>& writes) const {
+    return writes.empty() && options_.concurrency.locking();
+  }
+
   /// Applies one fail-lock bit mutation, journaling it when a recovery
   /// window is open (see Recovery::window_journal). Returns true if the
   /// table changed.

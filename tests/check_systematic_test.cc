@@ -10,8 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
 #include "check/trace_io.h"
+#include "core/cluster.h"
 
 namespace miniraid::check {
 namespace {
@@ -125,6 +127,60 @@ TEST(SystematicTest, InterleavedTwoPhaseLockingScenarioIsClean) {
   ReplayOutcome out = ReplayTrace(*parsed);
   EXPECT_TRUE(out.matched) << out.mismatch;
   EXPECT_TRUE(out.violations.empty()) << out.violations.front();
+}
+
+TEST(SystematicTest, ReadOnlyScenarioIsCleanAndEndsWithACopier) {
+  SystematicOptions opts = Scenario("read-only-2pl");
+  EXPECT_TRUE(opts.concurrency.locking());
+  opts.max_executions = 500;
+  SystematicResult r = ExploreSystematic(opts);
+  EXPECT_FALSE(r.counterexample.has_value()) << r.counterexample->note;
+
+  // The schedule run one action at a time: the last read refreshes site
+  // 2's fail-locked copy through a copier and sees the overlapping write.
+  ClusterOptions copts;
+  copts.n_sites = opts.n_sites;
+  copts.db_size = opts.db_size;
+  copts.site.concurrency = opts.concurrency;
+  copts.transport.message_latency = 0;
+  std::unique_ptr<SimCluster> cluster = MakeSimCluster(copts);
+  TxnResult last;
+  for (const ScheduleAction& action : opts.actions) {
+    switch (action.kind) {
+      case ScheduleAction::Kind::kSubmit:
+        last = cluster->RunTxn(action.txn, action.site);
+        EXPECT_EQ(CheckCommittedReads(last, opts.actions), "");
+        break;
+      case ScheduleAction::Kind::kFail:
+        cluster->Fail(action.site);
+        break;
+      case ScheduleAction::Kind::kRecover:
+        cluster->Recover(action.site);
+        break;
+    }
+  }
+  EXPECT_EQ(last.outcome, TxnOutcome::kCommitted);
+  EXPECT_GE(last.copier_count, 1u);
+  ASSERT_EQ(last.reads.size(), 1u);
+  EXPECT_EQ(last.reads[0].version, 3u);
+}
+
+TEST(SystematicTest, ReadCheckAcceptsOnlyScenarioWrites) {
+  const std::vector<ScheduleAction> schedule =
+      Scenario("read-only-2pl").actions;
+  TxnResult result;
+  result.txn = 9;
+  result.reads = {ItemCopy{0, 0, 0}, ItemCopy{0, WriteValueFor(3, 0), 3}};
+  EXPECT_EQ(CheckCommittedReads(result, schedule), "");
+  // A value its version's writer never wrote.
+  result.reads.push_back(ItemCopy{0, WriteValueFor(3, 0) + 1, 3});
+  EXPECT_NE(CheckCommittedReads(result, schedule), "");
+  // Transaction 4 only reads item 0, so no copy can carry its version.
+  result.reads.back() = ItemCopy{0, WriteValueFor(4, 0), 4};
+  EXPECT_NE(CheckCommittedReads(result, schedule), "");
+  // Only committed reads are checked.
+  result.outcome = TxnOutcome::kAbortedLockConflict;
+  EXPECT_EQ(CheckCommittedReads(result, schedule), "");
 }
 
 TEST(SystematicTest, RecoveryScenariosAreCleanWithinBudget) {

@@ -88,6 +88,33 @@ TEST(DuplicateToleranceTest, PrepareAfterAbortedTeardownIsDropped) {
   EXPECT_EQ(cluster.site(1).db().Read(0)->version, 0u);
 }
 
+TEST(DuplicateToleranceTest, ReadOnlyPrepareUnderLockingIsReAckedStatelessly) {
+  // Under 2PL a Prepare with no writes gets a read-only vote: the
+  // participant keeps no Participation, so a duplicate is simply voted on
+  // again, and nothing (no patience timer) waits for a Commit.
+  ClusterOptions options = Options(2);
+  options.site.concurrency.mode = ConcurrencyMode::kTwoPhaseLocking;
+  auto cluster_owner = MakeSimCluster(options);
+  SimCluster& cluster = *cluster_owner;
+
+  Probe probe;
+  cluster.transport().Register(kProbe, &probe);
+  const Message prepare =
+      MakeMessage(kProbe, 1, PrepareArgs{1, {}, {}, {0, 1}});
+  (void)cluster.transport().Send(prepare);
+  (void)cluster.transport().Send(prepare);
+  while (probe.CountOf(MsgType::kPrepareAck) < 2 &&
+         cluster.runtime().RunOne()) {
+  }
+
+  ASSERT_EQ(probe.CountOf(MsgType::kPrepareAck), 2u);
+  for (const Message& ack : probe.received) {
+    EXPECT_TRUE(ack.As<PrepareAckArgs>().accepted);
+  }
+  EXPECT_TRUE(cluster.site(1).IsIdle());
+  EXPECT_TRUE(cluster.runtime().RunnableEvents().empty());
+}
+
 TEST(DuplicateToleranceTest, CommitAfterTeardownReAcksWithoutReapplying) {
   auto cluster_owner = MakeSimCluster(Options(2));
   SimCluster& cluster = *cluster_owner;

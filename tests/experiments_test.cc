@@ -8,6 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "common/strings.h"
+
 namespace miniraid {
 namespace {
 
@@ -15,6 +21,8 @@ void ExpectNearPct(double value, double target, double pct) {
   EXPECT_GE(value, target * (1 - pct / 100.0));
   EXPECT_LE(value, target * (1 + pct / 100.0));
 }
+
+std::string OneDecimal(double value) { return StrFormat("%.1f", value); }
 
 TEST(Experiment1Test, FailLockOverheadMatchesPaperTable) {
   Exp1Config config;
@@ -144,6 +152,83 @@ TEST(Experiment3Test, Scenario2SuccessiveFailuresNeverLoseData) {
   }
   EXPECT_TRUE(r.scenario.consistency.ok())
       << r.scenario.consistency.ToString();
+}
+
+TEST(PaperReproductionTest, PinnedToExperimentsMd) {
+  // Every figure EXPERIMENTS.md records for the bench_exp* runs, exactly.
+  // The tolerance tests above would let a protocol change shift these
+  // unseen (one more round per transaction moves the participant time by
+  // several ms and stays inside their 8%); the simulator is deterministic,
+  // so any drift here is a change to the paper's reproduction.
+  const Exp1Config exp1;
+  const Exp1FailLockOverheadResult overhead = RunExp1FailLockOverhead(exp1);
+  EXPECT_EQ(OneDecimal(overhead.coord_without_ms), "176.4");
+  EXPECT_EQ(OneDecimal(overhead.coord_with_ms), "186.5");
+  EXPECT_EQ(OneDecimal(overhead.part_without_ms), "91.9");
+  EXPECT_EQ(OneDecimal(overhead.part_with_ms), "97.0");
+  const Exp1ControlResult control = RunExp1Control(exp1);
+  EXPECT_EQ(OneDecimal(control.type1_recovering_ms), "190.0");
+  EXPECT_EQ(OneDecimal(control.type1_operational_ms), "50.0");
+  EXPECT_EQ(OneDecimal(control.type2_ms), "68.0");
+  const Exp1CopierResult copier = RunExp1Copier(exp1);
+  EXPECT_EQ(OneDecimal(copier.txn_with_copier_ms), "266.5");
+  EXPECT_EQ(OneDecimal(copier.txn_plain_ms), "186.5");
+  EXPECT_EQ(OneDecimal(copier.copy_serve_ms), "25.0");
+  EXPECT_EQ(OneDecimal(copier.clear_locks_ms), "19.0");
+
+  // Experiment 2 (Figure 1): the seed-5 trace and the 10-seed summary.
+  Exp2Config exp2;
+  exp2.scenario.seed = 5;
+  const Exp2Result fig1 = RunExperiment2(exp2);
+  EXPECT_EQ(fig1.peak_fail_locks, 48u);
+  EXPECT_EQ(fig1.txns_to_full_recovery, 144u);
+  EXPECT_EQ(fig1.first10_txns, 5u);
+  EXPECT_EQ(fig1.last10_txns, 93u);
+  EXPECT_EQ(fig1.copier_txns, 1u);
+  EXPECT_TRUE(fig1.scenario.consistency.ok());
+  uint32_t total = 0, first10 = 0, last10 = 0, copiers = 0;
+  uint32_t fastest = ~0u, slowest = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    exp2.scenario.seed = seed;
+    const Exp2Result r = RunExperiment2(exp2);
+    total += r.txns_to_full_recovery;
+    first10 += r.first10_txns;
+    last10 += r.last10_txns;
+    copiers += r.copier_txns;
+    fastest = std::min(fastest, r.txns_to_full_recovery);
+    slowest = std::max(slowest, r.txns_to_full_recovery);
+  }
+  EXPECT_EQ(StrFormat("%.0f", total / 10.0), "136");
+  EXPECT_EQ(fastest, 74u);
+  EXPECT_EQ(slowest, 219u);
+  EXPECT_EQ(StrFormat("%.0f", first10 / 10.0), "9");
+  EXPECT_EQ(StrFormat("%.0f", last10 / 10.0), "87");
+  EXPECT_EQ(OneDecimal(copiers / 10.0), "0.8");
+
+  // Experiment 3 scenario 1 (Figure 2): seed 2 and the 10-seed mean of
+  // the aborts at site 0.
+  ScenarioConfig scenario;
+  scenario.seed = 2;
+  const Exp3Result fig2 = RunExperiment3Scenario1(scenario);
+  EXPECT_EQ(fig2.peak_per_site, (std::vector<uint32_t>{20, 22}));
+  EXPECT_EQ(fig2.scenario.aborts_by_coordinator[0], 9u);
+  EXPECT_EQ(fig2.scenario.aborted_data_unavailable, 9u);
+  EXPECT_TRUE(fig2.scenario.consistency.ok());
+  uint64_t aborts = 0;
+  for (uint64_t seed = 1; seed <= 10; ++seed) {
+    scenario.seed = seed;
+    aborts += RunExperiment3Scenario1(scenario).scenario
+                  .aborts_by_coordinator[0];
+  }
+  EXPECT_EQ(OneDecimal(aborts / 10.0), "12.4");
+
+  // Experiment 3 scenario 2 (Figure 3), seed 1.
+  scenario.seed = 1;
+  const Exp3Result fig3 = RunExperiment3Scenario2(scenario);
+  EXPECT_EQ(fig3.peak_per_site, (std::vector<uint32_t>{31, 29, 22, 23}));
+  EXPECT_EQ(fig3.scenario.aborted_data_unavailable, 0u);
+  EXPECT_EQ(fig3.scenario.aborted_participant_failure, 4u);
+  EXPECT_TRUE(fig3.scenario.consistency.ok());
 }
 
 TEST(ScenarioRunnerTest, DeterministicForSeed) {

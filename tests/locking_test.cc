@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/cluster.h"
 #include "txn/workload.h"
 
@@ -199,6 +201,126 @@ TEST(LockingTest, FailureAndRecoveryComposeWithLocking) {
   }
   EXPECT_TRUE(cluster.CheckReplicaAgreement().ok())
       << cluster.CheckReplicaAgreement().ToString();
+}
+
+// ---------------------------------------------------------------------------
+// Read-only transactions finish at phase one under 2PL (R*'s read-only
+// vote): participants ack the Prepare and keep no state, and the
+// coordinator commits at the last ack with no Commit/CommitAck round.
+// ---------------------------------------------------------------------------
+
+/// Runs `txn` to completion and returns how many messages it added.
+uint64_t MessagesFor(SimCluster& cluster, const TxnSpec& txn,
+                     SiteId coordinator) {
+  const uint64_t before = cluster.messages_sent();
+  EXPECT_EQ(cluster.RunTxn(txn, coordinator).outcome, TxnOutcome::kCommitted)
+      << "txn " << txn.id;
+  return cluster.messages_sent() - before;
+}
+
+TEST(LockingTest, ReadOnlyTxnFinishesAtPhaseOne) {
+  auto cluster_owner = MakeSimCluster(Options(3));
+  SimCluster& cluster = *cluster_owner;
+  // A write keeps both rounds: TxnRequest, 2 Prepare, 2 PrepareAck,
+  // 2 Commit, 2 CommitAck, TxnReply.
+  EXPECT_EQ(MessagesFor(cluster, MakeTxn(1, {Operation::Write(0, 10)}), 0),
+            10u);
+
+  // Step the simulation only until the reply arrives, so whatever the
+  // read-only transaction left behind is still visible.
+  const uint64_t before = cluster.messages_sent();
+  std::optional<TxnResult> reply;
+  cluster.managing().Submit(
+      MakeTxn(2, {Operation::Read(0), Operation::Read(1)}), 0,
+      [&reply](const TxnResult& r) { reply = r; });
+  while (!reply.has_value() && cluster.runtime().RunOne()) {
+  }
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->outcome, TxnOutcome::kCommitted);
+  ASSERT_EQ(reply->reads.size(), 2u);
+  EXPECT_EQ(reply->reads[0].value, 10);
+  // TxnRequest, 2 Prepare, 2 PrepareAck, TxnReply.
+  EXPECT_EQ(cluster.messages_sent() - before, 6u);
+  for (SiteId s = 1; s < 3; ++s) {
+    EXPECT_TRUE(cluster.site(s).IsIdle()) << "site " << s;
+    EXPECT_EQ(cluster.site(s).counters().prepares_handled, 2u);
+    EXPECT_EQ(cluster.site(s).counters().commits_handled, 1u);
+  }
+  // No patience timer (nor anything else) is left pending anywhere.
+  EXPECT_TRUE(cluster.runtime().RunnableEvents().empty());
+  EXPECT_EQ(cluster.site(0).counters().phase_commit_time.count(), 1u);
+}
+
+TEST(LockingTest, SerialReadOnlyTxnKeepsTheCommitRound) {
+  // kSerial is Appendix A verbatim: Experiment 1's cost model was fitted
+  // to a commit round on every transaction.
+  ClusterOptions options = Options(3);
+  options.site.concurrency.mode = ConcurrencyMode::kSerial;
+  auto cluster_owner = MakeSimCluster(options);
+  SimCluster& cluster = *cluster_owner;
+  EXPECT_EQ(MessagesFor(cluster,
+                        MakeTxn(1, {Operation::Read(0), Operation::Read(1)}),
+                        0),
+            10u);
+  EXPECT_EQ(cluster.site(1).counters().commits_handled, 1u);
+}
+
+TEST(LockingTest, VetoedReadOnlyPrepareAbortsWithoutAbortMessages) {
+  // Coordinator 0 never hears site 2's recovery announce, so its Prepares
+  // carry a stale session for site 2 and both participants veto them.
+  ClusterOptions options = Options(3);
+  uint64_t aborts_sent = 0;
+  options.transport.drop_filter = [&aborts_sent](const Message& msg) {
+    if (msg.type == MsgType::kAbort) ++aborts_sent;
+    return msg.type == MsgType::kRecoveryAnnounce && msg.to == 0;
+  };
+  auto cluster_owner = MakeSimCluster(options);
+  SimCluster& cluster = *cluster_owner;
+  cluster.Fail(2);
+  cluster.Recover(2);
+  ASSERT_LT(cluster.site(0).session_vector().session(2),
+            cluster.site(1).session_vector().session(2));
+
+  const TxnResult reply = cluster.RunTxn(MakeTxn(1, {Operation::Read(0)}), 0);
+  EXPECT_EQ(reply.outcome, TxnOutcome::kAbortedStaleView);
+  EXPECT_GE(cluster.site(1).counters().prepare_session_vetoes, 1u);
+  // The veto caught the coordinator up, and no participant kept anything
+  // an Abort would have to discard.
+  EXPECT_EQ(cluster.site(0).session_vector().session(2),
+            cluster.site(1).session_vector().session(2));
+  EXPECT_EQ(aborts_sent, 0u);
+  for (SiteId s = 0; s < 3; ++s) {
+    EXPECT_TRUE(cluster.site(s).IsIdle()) << "site " << s;
+  }
+  // The retry commits against the caught-up view.
+  EXPECT_EQ(cluster.RunTxn(MakeTxn(2, {Operation::Read(0)}), 0).outcome,
+            TxnOutcome::kCommitted);
+}
+
+TEST(LockingTest, ReadOnlyPrepareStillDetectsAFailedParticipant) {
+  // Phase one keeps Appendix A's missing-ack failure detection: a site
+  // that failed before the Prepare aborts the read-only transaction and
+  // is announced by control type 2.
+  ClusterOptions options = Options(3);
+  uint64_t aborts_sent = 0;
+  options.transport.drop_filter = [&aborts_sent](const Message& msg) {
+    if (msg.type == MsgType::kAbort) ++aborts_sent;
+    return false;
+  };
+  auto cluster_owner = MakeSimCluster(options);
+  SimCluster& cluster = *cluster_owner;
+  cluster.Fail(2);
+  const TxnResult reply = cluster.RunTxn(MakeTxn(1, {Operation::Read(0)}), 0);
+  EXPECT_EQ(reply.outcome, TxnOutcome::kAbortedParticipantFailed);
+  EXPECT_EQ(cluster.site(0).counters().txns_aborted_participant, 1u);
+  EXPECT_EQ(cluster.site(0).counters().control2_initiated, 1u);
+  EXPECT_FALSE(cluster.site(0).session_vector().IsUp(2));
+  EXPECT_FALSE(cluster.site(1).session_vector().IsUp(2));
+  // Site 1 voted read-only and kept nothing to discard.
+  EXPECT_EQ(aborts_sent, 0u);
+  EXPECT_TRUE(cluster.site(1).IsIdle());
+  EXPECT_EQ(cluster.RunTxn(MakeTxn(2, {Operation::Read(0)}), 0).outcome,
+            TxnOutcome::kCommitted);
 }
 
 }  // namespace

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
+#include <thread>
 
 #include "core/cluster.h"
 #include "txn/workload.h"
@@ -99,6 +101,34 @@ TEST_P(RealClusterTest, WorkloadBurstKeepsReplicasConsistent) {
     }
   }
   EXPECT_TRUE(cluster->CheckReplicaAgreement().ok());
+}
+
+TEST_P(RealClusterTest, ReadOnlyTxnFinishesAtPhaseOneUnderLocking) {
+  // Under 2PL a read-only transaction skips the commit round on the real
+  // backends too: TxnRequest, 2 Prepare, 2 PrepareAck, TxnReply.
+  ClusterOptions options = Options(GetParam(), 3);
+  options.site.concurrency.mode = ConcurrencyMode::kTwoPhaseLocking;
+  auto made = MakeCluster(options);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  auto& cluster = **made;
+  ASSERT_EQ(cluster.RunTxn(MakeTxn(1, {Operation::Write(4, 44)}), 0).outcome,
+            TxnOutcome::kCommitted);
+
+  const uint64_t before = cluster.Stats().messages_sent;
+  const TxnResult reply = cluster.RunTxn(
+      MakeTxn(2, {Operation::Read(4), Operation::Read(5)}), 1);
+  EXPECT_EQ(reply.outcome, TxnOutcome::kCommitted);
+  ASSERT_EQ(reply.reads.size(), 2u);
+  EXPECT_EQ(reply.reads[0].value, 44);
+  // A transport counts a message just after handing it over, so the last
+  // counts can trail the reply by a moment.
+  uint64_t sent = 0;
+  for (int i = 0; i < 1000; ++i) {
+    sent = cluster.Stats().messages_sent - before;
+    if (sent >= 6) break;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(sent, 6u);
 }
 
 TEST_P(RealClusterTest, ReliableChannelRepairsLossOnRealRuntimes) {
