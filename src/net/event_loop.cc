@@ -60,9 +60,20 @@ TimerId EventLoop::ScheduleAfter(Duration delay, std::function<void()> fn) {
   {
     MutexLock lock(mu_);
     if (stopping_.load()) return kInvalidTimer;
-    id = next_timer_id_++;
-    timers_.emplace(TimerKey{when, id}, std::move(fn));
-    deadlines_.emplace(id, when);
+    uint32_t slot = static_cast<uint32_t>(timer_slots_.size());
+    if (!free_timer_slots_.empty()) {
+      slot = free_timer_slots_.back();
+      free_timer_slots_.pop_back();
+    } else {
+      MR_CHECK(slot <= kTimerSlotMask)
+          << "more than " << kTimerSlotMask << " pending timers";
+      timer_slots_.emplace_back();
+    }
+    id = (next_timer_seq_++ << kTimerSlotBits) | slot;
+    timer_slots_[slot].id = id;
+    timer_slots_[slot].fn = std::move(fn);
+    timer_heap_.push_back(TimerEntry{when, id});
+    SiftTimer(timer_heap_.size() - 1);
     wake = std::exchange(sleeping_, false);
   }
   if (wake) Wake();
@@ -73,12 +84,52 @@ void EventLoop::CancelTimer(TimerId id) {
   if (id == kInvalidTimer) return;
   std::function<void()> cancelled;  // destroyed after the lock is released
   MutexLock lock(mu_);
-  const auto it = deadlines_.find(id);
-  if (it == deadlines_.end()) return;  // already fired or cancelled
-  const auto timer = timers_.find(TimerKey{it->second, id});
-  cancelled = std::move(timer->second);
-  timers_.erase(timer);
-  deadlines_.erase(it);
+  const size_t slot = id & kTimerSlotMask;
+  // Fired, cancelled, or its slot now holds a newer timer.
+  if (slot >= timer_slots_.size() || timer_slots_[slot].id != id) return;
+  cancelled = TakeTimer(timer_slots_[slot].heap_pos);
+}
+
+void EventLoop::PlaceTimer(size_t pos, const TimerEntry& entry) {
+  timer_heap_[pos] = entry;
+  timer_slots_[entry.id & kTimerSlotMask].heap_pos = static_cast<uint32_t>(pos);
+}
+
+void EventLoop::SiftTimer(size_t pos) {
+  const TimerEntry entry = timer_heap_[pos];
+  while (pos > 0) {
+    const size_t parent = (pos - 1) / 2;
+    if (!Earlier(entry, timer_heap_[parent])) break;
+    PlaceTimer(pos, timer_heap_[parent]);
+    pos = parent;
+  }
+  const size_t size = timer_heap_.size();
+  while (true) {
+    size_t child = 2 * pos + 1;
+    if (child >= size) break;
+    if (child + 1 < size && Earlier(timer_heap_[child + 1], timer_heap_[child])) {
+      ++child;
+    }
+    if (!Earlier(timer_heap_[child], entry)) break;
+    PlaceTimer(pos, timer_heap_[child]);
+    pos = child;
+  }
+  PlaceTimer(pos, entry);
+}
+
+std::function<void()> EventLoop::TakeTimer(size_t pos) {
+  const size_t slot = timer_heap_[pos].id & kTimerSlotMask;
+  std::function<void()> fn = std::move(timer_slots_[slot].fn);
+  timer_slots_[slot].fn = nullptr;
+  timer_slots_[slot].id = kInvalidTimer;
+  free_timer_slots_.push_back(static_cast<uint32_t>(slot));
+  const TimerEntry last = timer_heap_.back();
+  timer_heap_.pop_back();
+  if (pos < timer_heap_.size()) {
+    PlaceTimer(pos, last);
+    SiftTimer(pos);
+  }
+  return fn;
 }
 
 void EventLoop::Watch(int fd, uint32_t events,
@@ -205,17 +256,15 @@ void EventLoop::Run() {
       if (stopping_.load()) return;
       if (!tasks_.empty()) {
         if (polled || watched_ == 0) batch.swap(tasks_);
-      } else if (!timers_.empty()) {
+      } else if (!timer_heap_.empty()) {
         const auto now = std::chrono::steady_clock::now();
-        const auto first = timers_.begin();
-        if (first->first.first <= now) {
-          timer = std::move(first->second);
-          deadlines_.erase(first->first.second);
-          timers_.erase(first);
+        const auto first = timer_heap_.front().deadline;
+        if (first <= now) {
+          timer = TakeTimer(0);
         } else {
-          timeout_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                           first->first.first - now)
-                           .count();
+          timeout_ns =
+              std::chrono::duration_cast<std::chrono::nanoseconds>(first - now)
+                  .count();
           sleeping_ = true;
         }
       } else {

@@ -5,10 +5,8 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -45,10 +43,15 @@ class EventLoop {
 
   /// Runs `fn` on the loop thread after `delay`. Timers with equal
   /// deadlines fire in the order they were scheduled. Safe from any thread.
+  /// O(log n) in the pending timers; allocates nothing once the timer
+  /// table has grown to the loop's peak pending count (a callable that
+  /// fits std::function's inline buffer, such as a two-pointer capture,
+  /// allocates nothing either).
   MR_RUNS_ON(any) TimerId ScheduleAfter(Duration delay, std::function<void()> fn);
 
-  /// Cancels a pending timer (no-op if it already fired or was cancelled).
-  /// Safe from any thread, including the loop thread.
+  /// Cancels a pending timer (no-op if it already fired or was cancelled,
+  /// even after its table slot went to a newer timer). O(log n). Safe
+  /// from any thread, including the loop thread.
   MR_RUNS_ON(any) void CancelTimer(TimerId id);
 
   /// Calls `on_ready(revents)` on the loop thread whenever `fd` is ready
@@ -86,9 +89,34 @@ class EventLoop {
   Mutex mu_;
 
  private:
-  /// Timers are keyed by (deadline, id): ids grow with every schedule, so
-  /// equal deadlines fire in schedule order.
-  using TimerKey = std::pair<std::chrono::steady_clock::time_point, TimerId>;
+  /// A pending timer's callback. Slots are reused; `id` tells the current
+  /// timer apart from an earlier one that held the slot.
+  struct TimerSlot {
+    TimerId id = kInvalidTimer;  // kInvalidTimer while free
+    uint32_t heap_pos = 0;       // index of this timer's entry in the heap
+    std::function<void()> fn;
+  };
+  /// The timer heap orders entries by (deadline, id). A TimerId is
+  /// (sequence << kTimerSlotBits) | slot, so ids grow with every schedule
+  /// (equal deadlines fire in schedule order) and name their slot.
+  struct TimerEntry {
+    std::chrono::steady_clock::time_point deadline;
+    TimerId id;
+  };
+  static constexpr int kTimerSlotBits = 24;
+  static constexpr TimerId kTimerSlotMask = (TimerId{1} << kTimerSlotBits) - 1;
+
+  static bool Earlier(const TimerEntry& a, const TimerEntry& b) {
+    return a.deadline < b.deadline ||
+           (a.deadline == b.deadline && a.id < b.id);
+  }
+  /// Stores `entry` at heap index `pos` and records the index in its slot.
+  void PlaceTimer(size_t pos, const TimerEntry& entry) MR_REQUIRES(mu_);
+  /// Restores the heap order around `pos` after its entry changed.
+  void SiftTimer(size_t pos) MR_REQUIRES(mu_);
+  /// Removes the timer at heap index `pos`, frees its slot and returns
+  /// its callback.
+  std::function<void()> TakeTimer(size_t pos) MR_REQUIRES(mu_);
 
   struct Watcher {
     uint32_t seq;  // tells a stale event for a reused fd number apart
@@ -105,11 +133,12 @@ class EventLoop {
   int wake_fd_ = -1;  // eventfd, registered edge-triggered: never read
 
   std::vector<std::function<void()>> tasks_ MR_GUARDED_BY(mu_);
-  std::map<TimerKey, std::function<void()>> timers_ MR_GUARDED_BY(mu_);
-  /// id -> deadline of every pending timer, so a cancel is two lookups.
-  std::unordered_map<TimerId, std::chrono::steady_clock::time_point>
-      deadlines_ MR_GUARDED_BY(mu_);
-  TimerId next_timer_id_ MR_GUARDED_BY(mu_) = 1;
+  /// Pending timers: callbacks in a slot table, order in a binary
+  /// min-heap indexed from the slots, so a cancel finds its entry at once.
+  std::vector<TimerSlot> timer_slots_ MR_GUARDED_BY(mu_);
+  std::vector<uint32_t> free_timer_slots_ MR_GUARDED_BY(mu_);
+  std::vector<TimerEntry> timer_heap_ MR_GUARDED_BY(mu_);
+  TimerId next_timer_seq_ MR_GUARDED_BY(mu_) = 1;
   /// True while the loop waits (or is about to) in Poll; the first Post
   /// that sees it writes the eventfd and clears it.
   bool sleeping_ MR_GUARDED_BY(mu_) = false;

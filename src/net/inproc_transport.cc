@@ -24,7 +24,9 @@ Status InProcTransport::Send(const Message& msg) {
   }
   const std::shared_ptr<Inbox>& inbox = it->second;
   bool duplicate = false;
-  {
+  // With no faults configured the injector would decide nothing, so skip
+  // its lock: every site thread sends through this transport.
+  if (options_.faults.Any()) {
     // Draw fault decisions under the lock, deliver outside it.
     MutexLock lock(faults_mu_);
     if (injector_.ShouldDrop(msg)) {
@@ -33,6 +35,9 @@ Status InProcTransport::Send(const Message& msg) {
     }
     duplicate = injector_.ShouldDuplicate();
   }
+  // Counted before the receiver can see the frame, so no message this one
+  // causes is ever counted ahead of it.
+  messages_sent_.fetch_add(1);
   const Duration latency = options_.message_latency;
   const Duration copy_latency = latency + options_.faults.duplicate_delay;
   const bool copy_later = duplicate && copy_latency > 0;
@@ -51,7 +56,6 @@ Status InProcTransport::Send(const Message& msg) {
   if (post) PostDrain(inbox);
   if (latency > 0) AppendAfter(inbox, latency, later);
   if (copy_later) AppendAfter(inbox, copy_latency, std::move(later));
-  messages_sent_.fetch_add(1);
   return Status::Ok();
 }
 

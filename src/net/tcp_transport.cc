@@ -291,7 +291,9 @@ void TcpTransport::Flush(SiteId to) {
 
 Status TcpTransport::Send(const Message& msg) {
   bool duplicate = false;
-  {
+  // With no faults configured the injector would decide nothing, so skip
+  // its lock.
+  if (options_.faults.Any()) {
     MutexLock lock(faults_mu_);
     if (injector_.ShouldDrop(msg)) {
       messages_dropped_.fetch_add(1);
@@ -301,8 +303,13 @@ Status TcpTransport::Send(const Message& msg) {
   }
   MutexLock lock(conn_mu_);
   EncodeMessageInto(msg, scratch_);
-  MINIRAID_RETURN_IF_ERROR(Enqueue(msg.to, scratch_.buffer()));
+  // Counted before the peer can read the frame, so no message this one
+  // causes is ever counted ahead of it.
   messages_sent_.fetch_add(1);
+  if (Status status = Enqueue(msg.to, scratch_.buffer()); !status.ok()) {
+    messages_sent_.fetch_sub(1);
+    return status;
+  }
   if (!duplicate) return Status::Ok();
   const Duration delay = options_.faults.duplicate_delay;
   if (delay <= 0) {

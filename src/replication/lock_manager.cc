@@ -8,21 +8,25 @@ namespace miniraid {
 
 LockManager::Outcome LockManager::Acquire(ItemId item, TxnId txn, Mode mode,
                                           std::function<void()> on_grant) {
-  ItemLocks& locks = locks_[item];
+  ItemLocks& locks = ItemEntry(item);
+  std::vector<TxnId>& holders = locks.holders;
+  const auto pos = std::lower_bound(holders.begin(), holders.end(), txn);
+  const bool holder = pos != holders.end() && *pos == txn;
 
-  if (locks.holders.empty()) {
+  if (holders.empty()) {
     locks.mode = mode;
-    locks.holders.insert(txn);
+    holders.push_back(txn);
+    TxnEntry(txn).items.push_back(item);
     return Outcome::kGranted;
   }
 
-  if (locks.holders.count(txn)) {
+  if (holder) {
     // Re-entrant acquisition. Shared -> exclusive upgrades succeed only
     // for a sole holder; otherwise treat like any conflicting request.
     if (mode == Mode::kShared || locks.mode == Mode::kExclusive) {
       return Outcome::kGranted;
     }
-    if (locks.holders.size() == 1) {
+    if (holders.size() == 1) {
       locks.mode = Mode::kExclusive;
       return Outcome::kGranted;
     }
@@ -33,7 +37,8 @@ LockManager::Outcome LockManager::Acquire(ItemId item, TxnId txn, Mode mode,
                           locks.mode == Mode::kShared &&
                           locks.queue.empty();  // no writer starvation
   if (compatible) {
-    locks.holders.insert(txn);
+    holders.insert(pos, txn);
+    TxnEntry(txn).items.push_back(item);
     return Outcome::kGranted;
   }
 
@@ -41,18 +46,18 @@ LockManager::Outcome LockManager::Acquire(ItemId item, TxnId txn, Mode mode,
     case DeadlockPolicy::kWaitDie:
       // Wait only if older (smaller id) than every conflicting holder; a
       // younger requester dies so no cycle can form.
-      for (const TxnId holder : locks.holders) {
-        if (holder == txn) continue;
-        if (txn > holder) return Outcome::kRejected;
+      for (const TxnId other : holders) {
+        if (other == txn) continue;
+        if (txn > other) return Outcome::kRejected;
       }
       break;
     case DeadlockPolicy::kWoundWait:
       // Wound every younger conflicting holder (deferred: the site aborts
       // them, and their ReleaseAll grants this queued request). Pinned
       // holders are skipped — the requester waits for them instead.
-      for (const TxnId holder : locks.holders) {
-        if (holder == txn) continue;
-        if (holder > txn) Wound(holder);
+      for (const TxnId other : holders) {
+        if (other == txn) continue;
+        if (other > txn) Wound(other);
       }
       break;
     case DeadlockPolicy::kTimeout:
@@ -61,12 +66,15 @@ LockManager::Outcome LockManager::Acquire(ItemId item, TxnId txn, Mode mode,
   }
   MR_CHECK(on_grant != nullptr) << "queued lock request needs a callback";
   locks.queue.push_back(Waiter{txn, mode, std::move(on_grant)});
+  // A holder's queued upgrade is already on its list.
+  if (!holder) TxnEntry(txn).items.push_back(item);
   return Outcome::kQueued;
 }
 
 void LockManager::Wound(TxnId victim) {
-  if (pinned_.count(victim) || wounded_.count(victim)) return;
-  wounded_.insert(victim);
+  TxnLocks& entry = TxnEntry(victim);
+  if (entry.pinned || entry.wounded) return;
+  entry.wounded = true;
   pending_wounds_.push_back(victim);
 }
 
@@ -76,18 +84,24 @@ std::vector<TxnId> LockManager::TakePendingWounds() {
   return out;
 }
 
-void LockManager::Pin(TxnId txn) { pinned_.insert(txn); }
+void LockManager::Pin(TxnId txn) { TxnEntry(txn).pinned = true; }
+
+bool LockManager::IsPinned(TxnId txn) const {
+  const TxnLocks* entry = FindTxn(txn);
+  return entry != nullptr && entry->pinned;
+}
 
 void LockManager::GrantFromQueue(ItemId item) {
-  auto it = locks_.find(item);
-  if (it == locks_.end()) return;
-  ItemLocks& locks = it->second;
+  ItemLocks* found = FindItem(item);
+  if (found == nullptr) return;
+  ItemLocks& locks = *found;
+  std::vector<TxnId>& holders = locks.holders;
   // Grant while compatible: one exclusive waiter alone, or a run of shared
   // waiters. Wound-wait grants oldest-first so every wait edge points
   // young -> old (see header); the other policies grant FIFO.
   const bool oldest_first =
       options_.deadlock_policy == DeadlockPolicy::kWoundWait;
-  std::vector<std::function<void()>> callbacks;
+  std::vector<std::function<void()>> callbacks = std::move(spare_callbacks_);
   while (!locks.queue.empty()) {
     size_t pick = 0;
     if (oldest_first) {
@@ -96,95 +110,132 @@ void LockManager::GrantFromQueue(ItemId item) {
       }
     }
     Waiter& next = locks.queue[pick];
-    const bool sole_holder_upgrade =
-        locks.holders.size() == 1 && locks.holders.count(next.txn) > 0;
+    const auto pos = std::lower_bound(holders.begin(), holders.end(), next.txn);
+    const bool holder = pos != holders.end() && *pos == next.txn;
+    const bool sole_holder_upgrade = holders.size() == 1 && holder;
     const bool can_grant =
-        locks.holders.empty() || sole_holder_upgrade ||
+        holders.empty() || sole_holder_upgrade ||
         (next.mode == Mode::kShared && locks.mode == Mode::kShared);
     if (!can_grant) break;
-    locks.mode = (locks.holders.empty() || sole_holder_upgrade)
-                     ? next.mode
-                     : locks.mode;
-    locks.holders.insert(next.txn);
+    locks.mode =
+        (holders.empty() || sole_holder_upgrade) ? next.mode : locks.mode;
+    if (!holder) holders.insert(pos, next.txn);
     callbacks.push_back(std::move(next.on_grant));
     locks.queue.erase(locks.queue.begin() + pick);
     if (locks.mode == Mode::kExclusive) break;
   }
-  if (locks.holders.empty() && locks.queue.empty()) {
-    locks_.erase(it);
-  }
+  if (holders.empty() && locks.queue.empty()) FreeItem(item);
   for (auto& callback : callbacks) callback();
+  callbacks.clear();
+  spare_callbacks_ = std::move(callbacks);
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
-  pinned_.erase(txn);
-  wounded_.erase(txn);
   pending_wounds_.erase(
       std::remove(pending_wounds_.begin(), pending_wounds_.end(), txn),
       pending_wounds_.end());
-  // Collect affected items first: grant callbacks may re-enter Acquire.
-  std::vector<ItemId> affected;
-  for (auto& [item, locks] : locks_) {
-    const bool held = locks.holders.erase(txn) > 0;
-    const auto queued = std::remove_if(
-        locks.queue.begin(), locks.queue.end(),
-        [txn](const Waiter& waiter) { return waiter.txn == txn; });
-    const bool dequeued = queued != locks.queue.end();
-    locks.queue.erase(queued, locks.queue.end());
-    if (held || dequeued) affected.push_back(item);
+  const uint32_t* found = txn_index_.Find(txn);
+  if (found == nullptr) return;
+  const uint32_t slot = *found;
+  // Take the item list and leave the spare buffer in the freed entry, so
+  // the next transaction in this slot lists its items without allocating.
+  std::vector<ItemId> affected = std::move(spare_items_);
+  affected.swap(txns_[slot].items);
+  txns_[slot].pinned = false;
+  txns_[slot].wounded = false;
+  txn_index_.Erase(txn);
+  free_txns_.push_back(slot);
+
+  // Leave every item first, then regrant in ascending item order: grant
+  // callbacks may re-enter Acquire, and the checker's fingerprints rely
+  // on this order.
+  std::sort(affected.begin(), affected.end());
+  affected.erase(std::unique(affected.begin(), affected.end()),
+                 affected.end());
+  for (const ItemId item : affected) {
+    ItemLocks* locks = FindItem(item);
+    if (locks == nullptr) continue;
+    std::vector<TxnId>& holders = locks->holders;
+    const auto pos = std::lower_bound(holders.begin(), holders.end(), txn);
+    if (pos != holders.end() && *pos == txn) holders.erase(pos);
+    locks->queue.erase(
+        std::remove_if(locks->queue.begin(), locks->queue.end(),
+                       [txn](const Waiter& waiter) { return waiter.txn == txn; }),
+        locks->queue.end());
   }
   for (const ItemId item : affected) GrantFromQueue(item);
-  // Drop empty entries that GrantFromQueue did not visit/erase.
-  for (auto it = locks_.begin(); it != locks_.end();) {
-    if (it->second.holders.empty() && it->second.queue.empty()) {
-      it = locks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  affected.clear();
+  spare_items_ = std::move(affected);
 }
 
-void LockManager::CancelWaits(TxnId txn) {
-  // Dropping a queued waiter can unblock the requests behind it (a shared
-  // run dammed up behind a canceled exclusive), so re-run the grant loop.
-  std::vector<ItemId> affected;
-  for (auto& [item, locks] : locks_) {
-    const auto queued = std::remove_if(
-        locks.queue.begin(), locks.queue.end(),
-        [txn](const Waiter& waiter) { return waiter.txn == txn; });
-    if (queued != locks.queue.end()) {
-      locks.queue.erase(queued, locks.queue.end());
-      affected.push_back(item);
-    }
+LockManager::ItemLocks* LockManager::FindItem(ItemId item) {
+  const uint32_t* slot = item_index_.Find(item);
+  return slot == nullptr ? nullptr : &items_[*slot];
+}
+
+const LockManager::ItemLocks* LockManager::FindItem(ItemId item) const {
+  const uint32_t* slot = item_index_.Find(item);
+  return slot == nullptr ? nullptr : &items_[*slot];
+}
+
+LockManager::ItemLocks& LockManager::ItemEntry(ItemId item) {
+  if (const uint32_t* slot = item_index_.Find(item)) return items_[*slot];
+  uint32_t slot = static_cast<uint32_t>(items_.size());
+  if (!free_items_.empty()) {
+    slot = free_items_.back();
+    free_items_.pop_back();
+  } else {
+    items_.emplace_back();
   }
-  for (const ItemId item : affected) GrantFromQueue(item);
-  for (auto it = locks_.begin(); it != locks_.end();) {
-    if (it->second.holders.empty() && it->second.queue.empty()) {
-      it = locks_.erase(it);
-    } else {
-      ++it;
-    }
+  item_index_.Insert(item, slot);
+  return items_[slot];
+}
+
+void LockManager::FreeItem(ItemId item) {
+  const uint32_t* found = item_index_.Find(item);
+  if (found == nullptr) return;
+  const uint32_t slot = *found;
+  item_index_.Erase(item);
+  free_items_.push_back(slot);
+}
+
+const LockManager::TxnLocks* LockManager::FindTxn(TxnId txn) const {
+  const uint32_t* slot = txn_index_.Find(txn);
+  return slot == nullptr ? nullptr : &txns_[*slot];
+}
+
+LockManager::TxnLocks& LockManager::TxnEntry(TxnId txn) {
+  if (const uint32_t* slot = txn_index_.Find(txn)) return txns_[*slot];
+  uint32_t slot = static_cast<uint32_t>(txns_.size());
+  if (!free_txns_.empty()) {
+    slot = free_txns_.back();
+    free_txns_.pop_back();
+  } else {
+    txns_.emplace_back();
   }
+  txn_index_.Insert(txn, slot);
+  return txns_[slot];
 }
 
 bool LockManager::Holds(ItemId item, TxnId txn) const {
-  auto it = locks_.find(item);
-  return it != locks_.end() && it->second.holders.count(txn) > 0;
+  const ItemLocks* locks = FindItem(item);
+  return locks != nullptr && std::binary_search(locks->holders.begin(),
+                                                locks->holders.end(), txn);
 }
 
 size_t LockManager::HolderCount(ItemId item) const {
-  auto it = locks_.find(item);
-  return it == locks_.end() ? 0 : it->second.holders.size();
+  const ItemLocks* locks = FindItem(item);
+  return locks == nullptr ? 0 : locks->holders.size();
 }
 
 size_t LockManager::QueueLength(ItemId item) const {
-  auto it = locks_.find(item);
-  return it == locks_.end() ? 0 : it->second.queue.size();
+  const ItemLocks* locks = FindItem(item);
+  return locks == nullptr ? 0 : locks->queue.size();
 }
 
 size_t LockManager::TotalHeld() const {
   size_t total = 0;
-  for (const auto& [item, locks] : locks_) total += locks.holders.size();
+  for (const ItemLocks& locks : items_) total += locks.holders.size();
   return total;
 }
 

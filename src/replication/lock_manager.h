@@ -2,10 +2,9 @@
 #define MINIRAID_REPLICATION_LOCK_MANAGER_H_
 
 #include <functional>
-#include <map>
-#include <set>
 #include <vector>
 
+#include "common/flat_index.h"
 #include "common/types.h"
 #include "replication/options.h"
 
@@ -34,13 +33,18 @@ namespace miniraid {
 ///    it cannot extend a cycle.
 ///  - kTimeout: every conflicting request queues; the site runs a
 ///    lock-wait timer per transaction and aborts it (kAbortedLockTimeout,
-///    via CancelWaits + ReleaseAll) if a request is still queued when the
-///    timer fires.
+///    via ReleaseAll) if a request is still queued when the timer fires.
+///
+/// Every transaction keeps a list of the items it holds or waits for, so
+/// the cost of ReleaseAll follows the transaction's own lock set, not the
+/// number of items locked at the site. Item and transaction entries are
+/// pooled and found through FlatIndex, so a steady stream of transactions
+/// that never queue allocates nothing.
 ///
 /// Single-threaded per the site's execution context. Grant callbacks fire
-/// synchronously from ReleaseAll / CancelWaits; wounds are NEVER delivered
-/// synchronously from Acquire — the site drains them with
-/// TakePendingWounds after its own bookkeeping is consistent.
+/// synchronously from ReleaseAll; wounds are NEVER delivered synchronously
+/// from Acquire — the site drains them with TakePendingWounds after its
+/// own bookkeeping is consistent.
 class LockManager {
  public:
   enum class Mode : uint8_t { kShared = 0, kExclusive = 1 };
@@ -64,20 +68,18 @@ class LockManager {
                   std::function<void()> on_grant);
 
   /// Releases every lock `txn` holds, cancels its queued requests and
-  /// forgets its pin/wound marks, granting whatever unblocks (grant
-  /// callbacks fire before return).
+  /// forgets its pin/wound marks, then regrants the affected items in
+  /// ascending item order (grant callbacks fire before return). Costs
+  /// O(k log k) for the k items on `txn`'s own list, plus the holders and
+  /// queue of each of those items; items `txn` never touched are not
+  /// visited.
   void ReleaseAll(TxnId txn);
-
-  /// Cancels `txn`'s queued (not yet granted) requests only; held locks
-  /// stay held. Used by the kTimeout policy when a lock-wait timer fires:
-  /// the site then aborts the transaction, which calls ReleaseAll.
-  void CancelWaits(TxnId txn);
 
   /// Marks `txn` as past the point of no return (coordinator has started
   /// the commit decision / participant has acked prepare). Wound-wait
   /// skips pinned holders; ReleaseAll clears the mark.
   void Pin(TxnId txn);
-  bool IsPinned(TxnId txn) const { return pinned_.count(txn) > 0; }
+  bool IsPinned(TxnId txn) const;
 
   /// Returns and clears the transactions wounded since the last call, in
   /// wound order. The site aborts each (kAbortedDeadlock). A transaction
@@ -101,23 +103,54 @@ class LockManager {
     std::function<void()> on_grant;
   };
 
+  /// One locked item. Entries are pooled: a freed entry keeps the
+  /// capacity of its vectors for the next item that uses its slot.
   struct ItemLocks {
     Mode mode = Mode::kShared;
-    std::set<TxnId> holders;
+    /// Ascending, so wound-wait wounds younger holders in id order.
+    std::vector<TxnId> holders;
     /// FIFO arrival order; kWoundWait grants oldest-first instead.
     std::vector<Waiter> queue;
   };
+
+  /// One transaction with locks or marks at this site. Pooled like
+  /// ItemLocks.
+  struct TxnLocks {
+    /// Items `txn` holds or waits for, in request order. An item appears
+    /// once per request that did not find `txn` already holding it.
+    std::vector<ItemId> items;
+    bool pinned = false;
+    /// Wounded and not yet released: suppresses duplicate wound reports.
+    bool wounded = false;
+  };
+
+  ItemLocks* FindItem(ItemId item);
+  const ItemLocks* FindItem(ItemId item) const;
+  /// The entry of `item`, created empty if the item has none.
+  ItemLocks& ItemEntry(ItemId item);
+  /// Returns an entry with no holders and no waiters to the pool.
+  void FreeItem(ItemId item);
+  const TxnLocks* FindTxn(TxnId txn) const;
+  /// The entry of `txn`, created empty if the transaction has none.
+  TxnLocks& TxnEntry(TxnId txn);
 
   void GrantFromQueue(ItemId item);
   /// Records a wound for `victim` unless it is pinned or already wounded.
   void Wound(TxnId victim);
 
   ConcurrencyOptions options_;
-  std::map<ItemId, ItemLocks> locks_;
-  std::set<TxnId> pinned_;
-  /// Wounded and not yet released — suppresses duplicate wound reports.
-  std::set<TxnId> wounded_;
+  FlatIndex item_index_;  // item -> slot in items_
+  std::vector<ItemLocks> items_;
+  std::vector<uint32_t> free_items_;
+  FlatIndex txn_index_;  // txn -> slot in txns_
+  std::vector<TxnLocks> txns_;
+  std::vector<uint32_t> free_txns_;
   std::vector<TxnId> pending_wounds_;
+  /// Spare buffers that ReleaseAll and GrantFromQueue borrow for their
+  /// work lists and hand back when done; grant callbacks may re-enter
+  /// either, so a nested call simply finds the spare already taken.
+  std::vector<ItemId> spare_items_;
+  std::vector<std::function<void()>> spare_callbacks_;
 };
 
 }  // namespace miniraid

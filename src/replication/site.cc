@@ -26,6 +26,10 @@ Database MakeDatabase(SiteId id, const SiteOptions& options) {
   return Database(options.db_size, options.placement[id]);
 }
 
+bool Contains(const std::vector<SiteId>& sites, SiteId site) {
+  return std::find(sites.begin(), sites.end(), site) != sites.end();
+}
+
 HoldersTable MakeHolders(const SiteOptions& options) {
   if (options.placement.empty()) {
     return HoldersTable(options.db_size, options.n_sites);
@@ -51,10 +55,25 @@ Site::Site(SiteId id, const SiteOptions& options, Transport* transport,
 }
 
 void Site::SendTo(SiteId to, Payload payload) {
-  const Status status = transport_->Send(MakeMessage(id_, to, payload));
+  const Status status =
+      transport_->Send(MakeMessage(id_, to, std::move(payload)));
   if (!status.ok()) {
     MR_LOG(kWarn) << "site " << id_ << ": send to " << to
                   << " failed: " << status.ToString();
+  }
+}
+
+void Site::SendTo(const std::vector<SiteId>& to, Duration cost_per_send,
+                  Payload payload) {
+  Message msg = MakeMessage(id_, kInvalidSite, std::move(payload));
+  for (SiteId peer : to) {
+    Charge(cost_per_send);
+    msg.to = peer;
+    const Status status = transport_->Send(msg);
+    if (!status.ok()) {
+      MR_LOG(kWarn) << "site " << id_ << ": send to " << peer
+                    << " failed: " << status.ToString();
+    }
   }
 }
 
@@ -201,8 +220,7 @@ void Site::Crash() {
     // as stable storage (see SiteOptions::lose_state_on_crash).
     db_ = MakeDatabase(id_, options_);
     fail_locks_ = FailLockTable(options_.db_size, options_.n_sites);
-    recent_outcomes_.clear();
-    recent_outcomes_fifo_.clear();
+    recent_outcomes_.Clear();
     state_lost_ = true;
     return;
   }
@@ -296,27 +314,42 @@ void Site::HandleTxnRequest(const Message& msg) {
     }
   }
   if (options_.concurrency.locking()) {
-    AcquireCoordinatorLocks(c);
+    AcquireCoordinatorLocks(c, read_set, write_set);
   } else {
     ProceedAfterLocks(c);
   }
 }
 
-void Site::AcquireCoordinatorLocks(Coordination& c) {
+void Site::AcquireCoordinatorLocks(Coordination& c,
+                                   const std::vector<ItemId>& read_set,
+                                   const std::vector<ItemId>& write_set) {
   // Shared locks for pure local reads, exclusive for writes and for stale
   // reads (the copier installs a fresh copy locally). Strict two-phase:
   // everything is released in ReplyAndClear.
   const TxnId txn = c.txn.id;
-  std::map<ItemId, LockManager::Mode> wanted;
-  for (ItemId item : c.txn.ReadSet()) {
-    wanted[item] = LockManager::Mode::kShared;
+  using Want = std::pair<ItemId, LockManager::Mode>;
+  std::vector<Want> wanted;
+  wanted.reserve(read_set.size() + c.needs_copy.size() + write_set.size());
+  for (ItemId item : read_set) {
+    wanted.emplace_back(item, LockManager::Mode::kShared);
   }
   for (ItemId item : c.needs_copy) {
-    wanted[item] = LockManager::Mode::kExclusive;
+    wanted.emplace_back(item, LockManager::Mode::kExclusive);
   }
-  for (ItemId item : c.txn.WriteSet()) {
-    wanted[item] = LockManager::Mode::kExclusive;
+  for (ItemId item : write_set) {
+    wanted.emplace_back(item, LockManager::Mode::kExclusive);
   }
+  // One request per item in ascending item order, exclusive if any use
+  // of the item needs it: each item's run starts with its strongest mode,
+  // and unique keeps the first of a run.
+  std::sort(wanted.begin(), wanted.end(), [](const Want& a, const Want& b) {
+    return a.first < b.first || (a.first == b.first && a.second > b.second);
+  });
+  wanted.erase(std::unique(wanted.begin(), wanted.end(),
+                           [](const Want& a, const Want& b) {
+                             return a.first == b.first;
+                           }),
+               wanted.end());
   for (const auto& [item, mode] : wanted) {
     const LockManager::Outcome outcome = lock_manager_.Acquire(
         item, txn, mode, [this, txn] { OnCoordinatorLockGranted(txn); });
@@ -565,17 +598,15 @@ void Site::ExecuteAndPrepare(Coordination& c) {
 }
 
 void Site::SendSingletonPrepares(Coordination& c) {
-  c.awaiting.insert(c.participants.begin(), c.participants.end());
+  c.awaiting = c.participants;
   // The wire participant set includes the coordinator: commit-time
   // maintenance needs the full set, identical at every site.
   std::vector<SiteId> wire_participants = c.participants;
   wire_participants.push_back(id_);
   std::sort(wire_participants.begin(), wire_participants.end());
-  const std::vector<SessionEntryWire> vector_wire = session_vector_.ToWire();
-  for (SiteId p : c.participants) {
-    Charge(options_.costs.prepare_send_per_site);
-    SendTo(p, PrepareArgs{c.txn.id, c.writes, vector_wire, wire_participants});
-  }
+  SendTo(c.participants, options_.costs.prepare_send_per_site,
+         PrepareArgs{c.txn.id, c.writes, session_vector_.ToWire(),
+                     std::move(wire_participants)});
   const TxnId txn = c.txn.id;
   c.timer = runtime_->ScheduleAfter(
       options_.ack_timeout,
@@ -960,7 +991,7 @@ void Site::HandlePrepareAck(const Message& msg) {
     }
     return;
   }
-  c.awaiting.erase(msg.from);
+  std::erase(c.awaiting, msg.from);
   if (c.awaiting.empty()) {
     runtime_->CancelTimer(c.timer);
     c.timer = kInvalidTimer;
@@ -981,16 +1012,13 @@ void Site::StartCommitPhase(Coordination& c) {
   c.phase = Coordination::Phase::kCommit;
   c.phase_start = runtime_->Now();
   c.retries_used = 0;
-  c.awaiting.insert(c.participants.begin(), c.participants.end());
+  c.awaiting = c.participants;
   if (options_.concurrency.locking()) {
     // Past the point of no return: the decision to commit is made, so a
     // wound-wait abort is no longer possible (see LockManager::Pin).
     lock_manager_.Pin(c.txn.id);
   }
-  for (SiteId p : c.participants) {
-    Charge(options_.costs.ack_format);
-    SendTo(p, CommitArgs{c.txn.id});
-  }
+  SendTo(c.participants, options_.costs.ack_format, CommitArgs{c.txn.id});
   const TxnId txn = c.txn.id;
   c.timer = runtime_->ScheduleAfter(
       options_.ack_timeout,
@@ -1012,7 +1040,7 @@ void Site::HandleCommitAck(const Message& msg) {
     return;
   }
   Coordination& c = it->second;
-  c.awaiting.erase(msg.from);
+  std::erase(c.awaiting, msg.from);
   if (c.awaiting.empty()) {
     runtime_->CancelTimer(c.timer);
     c.timer = kInvalidTimer;
@@ -1107,9 +1135,9 @@ void Site::CoordinationTimeout(TxnId txn, bool batch) {
       // "a participating site has failed": abort + control type 2. The
       // responsive participants discard their staging, unless they voted
       // read-only and kept none.
-      std::vector<SiteId> silent(c.awaiting.begin(), c.awaiting.end());
+      const std::vector<SiteId> silent = c.awaiting;
       for (SiteId p : c.participants) {
-        if (!c.awaiting.count(p) && !FinishesAtPhaseOne(c.writes)) {
+        if (!Contains(c.awaiting, p) && !FinishesAtPhaseOne(c.writes)) {
           Charge(options_.costs.ack_format);
           SendTo(p, AbortArgs{c.txn.id});
         }
@@ -1126,10 +1154,10 @@ void Site::CoordinationTimeout(TxnId txn, bool batch) {
       // before applying the write, so the coordinator's maintenance must
       // fail-lock their copies rather than clear them (their recovery will
       // sort out which it was — a spurious lock only costs a refresh).
-      std::vector<SiteId> silent(c.awaiting.begin(), c.awaiting.end());
+      const std::vector<SiteId> silent = c.awaiting;
       c.participants.erase(
           std::remove_if(c.participants.begin(), c.participants.end(),
-                         [&c](SiteId p) { return c.awaiting.count(p) > 0; }),
+                         [&c](SiteId p) { return Contains(c.awaiting, p); }),
           c.participants.end());
       FinishCommit(c);
       RunControlType2(silent);
@@ -2232,22 +2260,11 @@ void Site::MaintainFailLocks(const std::vector<ItemWrite>& writes,
 }
 
 void Site::RecordOutcome(TxnId txn, bool committed) {
-  auto [it, inserted] = recent_outcomes_.emplace(txn, committed);
-  if (!inserted) {
-    it->second = committed;
-    return;
-  }
-  recent_outcomes_fifo_.push_back(txn);
-  while (recent_outcomes_fifo_.size() > kMaxRecentOutcomes) {
-    recent_outcomes_.erase(recent_outcomes_fifo_.front());
-    recent_outcomes_fifo_.pop_front();
-  }
+  recent_outcomes_.Record(txn, committed);
 }
 
 std::optional<bool> Site::RecentOutcome(TxnId txn) const {
-  auto it = recent_outcomes_.find(txn);
-  if (it == recent_outcomes_.end()) return std::nullopt;
-  return it->second;
+  return recent_outcomes_.Find(txn);
 }
 
 bool Site::SetFailLock(ItemId item, SiteId site) {

@@ -16,6 +16,7 @@
 #include "replication/lock_manager.h"
 #include "replication/options.h"
 #include "replication/placement.h"
+#include "replication/recent_outcomes.h"
 #include "replication/session_vector.h"
 
 namespace miniraid {
@@ -142,7 +143,9 @@ class Site : public MessageHandler {
     uint32_t copier_count = 0;
 
     std::vector<SiteId> participants;
-    std::set<SiteId> awaiting;
+    /// Participants whose ack for the current phase is still owed, in
+    /// ascending order (a subset of `participants`).
+    std::vector<SiteId> awaiting;
     std::vector<ItemWrite> writes;
     std::vector<ItemCopy> reads;
 
@@ -281,7 +284,11 @@ class Site : public MessageHandler {
   /// Locking extension: acquires the coordinator's local locks (shared for
   /// pure reads, exclusive for writes and stale reads), then continues to
   /// the copier phase / execution once all are granted.
-  void AcquireCoordinatorLocks(Coordination& c);
+  /// `read_set` and `write_set` are the transaction's declared sets, as
+  /// HandleTxnRequest validated them.
+  void AcquireCoordinatorLocks(Coordination& c,
+                               const std::vector<ItemId>& read_set,
+                               const std::vector<ItemId>& write_set);
   void OnCoordinatorLockGranted(TxnId txn);
   /// Runs after local locks are held (or immediately when locking is off).
   void ProceedAfterLocks(Coordination& c);
@@ -460,6 +467,11 @@ class Site : public MessageHandler {
 
   void Charge(Duration amount) { runtime_->ChargeCpu(amount); }
   void SendTo(SiteId to, Payload payload);
+  /// Sends `payload` to each site of `to` in order, charging
+  /// `cost_per_send` before each send. The message is built once; only
+  /// its destination changes between sends.
+  void SendTo(const std::vector<SiteId>& to, Duration cost_per_send,
+              Payload payload);
 
   void Trace(TraceEvent event, uint64_t a = 0, uint64_t b = 0) {
     if (options_.trace != nullptr) {
@@ -522,9 +534,7 @@ class Site : public MessageHandler {
   /// live state is gone are answered from this cache; anything older than
   /// the cache window is presumed aborted. Wiped by a lose-state crash
   /// (the cache is volatile, like the paper's site memory).
-  std::map<TxnId, bool> recent_outcomes_;
-  std::deque<TxnId> recent_outcomes_fifo_;
-  static constexpr size_t kMaxRecentOutcomes = 256;
+  RecentOutcomes recent_outcomes_;
 };
 
 }  // namespace miniraid

@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "allocation_counter.h"
+
 namespace miniraid {
 namespace {
 
@@ -183,6 +185,129 @@ TEST(EventLoopTest, CancelEveryOtherOfManyTimers) {
     }
     EXPECT_EQ(fired, expected);
   }
+}
+
+TEST(EventLoopTest, EqualDelayOrderSurvivesInterleavedCancels) {
+  // Timers share four delays; cancels hit the heap at every depth while
+  // later timers are still being scheduled. Survivors of one delay fire in
+  // schedule order.
+  constexpr int kTimers = 2000;
+  constexpr int kBuckets = 4;
+  constexpr Duration kStep = Milliseconds(20);
+  EventLoop loop;
+  std::vector<int> fired;  // loop thread only, until the final sync
+  std::vector<bool> cancelled(kTimers, false);
+  std::atomic<int> live{0};
+  auto bucket_of = [](int i) { return (i * 7) % kBuckets; };
+  std::chrono::steady_clock::duration span{};
+  loop.PostAndWait([&] {
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<TimerId> ids;
+    for (int i = 0; i < kTimers; ++i) {
+      ids.push_back(loop.ScheduleAfter(kStep * (bucket_of(i) + 1), [&, i] {
+        fired.push_back(i);
+        --live;
+      }));
+      ++live;
+      // Cancel an earlier timer at a stride that visits every bucket, and
+      // now and then the newest one.
+      if (i % 3 == 2) {
+        const int victim = (i * 5) % (i + 1);
+        if (!cancelled[victim]) {
+          loop.CancelTimer(ids[victim]);
+          cancelled[victim] = true;
+          --live;
+        }
+      }
+      if (i % 11 == 0) {
+        loop.CancelTimer(ids[i]);
+        if (!cancelled[i]) --live;
+        cancelled[i] = true;
+      }
+    }
+    span = std::chrono::steady_clock::now() - start;
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (live > 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(live, 0);
+  loop.PostAndWait([] {});
+
+  std::vector<std::vector<int>> by_bucket(kBuckets);
+  for (int i : fired) {
+    ASSERT_FALSE(cancelled[i]) << "cancelled timer " << i << " fired";
+    by_bucket[bucket_of(i)].push_back(i);
+  }
+  size_t survivors = 0;
+  for (int i = 0; i < kTimers; ++i) survivors += cancelled[i] ? 0 : 1;
+  EXPECT_EQ(fired.size(), survivors);
+  for (const auto& bucket : by_bucket) {
+    EXPECT_TRUE(std::is_sorted(bucket.begin(), bucket.end()));
+  }
+  if (span < std::chrono::nanoseconds(kStep)) {
+    std::vector<int> expected;
+    for (const auto& bucket : by_bucket) {
+      expected.insert(expected.end(), bucket.begin(), bucket.end());
+    }
+    EXPECT_EQ(fired, expected);
+  }
+}
+
+TEST(EventLoopTest, CancellingFiredIdLeavesSlotsNewTimerArmed) {
+  // With one timer pending at a time, each new timer takes the slot the
+  // fired one left; the fired id must not reach its successor.
+  EventLoop loop;
+  std::atomic<int> first_fired{0};
+  const TimerId first =
+      loop.ScheduleAfter(0, [&first_fired] { ++first_fired; });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (first_fired == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(first_fired, 1);
+  std::atomic<bool> second_fired{false};
+  const TimerId second = loop.ScheduleAfter(
+      Milliseconds(20), [&second_fired] { second_fired = true; });
+  EXPECT_NE(first, second);
+  loop.CancelTimer(first);
+  loop.CancelTimer(first);
+  while (!second_fired && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(second_fired);
+  EXPECT_EQ(first_fired, 1);
+  // The same holds for a cancelled id whose slot was reused.
+  std::atomic<bool> third_fired{false};
+  const TimerId cancelled = loop.ScheduleAfter(Milliseconds(20), [] {});
+  loop.CancelTimer(cancelled);
+  loop.ScheduleAfter(Milliseconds(20), [&third_fired] { third_fired = true; });
+  loop.CancelTimer(cancelled);
+  while (!third_fired && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(third_fired);
+}
+
+TEST(EventLoopTest, SteadyStateScheduleCancelAllocatesNothing) {
+  // A patience timer's lifecycle: scheduled with a two-word capture,
+  // cancelled when the answer arrives.
+  EventLoop loop;
+  std::atomic<int> fired{0};
+  auto cycle = [&loop, &fired](uint64_t txn) {
+    const TimerId id = loop.ScheduleAfter(Seconds(10), [&fired, txn] {
+      fired += static_cast<int>(txn % 2) + 1;
+    });
+    loop.CancelTimer(id);
+  };
+  for (uint64_t txn = 0; txn < 16; ++txn) cycle(txn);  // grow the tables
+  const size_t before = allocations;
+  for (uint64_t txn = 16; txn < 1016; ++txn) cycle(txn);
+  EXPECT_EQ(allocations - before, 0u);
+  loop.PostAndWait([] {});
+  EXPECT_EQ(fired, 0);
 }
 
 /// A non-blocking pipe, closed on scope exit.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "allocation_counter.h"
+
 namespace miniraid {
 namespace {
 
@@ -149,22 +153,132 @@ TEST(LockManagerTest, ReleaseAllCoversManyItems) {
   EXPECT_EQ(lm.TotalHeld(), 0u);
 }
 
-TEST(LockManagerTest, CancelWaitsKeepsHeldLocksAndUnblocksFollowers) {
+TEST(LockManagerTest, ReleasingQueuedWriterUnblocksSharedFollowers) {
   LockManager lm(TwoPhase(DeadlockPolicy::kTimeout));
   ASSERT_EQ(lm.Acquire(1, 10, Mode::kShared, nullptr), Outcome::kGranted);
   ASSERT_EQ(lm.Acquire(2, 5, Mode::kExclusive, nullptr), Outcome::kGranted);
   // txn 5 queues an exclusive on item 1; txn 20's shared dams up behind it.
-  ASSERT_EQ(lm.Acquire(1, 5, Mode::kExclusive, [] {}), Outcome::kQueued);
+  bool writer_granted = false;
+  ASSERT_EQ(lm.Acquire(1, 5, Mode::kExclusive,
+                       [&writer_granted] { writer_granted = true; }),
+            Outcome::kQueued);
   bool late_shared = false;
   ASSERT_EQ(lm.Acquire(1, 20, Mode::kShared,
                        [&late_shared] { late_shared = true; }),
             Outcome::kQueued);
-  lm.CancelWaits(5);
-  // Dropping the exclusive waiter lets the compatible shared run through,
-  // while txn 5's granted lock on item 2 stays held.
+  lm.ReleaseAll(5);
+  // Dropping the exclusive waiter lets the compatible shared run through
+  // to join txn 10; txn 5's lock on item 2 is gone with it.
   EXPECT_TRUE(late_shared);
-  EXPECT_TRUE(lm.Holds(2, 5));
+  EXPECT_FALSE(writer_granted);
+  EXPECT_EQ(lm.HolderCount(1), 2u);
+  EXPECT_TRUE(lm.Holds(1, 20));
   EXPECT_EQ(lm.QueueLength(1), 0u);
+  EXPECT_FALSE(lm.Holds(2, 5));
+  EXPECT_EQ(lm.HolderCount(2), 0u);
+}
+
+TEST(LockManagerTest, ReleaseAllRegrantsInAscendingItemOrder) {
+  // Whatever order txn 1 took its locks in, its release grants the
+  // waiters item by item in ascending order.
+  LockManager lm(TwoPhase(DeadlockPolicy::kTimeout));
+  const std::vector<ItemId> taken = {30, 10, 40, 20};
+  for (ItemId item : taken) {
+    ASSERT_EQ(lm.Acquire(item, 1, Mode::kExclusive, nullptr),
+              Outcome::kGranted);
+  }
+  std::vector<ItemId> granted;
+  TxnId waiter = 100;
+  for (ItemId item : {40, 20, 30, 10}) {
+    ASSERT_EQ(lm.Acquire(item, waiter++, Mode::kExclusive,
+                         [&granted, item] { granted.push_back(item); }),
+              Outcome::kQueued);
+  }
+  lm.ReleaseAll(1);
+  EXPECT_EQ(granted, (std::vector<ItemId>{10, 20, 30, 40}));
+  EXPECT_EQ(lm.TotalHeld(), 4u);
+}
+
+TEST(LockManagerTest, ReleaseLeavesUnrelatedLocksIntact) {
+  // 1,000 items locked by other transactions, half of them with a queued
+  // request too; releasing one transaction among them changes none.
+  LockManager lm(TwoPhase(DeadlockPolicy::kTimeout));
+  constexpr ItemId kItems = 1000;
+  int foreign_grants = 0;
+  for (ItemId item = 0; item < kItems; ++item) {
+    ASSERT_EQ(lm.Acquire(item, 1000 + item, Mode::kExclusive, nullptr),
+              Outcome::kGranted);
+    if (item % 2 == 0) {
+      ASSERT_EQ(lm.Acquire(item, 5000 + item, Mode::kShared,
+                           [&foreign_grants] { ++foreign_grants; }),
+                Outcome::kQueued);
+    }
+  }
+  for (ItemId item : {2001, 2000, 2002}) {
+    ASSERT_EQ(lm.Acquire(item, 7, Mode::kExclusive, nullptr),
+              Outcome::kGranted);
+  }
+  // txn 7 also waits behind one of the unrelated holders.
+  ASSERT_EQ(lm.Acquire(3, 7, Mode::kShared, [] {}), Outcome::kQueued);
+  lm.ReleaseAll(7);
+  EXPECT_EQ(foreign_grants, 0);
+  EXPECT_EQ(lm.TotalHeld(), size_t{kItems});
+  for (ItemId item = 0; item < kItems; ++item) {
+    EXPECT_TRUE(lm.Holds(item, 1000 + item)) << item;
+    EXPECT_EQ(lm.HolderCount(item), 1u) << item;
+    EXPECT_EQ(lm.QueueLength(item), item % 2 == 0 ? 1u : 0u) << item;
+  }
+  for (ItemId item : {2000, 2001, 2002}) EXPECT_EQ(lm.HolderCount(item), 0u);
+}
+
+TEST(LockManagerTest, HolderQueuedUpgradeIsReleasedOnce) {
+  // txn 5 holds shared beside txn 10 and queues an upgrade; txn 3 waits
+  // behind the upgrade. Releasing 5 drops both its hold and its upgrade.
+  LockManager lm(TwoPhase(DeadlockPolicy::kTimeout));
+  ASSERT_EQ(lm.Acquire(1, 5, Mode::kShared, nullptr), Outcome::kGranted);
+  ASSERT_EQ(lm.Acquire(1, 10, Mode::kShared, nullptr), Outcome::kGranted);
+  int upgrades = 0;
+  ASSERT_EQ(lm.Acquire(1, 5, Mode::kExclusive, [&upgrades] { ++upgrades; }),
+            Outcome::kQueued);
+  int writer_grants = 0;
+  ASSERT_EQ(lm.Acquire(1, 3, Mode::kExclusive,
+                       [&writer_grants] { ++writer_grants; }),
+            Outcome::kQueued);
+  lm.ReleaseAll(5);
+  EXPECT_EQ(upgrades, 0);
+  EXPECT_FALSE(lm.Holds(1, 5));
+  EXPECT_EQ(lm.HolderCount(1), 1u);
+  EXPECT_EQ(lm.QueueLength(1), 1u);  // txn 3 still waits for txn 10
+  lm.ReleaseAll(5);                  // a second release finds nothing
+  EXPECT_EQ(lm.QueueLength(1), 1u);
+  lm.ReleaseAll(10);
+  EXPECT_EQ(writer_grants, 1);
+  EXPECT_TRUE(lm.Holds(1, 3));
+  EXPECT_EQ(upgrades, 0);
+}
+
+TEST(LockManagerTest, SteadyStateAcquireReleaseAllocatesNothing) {
+  // The per-transaction cycle of a write at a participant: three
+  // exclusive locks, a pin, and the release, with a grant callback that
+  // captures two words as the site's do.
+  LockManager lm(TwoPhase());
+  int grants = 0;
+  auto cycle = [&lm, &grants](TxnId txn) {
+    for (ItemId item = 0; item < 3; ++item) {
+      const ItemId spread = static_cast<ItemId>((txn * 7 + item * 13) % 97);
+      ASSERT_EQ(lm.Acquire(spread, txn, Mode::kExclusive,
+                           [&grants, txn] { grants += int(txn % 2); }),
+                Outcome::kGranted);
+    }
+    lm.Pin(txn);
+    lm.ReleaseAll(txn);
+  };
+  for (TxnId txn = 1; txn <= 16; ++txn) cycle(txn);  // warm the pools
+  const size_t before = allocations;
+  for (TxnId txn = 17; txn <= 1016; ++txn) cycle(txn);
+  EXPECT_EQ(allocations - before, 0u);
+  EXPECT_EQ(lm.TotalHeld(), 0u);
+  EXPECT_EQ(grants, 0);
 }
 
 TEST(LockManagerTest, WoundWaitWoundsYoungerHolderDeferred) {
@@ -239,13 +353,14 @@ TEST(LockManagerTest, TimeoutPolicyAlwaysQueues) {
 
 // kTimeout races a waiter's lock-wait timer against the holder's site
 // failure: the crash path releases the holder's locks (granting the
-// waiter), while the timer path cancels the waiter's queued requests. The
-// two fire in either order and each must leave a consistent table.
+// waiter), while the timer path aborts the waiter with ReleaseAll. The two
+// fire in either order and each must leave a consistent table. (A timer
+// that fires after the grant finds no pending wait at the site and never
+// reaches the lock manager.)
 
 TEST(LockManagerTest, TimeoutCrashReleaseBeforeTimerKeepsGrantedLock) {
   // Holder 10 "crashes": the site aborts it with ReleaseAll, which grants
-  // waiter 20. The waiter's lock-wait timer then fires late — its
-  // CancelWaits must be a no-op on the now-HELD lock, not a revocation.
+  // waiter 20 exactly once.
   LockManager lm(TwoPhase(DeadlockPolicy::kTimeout));
   ASSERT_EQ(lm.Acquire(1, 10, Mode::kExclusive, nullptr), Outcome::kGranted);
   int grants = 0;
@@ -254,20 +369,16 @@ TEST(LockManagerTest, TimeoutCrashReleaseBeforeTimerKeepsGrantedLock) {
 
   lm.ReleaseAll(10);  // crash path: holder's site failed
   EXPECT_EQ(grants, 1);
-  ASSERT_TRUE(lm.Holds(1, 20));
-
-  lm.CancelWaits(20);  // stale timer fires after the grant
   EXPECT_TRUE(lm.Holds(1, 20));
   EXPECT_EQ(lm.HolderCount(1), 1u);
-  EXPECT_EQ(grants, 1);  // no double grant
 }
 
 TEST(LockManagerTest, TimeoutTimerBeforeCrashReleaseNeverGrantsWaiter) {
-  // The waiter's timer wins the race: CancelWaits(20) dequeues it before
-  // the holder's crash releases the lock. The subsequent ReleaseAll(10)
-  // must NOT grant 20 — its site already aborted it with
-  // kAbortedLockTimeout, and a late grant callback would resurrect a dead
-  // transaction.
+  // The waiter's timer wins the race: its site aborts 20 with ReleaseAll,
+  // which dequeues it before the holder's crash releases the lock. The
+  // subsequent ReleaseAll(10) must NOT grant 20 — its site already aborted
+  // it with kAbortedLockTimeout, and a late grant callback would resurrect
+  // a dead transaction.
   LockManager lm(TwoPhase(DeadlockPolicy::kTimeout));
   ASSERT_EQ(lm.Acquire(1, 10, Mode::kExclusive, nullptr), Outcome::kGranted);
   int grants = 0;
@@ -279,8 +390,7 @@ TEST(LockManagerTest, TimeoutTimerBeforeCrashReleaseNeverGrantsWaiter) {
   ASSERT_EQ(lm.Acquire(1, 30, Mode::kExclusive, [&grants_30] { ++grants_30; }),
             Outcome::kQueued);
 
-  lm.CancelWaits(20);  // timeout path: waiter aborts
-  lm.ReleaseAll(20);   // its site's abort then releases (holds nothing)
+  lm.ReleaseAll(20);  // timeout path: the waiter aborts, holding nothing
   EXPECT_EQ(grants, 0);
   EXPECT_EQ(lm.QueueLength(1), 1u);  // 30 still waits; 20 is gone
 

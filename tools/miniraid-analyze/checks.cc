@@ -354,10 +354,9 @@ CheckOptions CheckOptions::Defaults() {
   opts.dispatch_function = "OnMessage";
   opts.codec_aliases = {{"TxnResult", "kTxnReply"}};
   // Item-lock layer ops that must not run under a mutex: Acquire enqueues a
-  // waiter (a logical block point), ReleaseAll/CancelWaits invoke grant
-  // callbacks synchronously on the lock-release path.
-  opts.item_lock_members = {
-      {"LockManager", {"Acquire", "ReleaseAll", "CancelWaits"}}};
+  // waiter (a logical block point), ReleaseAll invokes grant callbacks
+  // synchronously on the lock-release path.
+  opts.item_lock_members = {{"LockManager", {"Acquire", "ReleaseAll"}}};
   opts.effect_class = "Site";
   opts.send_function = "SendTo";
   opts.effect_rules = {
@@ -370,7 +369,6 @@ CheckOptions CheckOptions::Defaults() {
       {"SessionVector", "MergeFrom", "session.merge"},
       {"LockManager", "Acquire", "lockmgr.acquire"},
       {"LockManager", "ReleaseAll", "lockmgr.release"},
-      {"LockManager", "CancelWaits", "lockmgr.cancel"},
       {"LockManager", "Pin", "lockmgr.pin"},
       {"Site", "RecordOutcome", "outcome.record"},
   };
