@@ -3,7 +3,7 @@
 // through execute -> prepare -> commit concurrently, versus the serial
 // engine (one coordination at a time, everything else queued).
 //
-// Section 1 sweeps ConcurrencyOptions::max_executors through a single
+// It sweeps ConcurrencyOptions::max_executors through a single
 // coordinator on the simulator (9 ms message latency, one CPU per site,
 // zero CPU costs — the latency-dominated regime where overlap is the whole
 // story). Serial mode spends every message round-trip idle; two-phase
@@ -12,14 +12,10 @@
 // txn/s over serial at max_executors=16 with replicas convergent (zero
 // invariant violations).
 //
-// Section 2 ablates the deadlock policy (wait-die / wound-wait / timeout)
-// under heavy contention: same workload, same executors, different ways to
-// break lock waits, each with its own abort signature.
-//
 //   bench_ablation_locking [--smoke] [--json[=PATH]]
 //
 // --smoke shrinks the phases for CI; --json writes one JSON object with the
-// section-1 sweep and the gate verdict (default path BENCH_concurrency.json).
+// sweep and the gate verdict (default path BENCH_concurrency.json).
 
 #include <cstdio>
 #include <cstring>
@@ -38,7 +34,6 @@ namespace {
 
 struct Config {
   uint32_t txns = 300;
-  uint32_t contended_txns = 200;
   std::string json_path;  // empty = no JSON output
 };
 
@@ -61,7 +56,7 @@ ClusterOptions BaseOptions(uint32_t db_size) {
   return options;
 }
 
-// -- section 1: executor sweep through one coordinator ----------------------
+// -- executor sweep through one coordinator ---------------------------------
 
 SweepRow MeasureSweep(bool locking, uint32_t executors, uint32_t txns) {
   ClusterOptions options = BaseOptions(/*db_size=*/64);
@@ -91,9 +86,7 @@ SweepRow MeasureSweep(bool locking, uint32_t executors, uint32_t txns) {
   row.report = Driver(&cluster, &workload, dopts).Run();
   const SiteCounters& counters = cluster.site(0).counters();
   row.lock_waits = counters.lock_waits;
-  row.aborts_conflict = counters.txns_aborted_lock_conflict +
-                        counters.txns_aborted_deadlock +
-                        counters.txns_aborted_lock_timeout;
+  row.aborts_conflict = counters.txns_aborted_lock_conflict;
   row.replicas_agree =
       cluster.CheckReplicaAgreement().ok() && cluster.CheckInvariants().empty();
   return row;
@@ -145,63 +138,6 @@ bool RunSweepSection(const Config& config, std::vector<SweepRow>* rows,
   return pass;
 }
 
-// -- section 2: deadlock-policy ablation under contention -------------------
-
-void RunPolicySection(const Config& config) {
-  std::printf("=== Deadlock policy under contention (db=16, txn size <= 4, "
-              "8 executors, one coordinator) ===\n");
-  std::printf("%-12s %12s %10s %10s %10s %10s %10s\n", "policy", "txn/s",
-              "committed", "waitdie", "wounds", "timeouts", "waits");
-  for (const DeadlockPolicy policy :
-       {DeadlockPolicy::kWaitDie, DeadlockPolicy::kWoundWait,
-        DeadlockPolicy::kTimeout}) {
-    ClusterOptions options = BaseOptions(/*db_size=*/16);
-    // Paper-calibrated CPU costs: longer lock hold times sharpen the
-    // contention the policies are breaking.
-    options.site.costs = CostModel::PaperCalibrated();
-    options.site.concurrency.mode = ConcurrencyMode::kTwoPhaseLocking;
-    options.site.concurrency.max_executors = 8;
-    options.site.concurrency.deadlock_policy = policy;
-    options.site.concurrency.lock_wait_timeout = Milliseconds(200);
-    options.max_inflight = 16;
-    auto cluster_owner = MakeSimCluster(options);
-    SimCluster& cluster = *cluster_owner;
-
-    UniformWorkloadOptions wopts;
-    wopts.db_size = 16;
-    wopts.max_txn_size = 4;
-    wopts.seed = 11;
-    UniformWorkload workload(wopts);
-
-    DriverOptions dopts;
-    dopts.concurrency = 16;
-    dopts.measure_txns = config.contended_txns;
-    dopts.coordinator_for = [](uint64_t) { return SiteId{0}; };
-    const DriverReport report = Driver(&cluster, &workload, dopts).Run();
-
-    uint64_t waitdie = 0, wounds = 0, timeouts = 0, waits = 0;
-    for (SiteId s = 0; s < 4; ++s) {
-      const SiteCounters& counters = cluster.site(s).counters();
-      waitdie += counters.txns_aborted_lock_conflict;
-      wounds += counters.lock_wounds;
-      timeouts += counters.txns_aborted_lock_timeout;
-      waits += counters.lock_waits;
-    }
-    const char* name = policy == DeadlockPolicy::kWaitDie    ? "wait-die"
-                       : policy == DeadlockPolicy::kWoundWait ? "wound-wait"
-                                                              : "timeout";
-    std::printf("%-12s %12.1f %10llu %10llu %10llu %10llu %10llu%s\n", name,
-                report.CommittedPerSec(), (unsigned long long)report.committed,
-                (unsigned long long)waitdie, (unsigned long long)wounds,
-                (unsigned long long)timeouts, (unsigned long long)waits,
-                cluster.CheckReplicaAgreement().ok() ? "" : "  DIVERGED");
-  }
-  std::printf("\nExpected shape: wait-die pays restart aborts at request "
-              "time, wound-wait\nconverts them into victim aborts that favor "
-              "elders, timeout trades aborts for\nbounded waiting. All three "
-              "keep replicas convergent.\n");
-}
-
 }  // namespace
 }  // namespace miniraid
 
@@ -211,7 +147,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg == "--smoke") {
       config.txns = 80;
-      config.contended_txns = 60;
     } else if (arg == "--json") {
       config.json_path = "BENCH_concurrency.json";
     } else if (arg.rfind("--json=", 0) == 0) {
@@ -224,7 +159,6 @@ int main(int argc, char** argv) {
   std::vector<miniraid::SweepRow> rows;
   double speedup = 0.0;
   const bool pass = miniraid::RunSweepSection(config, &rows, &speedup);
-  miniraid::RunPolicySection(config);
 
   if (!config.json_path.empty()) {
     std::ofstream out(config.json_path);

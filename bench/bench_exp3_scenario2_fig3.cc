@@ -65,6 +65,14 @@ void Run(const char* csv_path) {
 }  // namespace miniraid
 
 int main(int argc, char** argv) {
+  // One optional argument: a path to dump the Figure-3 series as CSV.
+  // Anything else (a flag, a second argument) is a usage error.
+  for (int i = 1; i < argc; ++i) {
+    if (i > 1 || argv[i][0] == '-') {
+      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
+      return 2;
+    }
+  }
   miniraid::Run(argc > 1 ? argv[1] : nullptr);
   return 0;
 }

@@ -78,9 +78,7 @@ BENCHMARK(BM_TraceFilter);
 // ReleaseAll, while `range(0)` items stay locked by other transactions.
 // The release should cost the same whatever the number of other locks.
 void BM_LockManagerReleaseAll(benchmark::State& state) {
-  ConcurrencyOptions options;
-  options.mode = ConcurrencyMode::kTwoPhaseLocking;
-  LockManager locks(options);
+  LockManager locks;
   const auto unrelated = static_cast<ItemId>(state.range(0));
   for (ItemId i = 0; i < unrelated; ++i) {
     (void)locks.Acquire(1000 + i, 1 + i, LockManager::Mode::kExclusive,
@@ -91,7 +89,7 @@ void BM_LockManagerReleaseAll(benchmark::State& state) {
     for (ItemId item = 0; item < 3; ++item) {
       benchmark::DoNotOptimize(locks.Acquire(
           item, txn, LockManager::Mode::kExclusive, [&locks, txn] {
-            benchmark::DoNotOptimize(locks.IsPinned(txn));
+            benchmark::DoNotOptimize(locks.Holds(0, txn));
           }));
     }
     locks.ReleaseAll(txn++);

@@ -252,7 +252,7 @@ const std::vector<ActionEffectVocabulary>& AbstractActionVocabulary() {
       {Kind::kBeginCommit,
        "kBeginCommit",
        {"kPrepare", "kPrepareAck"},
-       {"send:kPrepare", "send:kPrepareAck", "lockmgr.acquire", "lockmgr.pin",
+       {"send:kPrepare", "send:kPrepareAck", "lockmgr.acquire",
         "session.merge"}},
       {Kind::kEndCommit,
        "kEndCommit",
@@ -264,7 +264,7 @@ const std::vector<ActionEffectVocabulary>& AbstractActionVocabulary() {
        {"kBatchPrepare", "kBatchPrepareAck", "kBatchCommit", "kBatchCommitAck"},
        {"send:kBatchPrepare", "send:kBatchPrepareAck", "send:kBatchCommit",
         "send:kBatchCommitAck", "send:kTxnReply", "faillock.set",
-        "faillock.clear", "lockmgr.acquire", "lockmgr.pin", "lockmgr.release",
+        "faillock.clear", "lockmgr.acquire", "lockmgr.release",
         "outcome.record", "session.merge"}},
   };
   return vocab;

@@ -527,7 +527,6 @@ std::optional<SystematicOptions> ScenarioByName(std::string_view name) {
     // interleavings; the serial recovery then re-checks the column merge.
     s.concurrency.mode = ConcurrencyMode::kTwoPhaseLocking;
     s.concurrency.max_executors = 2;
-    s.concurrency.deadlock_policy = DeadlockPolicy::kWaitDie;
     s.actions = {
         ScheduleAction::Submit(WriteTxn(1, 0), 0, /*serial=*/true),
         ScheduleAction::Fail(2, /*serial=*/true),
@@ -552,7 +551,6 @@ std::optional<SystematicOptions> ScenarioByName(std::string_view name) {
     // column merge afterwards.
     s.concurrency.mode = ConcurrencyMode::kTwoPhaseLocking;
     s.concurrency.max_executors = 2;
-    s.concurrency.deadlock_policy = DeadlockPolicy::kWaitDie;
     s.batching.max_batch = 2;
     s.batching.batch_linger = 0;
     s.actions = {
@@ -580,7 +578,6 @@ std::optional<SystematicOptions> ScenarioByName(std::string_view name) {
     // overlapping reader would take it past a million.
     s.concurrency.mode = ConcurrencyMode::kTwoPhaseLocking;
     s.concurrency.max_executors = 2;
-    s.concurrency.deadlock_policy = DeadlockPolicy::kWaitDie;
     s.actions = {
         ScheduleAction::Submit(WriteTxn(1, 0), 0, /*serial=*/true),
         ScheduleAction::Fail(2, /*serial=*/true),

@@ -354,26 +354,6 @@ void AppendUintArray(std::string* out, const std::vector<uint32_t>& values) {
   out->push_back(']');
 }
 
-std::string_view PolicyToken(DeadlockPolicy policy) {
-  switch (policy) {
-    case DeadlockPolicy::kWaitDie:
-      return "wait-die";
-    case DeadlockPolicy::kWoundWait:
-      return "wound-wait";
-    case DeadlockPolicy::kTimeout:
-      return "timeout";
-  }
-  return "?";
-}
-
-Result<DeadlockPolicy> PolicyFromToken(std::string_view token) {
-  if (token == "wait-die") return DeadlockPolicy::kWaitDie;
-  if (token == "wound-wait") return DeadlockPolicy::kWoundWait;
-  if (token == "timeout") return DeadlockPolicy::kTimeout;
-  return Status::InvalidArgument(StrFormat(
-      "trace JSON: unknown deadlock policy \"%s\"", std::string(token).c_str()));
-}
-
 }  // namespace
 
 std::string ScheduleAction::ToString() const {
@@ -399,11 +379,8 @@ std::string TraceToJson(const CheckTrace& trace) {
   // stay byte-identical.
   if (trace.concurrency.locking()) {
     out += StrFormat(
-        "  \"concurrency\": {\"mode\": \"2pl\", \"max_executors\": %u, "
-        "\"deadlock_policy\": \"%s\", \"lock_wait_timeout_ms\": %ld},\n",
-        trace.concurrency.max_executors,
-        std::string(PolicyToken(trace.concurrency.deadlock_policy)).c_str(),
-        static_cast<long>(trace.concurrency.lock_wait_timeout / 1000000));
+        "  \"concurrency\": {\"mode\": \"2pl\", \"max_executors\": %u},\n",
+        trace.concurrency.max_executors);
   }
   // Emitted only when group commit is on, for the same reason.
   if (trace.batching.enabled()) {
@@ -478,14 +455,16 @@ Result<CheckTrace> TraceFromJson(std::string_view json) {
     }
     trace.concurrency.max_executors = static_cast<uint32_t>(
         GetNumberOr(conc, "max_executors", trace.concurrency.max_executors));
-    MINIRAID_ASSIGN_OR_RETURN(
-        trace.concurrency.deadlock_policy,
-        PolicyFromToken(GetStringOr(
-            conc, "deadlock_policy",
-            std::string(PolicyToken(trace.concurrency.deadlock_policy)))));
-    trace.concurrency.lock_wait_timeout = Milliseconds(GetNumberOr(
-        conc, "lock_wait_timeout_ms",
-        trace.concurrency.lock_wait_timeout / 1000000));
+    // Older traces name their deadlock policy and a lock-wait timeout,
+    // which is ignored. Wait-die is the engine's only policy, so a trace
+    // recorded under any other cannot replay.
+    const std::string policy = GetStringOr(conc, "deadlock_policy", "wait-die");
+    if (policy != "wait-die") {
+      return Status::InvalidArgument(StrFormat(
+          "trace JSON: deadlock policy \"%s\" is not supported (the engine "
+          "has only wait-die)",
+          policy.c_str()));
+    }
   }
   // Optional: absent = batching off (traces predating group commit).
   if (auto bat_it = obj.find("batching");

@@ -15,8 +15,9 @@ struct ChannelCounters {
   uint64_t data_sent = 0;
   /// Retransmissions after an RTO expiry (per message copy, not per timer).
   uint64_t retransmits = 0;
-  /// Messages abandoned after max_retransmits unacknowledged attempts; the
-  /// protocol layer's own timeouts own the failure from here.
+  /// Messages abandoned after 8 unacknowledged retransmissions (the
+  /// reliable channel's fixed limit); the protocol layer's own timeouts
+  /// own the failure from here.
   uint64_t abandoned = 0;
   /// Sequence numbers acknowledged by the peer (cumulative-ack advances).
   uint64_t acked = 0;

@@ -209,7 +209,7 @@ Status DecodePayload(MsgType type, Decoder& dec, Payload* out) {
       MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.txn));
       uint8_t outcome = 0;
       MINIRAID_RETURN_IF_ERROR(dec.GetU8(&outcome));
-      if (outcome > static_cast<uint8_t>(TxnOutcome::kAbortedLockTimeout)) {
+      if (outcome > static_cast<uint8_t>(TxnOutcome::kAbortedStaleView)) {
         return Status::Corruption("bad txn outcome");
       }
       a.outcome = static_cast<TxnOutcome>(outcome);

@@ -112,8 +112,8 @@ struct TxnRequestArgs {
 
 /// Terminal result of a database transaction, carried by kTxnReply from
 /// the coordinator to the managing site and handed to client callbacks.
-/// The typed abort reason (TxnOutcome) distinguishes deadlock victims,
-/// lock-wait timeouts, stale membership views, and failure-driven aborts;
+/// The typed abort reason (TxnOutcome) distinguishes wait-die lock
+/// conflicts, stale membership views, and failure-driven aborts;
 /// retryable() says whether re-submitting unchanged may succeed.
 struct TxnResult {
   TxnId txn = 0;

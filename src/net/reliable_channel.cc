@@ -12,6 +12,12 @@ constexpr Duration kInitialRto = Milliseconds(100);
 constexpr Duration kMaxRto = Seconds(2);
 constexpr double kBackoff = 2.0;
 constexpr Duration kRtoJitter = Milliseconds(20);
+/// Retransmissions per message before the channel gives up and drops it
+/// (at-least-once, not exactly-always: a partitioned peer must not pin
+/// memory and timers forever). The protocol's own timeouts — coordinator
+/// phase timeouts, participant patience, the client timeout — own the
+/// failure from there.
+constexpr uint32_t kMaxRetransmits = 8;
 
 }  // namespace
 
@@ -140,7 +146,7 @@ void ReliableChannel::OnRetransmitTimer(SiteId peer_id) {
       ++it;
       continue;
     }
-    if (pending.attempts >= options_.max_retransmits) {
+    if (pending.attempts >= kMaxRetransmits) {
       // Give up; the protocol layer's own timeouts take over from here.
       ++counters_.abandoned;
       it = send.unacked.erase(it);

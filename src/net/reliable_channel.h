@@ -17,13 +17,6 @@ struct ReliableChannelOptions {
   /// which is what the paper's reliable-network experiments assume.
   bool enabled = false;
 
-  /// Retransmissions per message before the channel gives up and drops it
-  /// (at-least-once, not exactly-always: a partitioned peer must not pin
-  /// memory and timers forever). The protocol's own timeouts — coordinator
-  /// phase timeouts, participant patience, the client timeout — own the
-  /// failure from there.
-  uint32_t max_retransmits = 8;
-
   /// Seed for the retransmission jitter stream.
   uint64_t seed = 1;
 };
@@ -37,10 +30,11 @@ struct ReliableChannelOptions {
 /// inner transport delivers to. Per destination it assigns sequence
 /// numbers (from 1), buffers unacknowledged sends, and retransmits with
 /// exponential backoff + jitter until the peer's cumulative ack covers
-/// them or max_retransmits is exhausted. The retransmission timeout is
-/// fixed: 100 ms for the first re-send, doubled per attempt up to 2 s,
-/// plus a uniform jitter in [0, 20 ms] so synchronized senders decorrelate
-/// instead of retransmitting in lockstep. Per source it delivers in
+/// them or 8 retransmissions have gone unanswered (then it abandons the
+/// message). The retransmission timeout is fixed: 100 ms for the first
+/// re-send, doubled per attempt up to 2 s, plus a uniform jitter in
+/// [0, 20 ms] so synchronized senders decorrelate instead of
+/// retransmitting in lockstep. Per source it delivers in
 /// sequence order exactly once — duplicates (retransmissions or
 /// transport-injected copies) are suppressed and re-acked, gaps are
 /// buffered — so the upper layer keeps the per-pair FIFO ordering the

@@ -17,11 +17,8 @@ struct SiteCounters {
   uint64_t txns_aborted_copier = 0;       // no up-to-date copy reachable
   uint64_t txns_aborted_participant = 0;  // participant failed in phase one
   uint64_t txns_aborted_lock_conflict = 0;  // wait-die (locking extension)
-  uint64_t txns_aborted_deadlock = 0;     // wound-wait victims at this site
-  uint64_t txns_aborted_lock_timeout = 0;  // lock-wait timer expiries
   uint64_t lock_waits = 0;                // lock requests that had to queue
   uint64_t lock_rejections = 0;           // wait-die refusals at this site
-  uint64_t lock_wounds = 0;               // wound-wait wounds issued here
   // High-water mark of concurrently in-flight coordinations at this site
   // (1 under serial mode; up to ConcurrencyOptions::max_executors under
   // two-phase locking).

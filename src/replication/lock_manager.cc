@@ -42,27 +42,11 @@ LockManager::Outcome LockManager::Acquire(ItemId item, TxnId txn, Mode mode,
     return Outcome::kGranted;
   }
 
-  switch (options_.deadlock_policy) {
-    case DeadlockPolicy::kWaitDie:
-      // Wait only if older (smaller id) than every conflicting holder; a
-      // younger requester dies so no cycle can form.
-      for (const TxnId other : holders) {
-        if (other == txn) continue;
-        if (txn > other) return Outcome::kRejected;
-      }
-      break;
-    case DeadlockPolicy::kWoundWait:
-      // Wound every younger conflicting holder (deferred: the site aborts
-      // them, and their ReleaseAll grants this queued request). Pinned
-      // holders are skipped — the requester waits for them instead.
-      for (const TxnId other : holders) {
-        if (other == txn) continue;
-        if (other > txn) Wound(other);
-      }
-      break;
-    case DeadlockPolicy::kTimeout:
-      // Always queue; the site's lock-wait timer breaks cycles.
-      break;
+  // Wait-die: wait only if older (smaller id) than every conflicting
+  // holder; a younger requester dies so no cycle can form.
+  for (const TxnId other : holders) {
+    if (other == txn) continue;
+    if (txn > other) return Outcome::kRejected;
   }
   MR_CHECK(on_grant != nullptr) << "queued lock request needs a callback";
   locks.queue.push_back(Waiter{txn, mode, std::move(on_grant)});
@@ -71,45 +55,16 @@ LockManager::Outcome LockManager::Acquire(ItemId item, TxnId txn, Mode mode,
   return Outcome::kQueued;
 }
 
-void LockManager::Wound(TxnId victim) {
-  TxnLocks& entry = TxnEntry(victim);
-  if (entry.pinned || entry.wounded) return;
-  entry.wounded = true;
-  pending_wounds_.push_back(victim);
-}
-
-std::vector<TxnId> LockManager::TakePendingWounds() {
-  std::vector<TxnId> out;
-  out.swap(pending_wounds_);
-  return out;
-}
-
-void LockManager::Pin(TxnId txn) { TxnEntry(txn).pinned = true; }
-
-bool LockManager::IsPinned(TxnId txn) const {
-  const TxnLocks* entry = FindTxn(txn);
-  return entry != nullptr && entry->pinned;
-}
-
 void LockManager::GrantFromQueue(ItemId item) {
   ItemLocks* found = FindItem(item);
   if (found == nullptr) return;
   ItemLocks& locks = *found;
   std::vector<TxnId>& holders = locks.holders;
-  // Grant while compatible: one exclusive waiter alone, or a run of shared
-  // waiters. Wound-wait grants oldest-first so every wait edge points
-  // young -> old (see header); the other policies grant FIFO.
-  const bool oldest_first =
-      options_.deadlock_policy == DeadlockPolicy::kWoundWait;
+  // Grant in FIFO order while compatible: one exclusive waiter alone, or a
+  // run of shared waiters.
   std::vector<std::function<void()>> callbacks = std::move(spare_callbacks_);
   while (!locks.queue.empty()) {
-    size_t pick = 0;
-    if (oldest_first) {
-      for (size_t i = 1; i < locks.queue.size(); ++i) {
-        if (locks.queue[i].txn < locks.queue[pick].txn) pick = i;
-      }
-    }
-    Waiter& next = locks.queue[pick];
+    Waiter& next = locks.queue.front();
     const auto pos = std::lower_bound(holders.begin(), holders.end(), next.txn);
     const bool holder = pos != holders.end() && *pos == next.txn;
     const bool sole_holder_upgrade = holders.size() == 1 && holder;
@@ -121,7 +76,7 @@ void LockManager::GrantFromQueue(ItemId item) {
         (holders.empty() || sole_holder_upgrade) ? next.mode : locks.mode;
     if (!holder) holders.insert(pos, next.txn);
     callbacks.push_back(std::move(next.on_grant));
-    locks.queue.erase(locks.queue.begin() + pick);
+    locks.queue.erase(locks.queue.begin());
     if (locks.mode == Mode::kExclusive) break;
   }
   if (holders.empty() && locks.queue.empty()) FreeItem(item);
@@ -131,9 +86,6 @@ void LockManager::GrantFromQueue(ItemId item) {
 }
 
 void LockManager::ReleaseAll(TxnId txn) {
-  pending_wounds_.erase(
-      std::remove(pending_wounds_.begin(), pending_wounds_.end(), txn),
-      pending_wounds_.end());
   const uint32_t* found = txn_index_.Find(txn);
   if (found == nullptr) return;
   const uint32_t slot = *found;
@@ -141,8 +93,6 @@ void LockManager::ReleaseAll(TxnId txn) {
   // the next transaction in this slot lists its items without allocating.
   std::vector<ItemId> affected = std::move(spare_items_);
   affected.swap(txns_[slot].items);
-  txns_[slot].pinned = false;
-  txns_[slot].wounded = false;
   txn_index_.Erase(txn);
   free_txns_.push_back(slot);
 
@@ -197,11 +147,6 @@ void LockManager::FreeItem(ItemId item) {
   const uint32_t slot = *found;
   item_index_.Erase(item);
   free_items_.push_back(slot);
-}
-
-const LockManager::TxnLocks* LockManager::FindTxn(TxnId txn) const {
-  const uint32_t* slot = txn_index_.Find(txn);
-  return slot == nullptr ? nullptr : &txns_[*slot];
 }
 
 LockManager::TxnLocks& LockManager::TxnEntry(TxnId txn) {

@@ -6,7 +6,6 @@
 
 #include "common/flat_index.h"
 #include "common/types.h"
-#include "replication/options.h"
 
 namespace miniraid {
 
@@ -17,23 +16,14 @@ namespace miniraid {
 /// are strict — held through commit — so fail-lock maintenance inside the
 /// commit step can never race a concurrent executor on the same item.
 ///
-/// Deadlocks are broken per ConcurrencyOptions::deadlock_policy:
-///
-///  - kWaitDie: an older requester (smaller TxnId) waits for a conflicting
-///    holder, a younger one is rejected at request time (kRejected). Grants
-///    from the queue are FIFO. No cycle can form: every wait edge points
-///    old -> young, and a site enqueues one transaction's whole lock set in
-///    a single event, so queue order is consistent across items.
-///  - kWoundWait: an older requester wounds younger conflicting holders
-///    (recorded, surfaced via TakePendingWounds; the site aborts the
-///    victims with kAbortedDeadlock), a younger requester waits. Grants
-///    from the queue are oldest-first, so every wait edge points
-///    young -> old and cycles are impossible. Holders past the point of no
-///    return (Pin) are never wounded; a pinned transaction never waits, so
-///    it cannot extend a cycle.
-///  - kTimeout: every conflicting request queues; the site runs a
-///    lock-wait timer per transaction and aborts it (kAbortedLockTimeout,
-///    via ReleaseAll) if a request is still queued when the timer fires.
+/// Deadlocks are avoided by wait-die (Rosenkrantz, Stearns & Lewis, 1978)
+/// on transaction ids: an older requester (smaller TxnId) waits for a
+/// conflicting holder, a younger one is rejected at request time
+/// (kRejected). Grants from the queue are FIFO. No cycle can form: every
+/// wait edge points old -> young, and a site enqueues one transaction's
+/// whole lock set in a single event, so queue order is consistent across
+/// items. Wait-die never aborts a holder, so a transaction needs no mark
+/// for having passed its point of no return.
 ///
 /// Every transaction keeps a list of the items it holds or waits for, so
 /// the cost of ReleaseAll follows the transaction's own lock set, not the
@@ -42,9 +32,7 @@ namespace miniraid {
 /// that never queue allocates nothing.
 ///
 /// Single-threaded per the site's execution context. Grant callbacks fire
-/// synchronously from ReleaseAll; wounds are NEVER delivered synchronously
-/// from Acquire — the site drains them with TakePendingWounds after its
-/// own bookkeeping is consistent.
+/// synchronously from ReleaseAll, never from Acquire.
 class LockManager {
  public:
   enum class Mode : uint8_t { kShared = 0, kExclusive = 1 };
@@ -52,39 +40,22 @@ class LockManager {
   enum class Outcome : uint8_t {
     kGranted,   // lock held; proceed now
     kQueued,    // on_grant will fire when the conflict clears
-    kRejected,  // wait-die only: requester is younger than a holder
+    kRejected,  // wait-die: requester is younger than a holder
   };
-
-  explicit LockManager(const ConcurrencyOptions& options)
-      : options_(options) {}
 
   /// Requests `mode` on `item` for `txn`. Re-entrant: a holder re-acquiring
   /// (or upgrading shared->exclusive when it is the only holder) is granted.
   /// `on_grant` is invoked exactly once if and when a kQueued request is
-  /// eventually granted; it must not be null for queued requests. Under
-  /// kWoundWait this may record wounds — the caller must drain
-  /// TakePendingWounds before returning to the event loop.
+  /// eventually granted; it must not be null for queued requests.
   Outcome Acquire(ItemId item, TxnId txn, Mode mode,
                   std::function<void()> on_grant);
 
-  /// Releases every lock `txn` holds, cancels its queued requests and
-  /// forgets its pin/wound marks, then regrants the affected items in
-  /// ascending item order (grant callbacks fire before return). Costs
-  /// O(k log k) for the k items on `txn`'s own list, plus the holders and
-  /// queue of each of those items; items `txn` never touched are not
-  /// visited.
+  /// Releases every lock `txn` holds and cancels its queued requests,
+  /// then regrants the affected items in ascending item order (grant
+  /// callbacks fire before return). Costs O(k log k) for the k items on
+  /// `txn`'s own list, plus the holders and queue of each of those items;
+  /// items `txn` never touched are not visited.
   void ReleaseAll(TxnId txn);
-
-  /// Marks `txn` as past the point of no return (coordinator has started
-  /// the commit decision / participant has acked prepare). Wound-wait
-  /// skips pinned holders; ReleaseAll clears the mark.
-  void Pin(TxnId txn);
-  bool IsPinned(TxnId txn) const;
-
-  /// Returns and clears the transactions wounded since the last call, in
-  /// wound order. The site aborts each (kAbortedDeadlock). A transaction
-  /// is reported at most once until its ReleaseAll.
-  std::vector<TxnId> TakePendingWounds();
 
   bool Holds(ItemId item, TxnId txn) const;
   /// Locks currently held (any mode) on `item`.
@@ -93,8 +64,6 @@ class LockManager {
   size_t QueueLength(ItemId item) const;
   /// Total held locks across all items (for tests / leak checks).
   size_t TotalHeld() const;
-
-  const ConcurrencyOptions& options() const { return options_; }
 
  private:
   struct Waiter {
@@ -107,21 +76,17 @@ class LockManager {
   /// capacity of its vectors for the next item that uses its slot.
   struct ItemLocks {
     Mode mode = Mode::kShared;
-    /// Ascending, so wound-wait wounds younger holders in id order.
+    /// Ascending, so membership is a binary search.
     std::vector<TxnId> holders;
-    /// FIFO arrival order; kWoundWait grants oldest-first instead.
+    /// FIFO arrival order.
     std::vector<Waiter> queue;
   };
 
-  /// One transaction with locks or marks at this site. Pooled like
-  /// ItemLocks.
+  /// One transaction with locks at this site. Pooled like ItemLocks.
   struct TxnLocks {
     /// Items `txn` holds or waits for, in request order. An item appears
     /// once per request that did not find `txn` already holding it.
     std::vector<ItemId> items;
-    bool pinned = false;
-    /// Wounded and not yet released: suppresses duplicate wound reports.
-    bool wounded = false;
   };
 
   ItemLocks* FindItem(ItemId item);
@@ -130,22 +95,17 @@ class LockManager {
   ItemLocks& ItemEntry(ItemId item);
   /// Returns an entry with no holders and no waiters to the pool.
   void FreeItem(ItemId item);
-  const TxnLocks* FindTxn(TxnId txn) const;
   /// The entry of `txn`, created empty if the transaction has none.
   TxnLocks& TxnEntry(TxnId txn);
 
   void GrantFromQueue(ItemId item);
-  /// Records a wound for `victim` unless it is pinned or already wounded.
-  void Wound(TxnId victim);
 
-  ConcurrencyOptions options_;
   FlatIndex item_index_;  // item -> slot in items_
   std::vector<ItemLocks> items_;
   std::vector<uint32_t> free_items_;
   FlatIndex txn_index_;  // txn -> slot in txns_
   std::vector<TxnLocks> txns_;
   std::vector<uint32_t> free_txns_;
-  std::vector<TxnId> pending_wounds_;
   /// Spare buffers that ReleaseAll and GrantFromQueue borrow for their
   /// work lists and hand back when done; grant callbacks may re-enter
   /// either, so a nested call simply finds the spare already taken.

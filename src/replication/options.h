@@ -23,18 +23,13 @@ enum class ConcurrencyMode : uint8_t {
   kTwoPhaseLocking = 1,
 };
 
-/// How lock-wait cycles are broken under kTwoPhaseLocking.
+/// How lock-wait cycles are broken under kTwoPhaseLocking. Wait-die is
+/// the lock manager's only behaviour (see LockManager); the enum keeps its
+/// one value only while configurations still name it.
 enum class DeadlockPolicy : uint8_t {
   /// WAIT-DIE on transaction ids: an older requester (smaller id) waits,
   /// a younger one is rejected immediately (kAbortedLockConflict).
   kWaitDie = 0,
-  /// WOUND-WAIT on transaction ids: an older requester wounds younger
-  /// conflicting holders (they abort with kAbortedDeadlock), a younger
-  /// requester waits. Locks are granted from the queue oldest-first.
-  kWoundWait = 1,
-  /// Always queue on conflict; a request that waits longer than
-  /// `lock_wait_timeout` aborts its transaction (kAbortedLockTimeout).
-  kTimeout = 2,
 };
 
 /// Intra-site concurrency control, grouped in one sub-struct (mirroring
@@ -49,11 +44,9 @@ struct ConcurrencyOptions {
   /// logically interleaved 2PC coordinations, not threads.
   uint32_t max_executors = 8;
 
+  /// Read by nothing: kWaitDie is the only policy. Kept so existing
+  /// configurations that set it still compile.
   DeadlockPolicy deadlock_policy = DeadlockPolicy::kWaitDie;
-
-  /// kTimeout policy only: how long a lock request may sit queued before
-  /// its transaction aborts.
-  Duration lock_wait_timeout = Milliseconds(500);
 
   bool locking() const { return mode == ConcurrencyMode::kTwoPhaseLocking; }
 

@@ -47,7 +47,6 @@ Site::Site(SiteId id, const SiteOptions& options, Transport* transport,
       transport_(transport),
       runtime_(runtime),
       db_(MakeDatabase(id, options)),
-      lock_manager_(options.concurrency),
       session_vector_(options.n_sites),
       fail_locks_(options.db_size, options.n_sites),
       holders_(MakeHolders(options)) {
@@ -187,7 +186,6 @@ void Site::Crash() {
   Trace(TraceEvent::kCrashed, options_.lose_state_on_crash ? 1 : 0);
   for (auto& [txn, coordination] : coords_) {
     runtime_->CancelTimer(coordination.timer);
-    runtime_->CancelTimer(coordination.lock_timer);
   }
   coords_.clear();
   if (batch_) {
@@ -205,12 +203,10 @@ void Site::Crash() {
   batch_participations_.clear();
   for (auto& [txn, participation] : participations_) {
     runtime_->CancelTimer(participation.timer);
-    runtime_->CancelTimer(participation.lock_timer);
   }
   participations_.clear();
   queued_requests_.clear();
-  lock_manager_ = LockManager(options_.concurrency);  // locks vanish with
-                                                      // the crash
+  lock_manager_ = LockManager();  // locks vanish with the crash
   if (recovery_) {
     runtime_->CancelTimer(recovery_->timer);
     recovery_.reset();
@@ -370,39 +366,14 @@ void Site::AcquireCoordinatorLocks(Coordination& c,
       }
     }
   }
-  if (c.lock_waits_pending == 0) {
-    ProceedAfterLocks(c);
-  } else if (options_.concurrency.deadlock_policy == DeadlockPolicy::kTimeout) {
-    c.lock_timer =
-        runtime_->ScheduleAfter(options_.concurrency.lock_wait_timeout,
-                                [this, txn] { CoordinatorLockTimeout(txn); });
-  }
-  // Wounds recorded by the acquisitions above (wound-wait policy) are
-  // drained only now, with this coordination's bookkeeping consistent.
-  ProcessWounds();
+  if (c.lock_waits_pending == 0) ProceedAfterLocks(c);
 }
 
 void Site::OnCoordinatorLockGranted(TxnId txn) {
   auto it = coords_.find(txn);
   if (it == coords_.end()) return;
   Coordination& c = it->second;
-  if (--c.lock_waits_pending == 0) {
-    if (c.lock_timer != kInvalidTimer) {
-      runtime_->CancelTimer(c.lock_timer);
-      c.lock_timer = kInvalidTimer;
-    }
-    ProceedAfterLocks(c);
-  }
-}
-
-void Site::CoordinatorLockTimeout(TxnId txn) {
-  auto it = coords_.find(txn);
-  if (it == coords_.end()) return;
-  Coordination& c = it->second;
-  c.lock_timer = kInvalidTimer;
-  if (c.lock_waits_pending == 0) return;  // raced with the last grant
-  ++counters_.txns_aborted_lock_timeout;
-  ReplyAndClear(c, TxnOutcome::kAbortedLockTimeout);  // releases the locks
+  if (--c.lock_waits_pending == 0) ProceedAfterLocks(c);
 }
 
 void Site::ProceedAfterLocks(Coordination& c) {
@@ -618,11 +589,6 @@ void Site::SendSingletonPrepares(Coordination& c) {
 // ---------------------------------------------------------------------------
 
 void Site::EnqueueIntoBatch(Coordination& c) {
-  // The member holds every lock it needs and the decision to prepare is
-  // made: pin now, so a wound-wait elder can never abort a transaction a
-  // batch frame already (or imminently) carries. Batch membership is the
-  // point of no return for wounding, like SendPrepareAck on participants.
-  if (options_.concurrency.locking()) lock_manager_.Pin(c.txn.id);
   c.group = kFormingGroup;
   std::vector<SiteId> wire_participants = c.participants;
   wire_participants.push_back(id_);
@@ -1013,11 +979,6 @@ void Site::StartCommitPhase(Coordination& c) {
   c.phase_start = runtime_->Now();
   c.retries_used = 0;
   c.awaiting = c.participants;
-  if (options_.concurrency.locking()) {
-    // Past the point of no return: the decision to commit is made, so a
-    // wound-wait abort is no longer possible (see LockManager::Pin).
-    lock_manager_.Pin(c.txn.id);
-  }
   SendTo(c.participants, options_.costs.ack_format, CommitArgs{c.txn.id});
   const TxnId txn = c.txn.id;
   c.timer = runtime_->ScheduleAfter(
@@ -1176,10 +1137,6 @@ void Site::ReplyAndClear(Coordination& c, TxnOutcome outcome) {
     runtime_->CancelTimer(c.timer);
     c.timer = kInvalidTimer;
   }
-  if (c.lock_timer != kInvalidTimer) {
-    runtime_->CancelTimer(c.lock_timer);
-    c.lock_timer = kInvalidTimer;
-  }
   if (!batch) {
     Trace(outcome == TxnOutcome::kCommitted ? TraceEvent::kTxnCommitted
                                             : TraceEvent::kTxnAborted,
@@ -1283,7 +1240,7 @@ void Site::HandlePrepare(const Message& msg) {
 
   if (FinishesAtPhaseOne(args.writes)) {
     // Read-only vote: nothing to stage, lock or maintain, so no
-    // Participation, patience timer, pin or outcome record. No Commit or
+    // Participation, patience timer or outcome record. No Commit or
     // Abort follows, and a duplicated Prepare is simply voted on again.
     Trace(TraceEvent::kPrepareHandled, args.txn, 0);
     Charge(options_.costs.ack_format);
@@ -1322,7 +1279,6 @@ void Site::HandlePrepare(const Message& msg) {
         participations_.erase(txn);
         Charge(options_.costs.ack_format);
         SendTo(msg.from, PrepareAckArgs{txn, /*accepted=*/false, {}});
-        ProcessWounds();
         return;
       }
       if (outcome == LockManager::Outcome::kQueued) {
@@ -1330,22 +1286,7 @@ void Site::HandlePrepare(const Message& msg) {
         ++part.lock_waits_pending;
       }
     }
-    if (part.lock_waits_pending > 0) {
-      if (options_.concurrency.deadlock_policy == DeadlockPolicy::kTimeout) {
-        part.lock_timer = runtime_->ScheduleAfter(
-            options_.concurrency.lock_wait_timeout,
-            [this, txn] { ParticipantLockTimeout(txn); });
-      }
-      ProcessWounds();
-      return;  // ack once locks arrive
-    }
-    ProcessWounds();
-    // The wounds may have torn this participation down (a wound victim can
-    // be a not-yet-acked participation at this very site). Re-look it up.
-    auto self = participations_.find(txn);
-    if (self == participations_.end()) return;
-    SendPrepareAck(self->second);
-    return;
+    if (part.lock_waits_pending > 0) return;  // ack once locks arrive
   }
   SendPrepareAck(part);
 }
@@ -1355,10 +1296,6 @@ void Site::OnParticipantLockGranted(TxnId txn) {
   if (it == participations_.end()) return;
   Participation& part = it->second;
   if (--part.lock_waits_pending == 0) {
-    if (part.lock_timer != kInvalidTimer) {
-      runtime_->CancelTimer(part.lock_timer);
-      part.lock_timer = kInvalidTimer;
-    }
     if (part.batch != 0) {
       // A batched member acks through its batch, once nothing is waiting.
       ResolveBatchMember(part.coordinator, part.batch, txn,
@@ -1369,34 +1306,7 @@ void Site::OnParticipantLockGranted(TxnId txn) {
   }
 }
 
-void Site::ParticipantLockTimeout(TxnId txn) {
-  auto it = participations_.find(txn);
-  if (it == participations_.end()) return;
-  Participation& part = it->second;
-  part.lock_timer = kInvalidTimer;
-  if (part.lock_waits_pending == 0) return;  // raced with the last grant
-  // Refuse the prepare: the coordinator aborts the transaction, which is
-  // how a participant-side lock wait surfaces as kAbortedLockTimeout there.
-  ++counters_.txns_aborted_lock_timeout;
-  const SiteId coordinator = part.coordinator;
-  const uint64_t batch = part.batch;
-  runtime_->CancelTimer(part.timer);
-  lock_manager_.ReleaseAll(txn);  // also cancels the queued waits
-  RecordOutcome(txn, /*committed=*/false);
-  participations_.erase(it);
-  if (batch != 0) {
-    // The refusal rides the batch ack, member-level; batch-mates proceed.
-    ResolveBatchMember(coordinator, batch, txn, /*accepted=*/false);
-    return;
-  }
-  Charge(options_.costs.ack_format);
-  SendTo(coordinator, PrepareAckArgs{txn, /*accepted=*/false, {}});
-}
-
 void Site::SendPrepareAck(Participation& part) {
-  // Past the point of no return: this site has promised to commit, so a
-  // wound-wait elder must wait for (not wound) this transaction's locks.
-  if (options_.concurrency.locking()) lock_manager_.Pin(part.txn);
   Charge(options_.costs.ack_format);
   SendTo(part.coordinator, PrepareAckArgs{part.txn, /*accepted=*/true, {}});
 }
@@ -1423,7 +1333,6 @@ void Site::HandleCommit(const Message& msg) {
   }
   Participation& part = it->second;
   runtime_->CancelTimer(part.timer);
-  if (part.lock_timer != kInvalidTimer) runtime_->CancelTimer(part.lock_timer);
   CommitLocalWrites(part.txn, part.staged, part.participants);
   if (options_.concurrency.locking()) lock_manager_.ReleaseAll(part.txn);
   Trace(TraceEvent::kParticipantCommitted, part.txn, part.staged.size());
@@ -1446,9 +1355,6 @@ void Site::HandleAbort(const Message& msg) {
     return;
   }
   runtime_->CancelTimer(it->second.timer);
-  if (it->second.lock_timer != kInvalidTimer) {
-    runtime_->CancelTimer(it->second.lock_timer);
-  }
   ++counters_.aborts_handled;
   const SiteId coordinator = it->second.coordinator;
   const uint64_t batch = it->second.batch;
@@ -1485,7 +1391,6 @@ void Site::ParticipationTimeout(TxnId txn) {
   // "coordinating site has failed": discard and run control type 2.
   ++counters_.coordinator_failures_detected;
   const SiteId coordinator = part.coordinator;
-  if (part.lock_timer != kInvalidTimer) runtime_->CancelTimer(part.lock_timer);
   if (options_.concurrency.locking()) lock_manager_.ReleaseAll(it->first);
   // The in-doubt discard is a local abort; remember it so a late-arriving
   // CommitDecision duplicate cannot be mistaken for an applicable commit.
@@ -1659,25 +1564,12 @@ void Site::HandleBatchPrepare(const Message& msg) {
     }
     if (refused_now) continue;
     bp.members.push_back(txn);
-    if (part.lock_waits_pending > 0) {
-      bp.waiting.insert(txn);
-      if (options_.concurrency.deadlock_policy == DeadlockPolicy::kTimeout) {
-        part.lock_timer = runtime_->ScheduleAfter(
-            options_.concurrency.lock_wait_timeout,
-            [this, txn] { ParticipantLockTimeout(txn); });
-      }
-    }
+    if (part.lock_waits_pending > 0) bp.waiting.insert(txn);
   }
   bp.collecting = false;
-  // Wound-wait victims recorded by the acquisitions above: members of this
-  // very batch route into bp.refused via ResolveBatchMember, which may
-  // send the ack itself once nothing is waiting. Re-look the record up.
-  ProcessWounds();
-  auto self = batch_participations_.find(key);
-  if (self == batch_participations_.end()) return;  // acked during wounds
-  if (self->second.waiting.empty()) {
-    SendBatchPrepareAck(self->second);
-    batch_participations_.erase(self);
+  if (bp.waiting.empty()) {
+    SendBatchPrepareAck(bp);
+    batch_participations_.erase(key);
   }
 }
 
@@ -1699,13 +1591,6 @@ void Site::ResolveBatchMember(SiteId coordinator, uint64_t batch, TxnId txn,
 }
 
 void Site::SendBatchPrepareAck(BatchParticipation& bp) {
-  if (options_.concurrency.locking()) {
-    // Past the point of no return for every accepted member, like the
-    // singleton SendPrepareAck.
-    for (TxnId member : bp.members) {
-      if (participations_.count(member) > 0) lock_manager_.Pin(member);
-    }
-  }
   Charge(options_.costs.ack_format);
   SendTo(bp.coordinator,
          BatchPrepareAckArgs{bp.batch, /*accepted=*/true, {}, bp.refused});
@@ -1727,9 +1612,6 @@ void Site::HandleBatchCommit(const Message& msg) {
       continue;
     }
     runtime_->CancelTimer(it->second.timer);
-    if (it->second.lock_timer != kInvalidTimer) {
-      runtime_->CancelTimer(it->second.lock_timer);
-    }
     ++counters_.aborts_handled;
     if (options_.concurrency.locking()) lock_manager_.ReleaseAll(txn);
     RecordOutcome(txn, /*committed=*/false);
@@ -1761,9 +1643,6 @@ void Site::HandleBatchCommit(const Message& msg) {
     }
     Participation& part = it->second;
     runtime_->CancelTimer(part.timer);
-    if (part.lock_timer != kInvalidTimer) {
-      runtime_->CancelTimer(part.lock_timer);
-    }
     if (participants.empty()) participants = part.participants;
     CommitLocalWrites(part.txn, part.staged, part.participants,
                       /*maintain_now=*/false);
@@ -1966,7 +1845,7 @@ std::vector<FailLockRow> Site::RecoveryInfoRows(SiteId recovering) const {
   // set bits cover a commit that applies after recovery completes (no
   // later snapshot can carry them), the clears keep the recovering site
   // from installing bits the commit is about to clear everywhere else.
-  // The copier phase is excluded — no 2PC is pinned yet, nothing is
+  // The copier phase is excluded — no 2PC has started yet, nothing is
   // guaranteed to apply.
   auto prospective = [&](const std::vector<ItemWrite>& writes,
                          const std::vector<SiteId>& participants,
@@ -2296,68 +2175,6 @@ void Site::MaybeStartBatchCopier() {
   batch_->batch_refresh = true;
   batch_->start_time = runtime_->Now();
   StartCopierPhase(*batch_, items);
-}
-
-// ---------------------------------------------------------------------------
-// Wound-wait victim teardown.
-// ---------------------------------------------------------------------------
-
-void Site::ProcessWounds() {
-  // Wounds recorded by the LockManager during the event we just ran. The
-  // manager never fires callbacks from Acquire, so draining here — after our
-  // own bookkeeping is consistent — is the only place victims are aborted.
-  for (const TxnId victim : lock_manager_.TakePendingWounds()) {
-    AbortWoundedTxn(victim);
-  }
-}
-
-void Site::AbortWoundedTxn(TxnId victim) {
-  auto cit = coords_.find(victim);
-  if (cit != coords_.end()) {
-    Coordination& c = cit->second;
-    ++counters_.lock_wounds;
-    ++counters_.txns_aborted_deadlock;
-    if (c.phase == Coordination::Phase::kPrepare &&
-        !FinishesAtPhaseOne(c.writes)) {
-      // Participants may have staged (and locked) the writes: abort them.
-      for (SiteId p : c.participants) {
-        Charge(options_.costs.ack_format);
-        SendTo(p, AbortArgs{c.txn.id});
-      }
-    }
-    // kCommit-phase coordinations are pinned and never wounded; kCopier /
-    // lock-wait coordinations and read-only votes have nothing remote to
-    // undo.
-    ReplyAndClear(c, TxnOutcome::kAbortedDeadlock);
-    return;
-  }
-  auto pit = participations_.find(victim);
-  if (pit != participations_.end()) {
-    // A not-yet-acked participation (acked ones are pinned): refuse the
-    // prepare so the coordinator aborts the transaction everywhere.
-    Participation& part = pit->second;
-    ++counters_.lock_wounds;
-    const SiteId coordinator = part.coordinator;
-    const uint64_t batch = part.batch;
-    runtime_->CancelTimer(part.timer);
-    if (part.lock_timer != kInvalidTimer) {
-      runtime_->CancelTimer(part.lock_timer);
-    }
-    lock_manager_.ReleaseAll(victim);
-    RecordOutcome(victim, /*committed=*/false);
-    participations_.erase(pit);
-    if (batch != 0) {
-      // A wounded batched member refuses through its batch's ack.
-      ResolveBatchMember(coordinator, batch, victim, /*accepted=*/false);
-      return;
-    }
-    Charge(options_.costs.ack_format);
-    SendTo(coordinator, PrepareAckArgs{victim, /*accepted=*/false, {}});
-    return;
-  }
-  // The victim finished (or was torn down) between wound and drain; its
-  // ReleaseAll already cleared the wound mark for any future incarnation.
-  lock_manager_.ReleaseAll(victim);
 }
 
 }  // namespace miniraid

@@ -165,9 +165,6 @@ class Site : public MessageHandler {
     // lock requests.
     std::vector<ItemId> needs_copy;
     uint32_t lock_waits_pending = 0;
-    // kTimeout deadlock policy: aborts the transaction if its queued lock
-    // requests are still outstanding when it fires.
-    TimerId lock_timer = kInvalidTimer;
 
     // Group commit: the ActiveBatch this coordination commits through
     // (0 = plain singleton 2PC). A batched member has no timer of its
@@ -177,8 +174,8 @@ class Site : public MessageHandler {
 
   /// Group commit, coordinator side: members that became prepare-ready
   /// while a batch toward the same participant set was still collecting.
-  /// Members are pinned (never wounded) on entry; the batch flushes when
-  /// it reaches BatchingOptions::max_batch or the linger timer fires.
+  /// The batch flushes when it reaches BatchingOptions::max_batch or the
+  /// linger timer fires.
   struct FormingBatch {
     std::vector<SiteId> participants;       // peers (excluding this site)
     std::vector<SiteId> wire_participants;  // peers + this site, sorted
@@ -246,14 +243,11 @@ class Site : public MessageHandler {
     // Locking extension: queued exclusive-lock requests still outstanding
     // before the prepare-ack can be sent.
     uint32_t lock_waits_pending = 0;
-    // kTimeout deadlock policy: refuses the prepare if the queued lock
-    // requests are still outstanding when it fires.
-    TimerId lock_timer = kInvalidTimer;
     // Lossy-network retries: decision queries sent to the coordinator
     // while in doubt (SiteOptions::retry_limit) before giving up.
     uint32_t queries_sent = 0;
     // Group commit: id of the BatchPrepare this participation arrived in
-    // (0 = singleton Prepare). Lock grants and timeouts for a batched
+    // (0 = singleton Prepare). Lock grants and aborts for a batched
     // member route through the batch's ack bookkeeping.
     uint64_t batch = 0;
   };
@@ -308,9 +302,8 @@ class Site : public MessageHandler {
 
   // ---- group commit, coordinator side -----------------------------------
   /// Adds a prepare-ready coordination to the forming batch toward its
-  /// wire participant set, pinning its locks (batch members are past the
-  /// point of no return and must never be wounded). Flushes at max_batch;
-  /// otherwise arms/keeps the linger timer.
+  /// wire participant set. Flushes at max_batch; otherwise arms/keeps the
+  /// linger timer.
   void EnqueueIntoBatch(Coordination& c);
   /// Sends the batch on its way: one member degrades to the singleton
   /// Prepare path; two or more become an ActiveBatch with one
@@ -337,14 +330,13 @@ class Site : public MessageHandler {
   // ---- group commit, participant side ------------------------------------
   void HandleBatchPrepare(const Message& msg);
   void HandleBatchCommit(const Message& msg);
-  /// A batched member's lock request resolved (grant / timeout / wound):
-  /// updates the batch bookkeeping and acks once no member is waiting.
+  /// A batched member's lock request resolved (grant, or abort while
+  /// waiting): updates the batch bookkeeping and acks once no member is
+  /// waiting.
   void ResolveBatchMember(SiteId coordinator, uint64_t batch, TxnId txn,
                           bool accepted);
-  /// Sends the one BatchPrepareAck and pins every accepted member.
+  /// Sends the one BatchPrepareAck.
   void SendBatchPrepareAck(BatchParticipation& bp);
-  /// kTimeout policy: a coordinator lock request waited too long.
-  void CoordinatorLockTimeout(TxnId txn);
   /// Tears the coordination down: releases locks, cancels timers, replies
   /// to the client, erases it from coords_ (or resets batch_) and serves
   /// the queue. `c` is invalid on return.
@@ -356,8 +348,6 @@ class Site : public MessageHandler {
   void HandleAbort(const Message& msg);
   void ParticipationTimeout(TxnId txn);
   void OnParticipantLockGranted(TxnId txn);
-  /// kTimeout policy: a participant lock request waited too long.
-  void ParticipantLockTimeout(TxnId txn);
   void SendPrepareAck(Participation& part);
   /// Answers an in-doubt participant's outcome query: from live
   /// coordination state, from the recent-outcome cache, or — when the
@@ -372,13 +362,6 @@ class Site : public MessageHandler {
   /// coordination from coords_, or the batch refresh (its copier traffic
   /// carries the batch's pseudo transaction id).
   Coordination* CoordinationFor(TxnId txn);
-
-  /// Drains LockManager::TakePendingWounds, aborting each wound-wait
-  /// victim (coordinations reply kAbortedDeadlock; participations refuse
-  /// their prepare). Must run before returning to the event loop after any
-  /// lock acquisition.
-  void ProcessWounds();
-  void AbortWoundedTxn(TxnId victim);
 
   // ---- services -----------------------------------------------------------
   void HandleCopyRequest(const Message& msg);

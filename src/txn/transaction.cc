@@ -69,10 +69,6 @@ std::string_view TxnOutcomeName(TxnOutcome outcome) {
       return "AbortedLockConflict";
     case TxnOutcome::kAbortedStaleView:
       return "AbortedStaleView";
-    case TxnOutcome::kAbortedDeadlock:
-      return "AbortedDeadlock";
-    case TxnOutcome::kAbortedLockTimeout:
-      return "AbortedLockTimeout";
   }
   return "Unknown";
 }
@@ -81,8 +77,6 @@ bool IsRetryableAbort(TxnOutcome outcome) {
   switch (outcome) {
     case TxnOutcome::kAbortedLockConflict:
     case TxnOutcome::kAbortedStaleView:
-    case TxnOutcome::kAbortedDeadlock:
-    case TxnOutcome::kAbortedLockTimeout:
       return true;
     default:
       return false;

@@ -97,21 +97,13 @@ enum class TxnOutcome : uint8_t {
   /// participant set was chosen under stale membership. The coordinator
   /// has merged the participant's vector; safe to retry.
   kAbortedStaleView = 7,
-  /// Aborted by wound-wait deadlock avoidance: an older transaction
-  /// conflicted with this (younger) transaction's locks and wounded it.
-  /// Safe to retry.
-  kAbortedDeadlock = 8,
-  /// Aborted because a lock request waited longer than
-  /// ConcurrencyOptions::lock_wait_timeout (timeout deadlock policy).
-  /// Safe to retry.
-  kAbortedLockTimeout = 9,
 };
 
 std::string_view TxnOutcomeName(TxnOutcome outcome);
 
-/// True for aborts caused by transient scheduling conflicts (lock
-/// conflicts, deadlock victims, lock-wait timeouts, stale membership
-/// views): re-submitting the same transaction unchanged may succeed.
+/// True for aborts caused by transient scheduling conflicts (wait-die
+/// lock conflicts, stale membership views): re-submitting the same
+/// transaction unchanged may succeed.
 /// False for kCommitted and for aborts that need operator/system action.
 bool IsRetryableAbort(TxnOutcome outcome);
 

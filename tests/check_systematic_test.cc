@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 
 #include "check/trace_io.h"
 #include "core/cluster.h"
@@ -129,6 +130,32 @@ TEST(SystematicTest, InterleavedTwoPhaseLockingScenarioIsClean) {
   EXPECT_TRUE(out.violations.empty()) << out.violations.front();
 }
 
+TEST(SystematicTest, TraceUnderAnotherDeadlockPolicyIsRefused) {
+  // Wait-die is the engine's only deadlock policy. Traces no longer name
+  // it; an older trace that names it still reads, and one recorded under
+  // any other policy is refused with an error naming that policy.
+  const std::string json =
+      TraceToJson(RecordGoldenTrace(Scenario("interleaved-2pl")));
+  EXPECT_EQ(json.find("deadlock_policy"), std::string::npos);
+  const std::string key = "\"max_executors\": 2";
+  const size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos) << json;
+  auto with_policy = [&](const std::string& policy) {
+    std::string out = json;
+    out.insert(at + key.size(), ", \"deadlock_policy\": \"" + policy + "\"");
+    return out;
+  };
+  EXPECT_TRUE(TraceFromJson(with_policy("wait-die")).ok());
+  for (const std::string policy : {"wound-wait", "timeout"}) {
+    Result<CheckTrace> parsed = TraceFromJson(with_policy(policy));
+    ASSERT_FALSE(parsed.ok()) << policy;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().ToString().find("\"" + policy + "\""),
+              std::string::npos)
+        << parsed.status().ToString();
+  }
+}
+
 TEST(SystematicTest, ReadOnlyScenarioIsCleanAndEndsWithACopier) {
   SystematicOptions opts = Scenario("read-only-2pl");
   EXPECT_TRUE(opts.concurrency.locking());
@@ -182,6 +209,45 @@ TEST(SystematicTest, ReadCheckAcceptsOnlyScenarioWrites) {
   result.outcome = TxnOutcome::kAbortedLockConflict;
   EXPECT_EQ(CheckCommittedReads(result, schedule), "");
 }
+
+// Every canned scenario's full exploration, pinned: an engine change that
+// alters any message, timer or lock-grant order shows up as a different
+// execution count or fingerprint. A change that means to alter behaviour
+// updates this table and says why, as it does for the analyzer's
+// effects_golden.txt. About 8 s for all seven on an optimized build.
+struct PinnedExploration {
+  const char* scenario;
+  uint64_t executions;
+  uint64_t fingerprint;
+};
+
+class PinnedExplorationTest
+    : public ::testing::TestWithParam<PinnedExploration> {};
+
+TEST_P(PinnedExplorationTest, KeepsItsExecutionCountAndFingerprint) {
+  const PinnedExploration& pin = GetParam();
+  const SystematicResult r = ExploreSystematic(Scenario(pin.scenario));
+  EXPECT_FALSE(r.counterexample.has_value()) << r.counterexample->note;
+  EXPECT_EQ(r.executions, pin.executions);
+  EXPECT_EQ(r.fingerprint, pin.fingerprint)
+      << std::hex << "got " << r.fingerprint;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scenarios, PinnedExplorationTest,
+    ::testing::Values(
+        PinnedExploration{"smoke", 206, 0x2f50baf01b01f5efull},
+        PinnedExploration{"recovery-skew", 3927, 0xddc38f7428ea9f1full},
+        PinnedExploration{"recovery-window", 119, 0x981b5674d899f750ull},
+        PinnedExploration{"double-failure", 20000, 0x61e0acefae4bc87eull},
+        PinnedExploration{"interleaved-2pl", 51046, 0x9e046c983e9eeee4ull},
+        PinnedExploration{"batched-commit", 80000, 0x8e0f540328148015ull},
+        PinnedExploration{"read-only-2pl", 10806, 0xaf8c9b3e9f81140cull}),
+    [](const ::testing::TestParamInfo<PinnedExploration>& info) {
+      std::string name = info.param.scenario;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 TEST(SystematicTest, RecoveryScenariosAreCleanWithinBudget) {
   for (std::string_view name : {"recovery-window", "double-failure"}) {

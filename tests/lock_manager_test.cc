@@ -12,29 +12,22 @@ namespace {
 using Mode = LockManager::Mode;
 using Outcome = LockManager::Outcome;
 
-ConcurrencyOptions TwoPhase(DeadlockPolicy policy = DeadlockPolicy::kWaitDie) {
-  ConcurrencyOptions options;
-  options.mode = ConcurrencyMode::kTwoPhaseLocking;
-  options.deadlock_policy = policy;
-  return options;
-}
-
 TEST(LockManagerTest, GrantsFreeLocks) {
-  LockManager lm(TwoPhase());
+  LockManager lm;
   EXPECT_EQ(lm.Acquire(1, 10, Mode::kExclusive, nullptr), Outcome::kGranted);
   EXPECT_TRUE(lm.Holds(1, 10));
   EXPECT_EQ(lm.TotalHeld(), 1u);
 }
 
 TEST(LockManagerTest, SharedLocksCoexist) {
-  LockManager lm(TwoPhase());
+  LockManager lm;
   EXPECT_EQ(lm.Acquire(1, 10, Mode::kShared, nullptr), Outcome::kGranted);
   EXPECT_EQ(lm.Acquire(1, 20, Mode::kShared, nullptr), Outcome::kGranted);
   EXPECT_EQ(lm.HolderCount(1), 2u);
 }
 
 TEST(LockManagerTest, ReentrantAcquisition) {
-  LockManager lm(TwoPhase());
+  LockManager lm;
   EXPECT_EQ(lm.Acquire(1, 10, Mode::kExclusive, nullptr), Outcome::kGranted);
   EXPECT_EQ(lm.Acquire(1, 10, Mode::kExclusive, nullptr), Outcome::kGranted);
   EXPECT_EQ(lm.Acquire(1, 10, Mode::kShared, nullptr), Outcome::kGranted);
@@ -42,7 +35,7 @@ TEST(LockManagerTest, ReentrantAcquisition) {
 }
 
 TEST(LockManagerTest, SoleSharedHolderUpgrades) {
-  LockManager lm(TwoPhase());
+  LockManager lm;
   EXPECT_EQ(lm.Acquire(1, 10, Mode::kShared, nullptr), Outcome::kGranted);
   EXPECT_EQ(lm.Acquire(1, 10, Mode::kExclusive, nullptr), Outcome::kGranted);
   // Now exclusive: another shared request from an older txn queues.
@@ -56,8 +49,9 @@ TEST(LockManagerTest, SoleSharedHolderUpgrades) {
 TEST(LockManagerTest, QueuedUpgradeGrantsWhenSoleHolderRemains) {
   // txn 5 holds shared alongside txn 10 and queues an upgrade; when 10
   // releases, 5 is the sole remaining holder and the upgrade must grant
-  // (a naive grant loop would stall: holders is non-empty).
-  LockManager lm(TwoPhase(DeadlockPolicy::kTimeout));
+  // (a naive grant loop would stall: holders is non-empty). 5 is older
+  // than 10, so wait-die lets it queue.
+  LockManager lm;
   ASSERT_EQ(lm.Acquire(1, 5, Mode::kShared, nullptr), Outcome::kGranted);
   ASSERT_EQ(lm.Acquire(1, 10, Mode::kShared, nullptr), Outcome::kGranted);
   bool upgraded = false;
@@ -70,7 +64,7 @@ TEST(LockManagerTest, QueuedUpgradeGrantsWhenSoleHolderRemains) {
 }
 
 TEST(LockManagerTest, WaitDieOlderWaitsYoungerDies) {
-  LockManager lm(TwoPhase());
+  LockManager lm;
   ASSERT_EQ(lm.Acquire(1, 10, Mode::kExclusive, nullptr), Outcome::kGranted);
   // Younger (larger id) conflicting requester dies immediately.
   EXPECT_EQ(lm.Acquire(1, 20, Mode::kExclusive, nullptr), Outcome::kRejected);
@@ -86,7 +80,7 @@ TEST(LockManagerTest, WaitDieOlderWaitsYoungerDies) {
 }
 
 TEST(LockManagerTest, FifoGrantOfQueuedWaiters) {
-  LockManager lm(TwoPhase());
+  LockManager lm;
   ASSERT_EQ(lm.Acquire(1, 30, Mode::kExclusive, nullptr), Outcome::kGranted);
   std::vector<int> order;
   ASSERT_EQ(
@@ -103,7 +97,7 @@ TEST(LockManagerTest, FifoGrantOfQueuedWaiters) {
 }
 
 TEST(LockManagerTest, SharedWaitersGrantTogether) {
-  LockManager lm(TwoPhase());
+  LockManager lm;
   ASSERT_EQ(lm.Acquire(1, 30, Mode::kExclusive, nullptr), Outcome::kGranted);
   int granted = 0;
   ASSERT_EQ(lm.Acquire(1, 10, Mode::kShared, [&granted] { ++granted; }),
@@ -118,7 +112,7 @@ TEST(LockManagerTest, SharedWaitersGrantTogether) {
 TEST(LockManagerTest, QueuedSharedBlocksLaterSharedBehindWriter) {
   // No writer starvation: once an exclusive waiter queues, later shared
   // requests conflict (they must queue or die).
-  LockManager lm(TwoPhase());
+  LockManager lm;
   ASSERT_EQ(lm.Acquire(1, 10, Mode::kShared, nullptr), Outcome::kGranted);
   bool writer_granted = false;
   ASSERT_EQ(lm.Acquire(1, 5, Mode::kExclusive,
@@ -131,7 +125,7 @@ TEST(LockManagerTest, QueuedSharedBlocksLaterSharedBehindWriter) {
 }
 
 TEST(LockManagerTest, ReleaseCancelsQueuedRequests) {
-  LockManager lm(TwoPhase());
+  LockManager lm;
   ASSERT_EQ(lm.Acquire(1, 10, Mode::kExclusive, nullptr), Outcome::kGranted);
   bool granted = false;
   ASSERT_EQ(lm.Acquire(1, 5, Mode::kExclusive, [&granted] { granted = true; }),
@@ -143,7 +137,7 @@ TEST(LockManagerTest, ReleaseCancelsQueuedRequests) {
 }
 
 TEST(LockManagerTest, ReleaseAllCoversManyItems) {
-  LockManager lm(TwoPhase());
+  LockManager lm;
   for (ItemId item = 0; item < 5; ++item) {
     ASSERT_EQ(lm.Acquire(item, 7, Mode::kExclusive, nullptr),
               Outcome::kGranted);
@@ -154,16 +148,17 @@ TEST(LockManagerTest, ReleaseAllCoversManyItems) {
 }
 
 TEST(LockManagerTest, ReleasingQueuedWriterUnblocksSharedFollowers) {
-  LockManager lm(TwoPhase(DeadlockPolicy::kTimeout));
+  LockManager lm;
   ASSERT_EQ(lm.Acquire(1, 10, Mode::kShared, nullptr), Outcome::kGranted);
   ASSERT_EQ(lm.Acquire(2, 5, Mode::kExclusive, nullptr), Outcome::kGranted);
-  // txn 5 queues an exclusive on item 1; txn 20's shared dams up behind it.
+  // txn 5 queues an exclusive on item 1; txn 7's shared dams up behind it.
+  // Both are older than the holder, txn 10, so both wait.
   bool writer_granted = false;
   ASSERT_EQ(lm.Acquire(1, 5, Mode::kExclusive,
                        [&writer_granted] { writer_granted = true; }),
             Outcome::kQueued);
   bool late_shared = false;
-  ASSERT_EQ(lm.Acquire(1, 20, Mode::kShared,
+  ASSERT_EQ(lm.Acquire(1, 7, Mode::kShared,
                        [&late_shared] { late_shared = true; }),
             Outcome::kQueued);
   lm.ReleaseAll(5);
@@ -172,44 +167,45 @@ TEST(LockManagerTest, ReleasingQueuedWriterUnblocksSharedFollowers) {
   EXPECT_TRUE(late_shared);
   EXPECT_FALSE(writer_granted);
   EXPECT_EQ(lm.HolderCount(1), 2u);
-  EXPECT_TRUE(lm.Holds(1, 20));
+  EXPECT_TRUE(lm.Holds(1, 7));
   EXPECT_EQ(lm.QueueLength(1), 0u);
   EXPECT_FALSE(lm.Holds(2, 5));
   EXPECT_EQ(lm.HolderCount(2), 0u);
 }
 
 TEST(LockManagerTest, ReleaseAllRegrantsInAscendingItemOrder) {
-  // Whatever order txn 1 took its locks in, its release grants the
-  // waiters item by item in ascending order.
-  LockManager lm(TwoPhase(DeadlockPolicy::kTimeout));
+  // Whatever order txn 100 took its locks in, its release grants the
+  // (older) waiters item by item in ascending order.
+  LockManager lm;
   const std::vector<ItemId> taken = {30, 10, 40, 20};
   for (ItemId item : taken) {
-    ASSERT_EQ(lm.Acquire(item, 1, Mode::kExclusive, nullptr),
+    ASSERT_EQ(lm.Acquire(item, 100, Mode::kExclusive, nullptr),
               Outcome::kGranted);
   }
   std::vector<ItemId> granted;
-  TxnId waiter = 100;
+  TxnId waiter = 1;
   for (ItemId item : {40, 20, 30, 10}) {
     ASSERT_EQ(lm.Acquire(item, waiter++, Mode::kExclusive,
                          [&granted, item] { granted.push_back(item); }),
               Outcome::kQueued);
   }
-  lm.ReleaseAll(1);
+  lm.ReleaseAll(100);
   EXPECT_EQ(granted, (std::vector<ItemId>{10, 20, 30, 40}));
   EXPECT_EQ(lm.TotalHeld(), 4u);
 }
 
 TEST(LockManagerTest, ReleaseLeavesUnrelatedLocksIntact) {
   // 1,000 items locked by other transactions, half of them with a queued
-  // request too; releasing one transaction among them changes none.
-  LockManager lm(TwoPhase(DeadlockPolicy::kTimeout));
+  // request from an older transaction too; releasing one transaction
+  // among them changes none.
+  LockManager lm;
   constexpr ItemId kItems = 1000;
   int foreign_grants = 0;
   for (ItemId item = 0; item < kItems; ++item) {
-    ASSERT_EQ(lm.Acquire(item, 1000 + item, Mode::kExclusive, nullptr),
+    ASSERT_EQ(lm.Acquire(item, 5000 + item, Mode::kExclusive, nullptr),
               Outcome::kGranted);
     if (item % 2 == 0) {
-      ASSERT_EQ(lm.Acquire(item, 5000 + item, Mode::kShared,
+      ASSERT_EQ(lm.Acquire(item, 1000 + item, Mode::kShared,
                            [&foreign_grants] { ++foreign_grants; }),
                 Outcome::kQueued);
     }
@@ -224,7 +220,7 @@ TEST(LockManagerTest, ReleaseLeavesUnrelatedLocksIntact) {
   EXPECT_EQ(foreign_grants, 0);
   EXPECT_EQ(lm.TotalHeld(), size_t{kItems});
   for (ItemId item = 0; item < kItems; ++item) {
-    EXPECT_TRUE(lm.Holds(item, 1000 + item)) << item;
+    EXPECT_TRUE(lm.Holds(item, 5000 + item)) << item;
     EXPECT_EQ(lm.HolderCount(item), 1u) << item;
     EXPECT_EQ(lm.QueueLength(item), item % 2 == 0 ? 1u : 0u) << item;
   }
@@ -233,8 +229,9 @@ TEST(LockManagerTest, ReleaseLeavesUnrelatedLocksIntact) {
 
 TEST(LockManagerTest, HolderQueuedUpgradeIsReleasedOnce) {
   // txn 5 holds shared beside txn 10 and queues an upgrade; txn 3 waits
-  // behind the upgrade. Releasing 5 drops both its hold and its upgrade.
-  LockManager lm(TwoPhase(DeadlockPolicy::kTimeout));
+  // behind the upgrade; both are older than every holder they wait for.
+  // Releasing 5 drops both its hold and its upgrade.
+  LockManager lm;
   ASSERT_EQ(lm.Acquire(1, 5, Mode::kShared, nullptr), Outcome::kGranted);
   ASSERT_EQ(lm.Acquire(1, 10, Mode::kShared, nullptr), Outcome::kGranted);
   int upgrades = 0;
@@ -259,9 +256,9 @@ TEST(LockManagerTest, HolderQueuedUpgradeIsReleasedOnce) {
 
 TEST(LockManagerTest, SteadyStateAcquireReleaseAllocatesNothing) {
   // The per-transaction cycle of a write at a participant: three
-  // exclusive locks, a pin, and the release, with a grant callback that
-  // captures two words as the site's do.
-  LockManager lm(TwoPhase());
+  // exclusive locks and the release, with a grant callback that captures
+  // two words as the site's do.
+  LockManager lm;
   int grants = 0;
   auto cycle = [&lm, &grants](TxnId txn) {
     for (ItemId item = 0; item < 3; ++item) {
@@ -270,7 +267,6 @@ TEST(LockManagerTest, SteadyStateAcquireReleaseAllocatesNothing) {
                            [&grants, txn] { grants += int(txn % 2); }),
                 Outcome::kGranted);
     }
-    lm.Pin(txn);
     lm.ReleaseAll(txn);
   };
   for (TxnId txn = 1; txn <= 16; ++txn) cycle(txn);  // warm the pools
@@ -281,124 +277,52 @@ TEST(LockManagerTest, SteadyStateAcquireReleaseAllocatesNothing) {
   EXPECT_EQ(grants, 0);
 }
 
-TEST(LockManagerTest, WoundWaitWoundsYoungerHolderDeferred) {
-  LockManager lm(TwoPhase(DeadlockPolicy::kWoundWait));
+// A waiter can be aborted while it waits (its coordinator's Abort, its
+// own patience timer, or a wait-die refusal of another of its items) just
+// as its holder releases (commit, abort, or the holder's site failing).
+// The two reach the lock manager in either order and each must leave a
+// consistent table.
+
+TEST(LockManagerTest, HolderReleaseBeforeWaiterAbortGrantsOnce) {
+  // Holder 20 releases first (say its site failed): the older waiter 10
+  // is granted exactly once.
+  LockManager lm;
   ASSERT_EQ(lm.Acquire(1, 20, Mode::kExclusive, nullptr), Outcome::kGranted);
-  bool granted = false;
-  // Older requester wounds the younger holder but gets no synchronous
-  // callback — the wound is reported via TakePendingWounds.
-  ASSERT_EQ(lm.Acquire(1, 10, Mode::kExclusive, [&granted] { granted = true; }),
-            Outcome::kQueued);
-  EXPECT_FALSE(granted);
-  EXPECT_EQ(lm.TakePendingWounds(), (std::vector<TxnId>{20}));
-  // Duplicate wounds are suppressed until the victim releases.
-  EXPECT_TRUE(lm.TakePendingWounds().empty());
-  lm.ReleaseAll(20);  // the site aborts the victim
-  EXPECT_TRUE(granted);
-  EXPECT_TRUE(lm.Holds(1, 10));
-}
-
-TEST(LockManagerTest, WoundWaitYoungerRequesterWaits) {
-  LockManager lm(TwoPhase(DeadlockPolicy::kWoundWait));
-  ASSERT_EQ(lm.Acquire(1, 10, Mode::kExclusive, nullptr), Outcome::kGranted);
-  bool granted = false;
-  ASSERT_EQ(lm.Acquire(1, 20, Mode::kExclusive, [&granted] { granted = true; }),
-            Outcome::kQueued);
-  EXPECT_TRUE(lm.TakePendingWounds().empty());  // no wound: holder is older
-  lm.ReleaseAll(10);
-  EXPECT_TRUE(granted);
-}
-
-TEST(LockManagerTest, WoundWaitGrantsOldestFirst) {
-  // Wound-wait's deadlock-freedom argument needs every wait edge to point
-  // young -> old, so the grant order must be by age, not arrival.
-  LockManager lm(TwoPhase(DeadlockPolicy::kWoundWait));
-  ASSERT_EQ(lm.Acquire(1, 5, Mode::kExclusive, nullptr), Outcome::kGranted);
-  std::vector<int> order;
-  ASSERT_EQ(
-      lm.Acquire(1, 30, Mode::kExclusive, [&order] { order.push_back(30); }),
-      Outcome::kQueued);
-  ASSERT_EQ(
-      lm.Acquire(1, 10, Mode::kExclusive, [&order] { order.push_back(10); }),
-      Outcome::kQueued);
-  lm.ReleaseAll(5);
-  EXPECT_EQ(order, (std::vector<int>{10}));  // older 10 beats earlier 30
-  lm.ReleaseAll(10);
-  EXPECT_EQ(order, (std::vector<int>{10, 30}));
-}
-
-TEST(LockManagerTest, PinnedHolderIsNeverWounded) {
-  LockManager lm(TwoPhase(DeadlockPolicy::kWoundWait));
-  ASSERT_EQ(lm.Acquire(1, 20, Mode::kExclusive, nullptr), Outcome::kGranted);
-  lm.Pin(20);  // past the point of no return
-  bool granted = false;
-  ASSERT_EQ(lm.Acquire(1, 10, Mode::kExclusive, [&granted] { granted = true; }),
-            Outcome::kQueued);
-  // The elder waits instead of wounding the pinned younger holder.
-  EXPECT_TRUE(lm.TakePendingWounds().empty());
-  lm.ReleaseAll(20);  // commit finishes; pin is forgotten with the release
-  EXPECT_TRUE(granted);
-  EXPECT_FALSE(lm.IsPinned(20));
-}
-
-TEST(LockManagerTest, TimeoutPolicyAlwaysQueues) {
-  LockManager lm(TwoPhase(DeadlockPolicy::kTimeout));
-  ASSERT_EQ(lm.Acquire(1, 10, Mode::kExclusive, nullptr), Outcome::kGranted);
-  // Even a younger conflicting requester queues (no wait-die rejection);
-  // the site's lock-wait timer is responsible for breaking cycles.
-  EXPECT_EQ(lm.Acquire(1, 20, Mode::kExclusive, [] {}), Outcome::kQueued);
-  EXPECT_EQ(lm.QueueLength(1), 1u);
-  EXPECT_TRUE(lm.TakePendingWounds().empty());
-}
-
-// kTimeout races a waiter's lock-wait timer against the holder's site
-// failure: the crash path releases the holder's locks (granting the
-// waiter), while the timer path aborts the waiter with ReleaseAll. The two
-// fire in either order and each must leave a consistent table. (A timer
-// that fires after the grant finds no pending wait at the site and never
-// reaches the lock manager.)
-
-TEST(LockManagerTest, TimeoutCrashReleaseBeforeTimerKeepsGrantedLock) {
-  // Holder 10 "crashes": the site aborts it with ReleaseAll, which grants
-  // waiter 20 exactly once.
-  LockManager lm(TwoPhase(DeadlockPolicy::kTimeout));
-  ASSERT_EQ(lm.Acquire(1, 10, Mode::kExclusive, nullptr), Outcome::kGranted);
   int grants = 0;
-  ASSERT_EQ(lm.Acquire(1, 20, Mode::kExclusive, [&grants] { ++grants; }),
+  ASSERT_EQ(lm.Acquire(1, 10, Mode::kExclusive, [&grants] { ++grants; }),
             Outcome::kQueued);
 
-  lm.ReleaseAll(10);  // crash path: holder's site failed
+  lm.ReleaseAll(20);  // holder release arrives first
   EXPECT_EQ(grants, 1);
-  EXPECT_TRUE(lm.Holds(1, 20));
+  EXPECT_TRUE(lm.Holds(1, 10));
   EXPECT_EQ(lm.HolderCount(1), 1u);
 }
 
-TEST(LockManagerTest, TimeoutTimerBeforeCrashReleaseNeverGrantsWaiter) {
-  // The waiter's timer wins the race: its site aborts 20 with ReleaseAll,
-  // which dequeues it before the holder's crash releases the lock. The
-  // subsequent ReleaseAll(10) must NOT grant 20 — its site already aborted
-  // it with kAbortedLockTimeout, and a late grant callback would resurrect
-  // a dead transaction.
-  LockManager lm(TwoPhase(DeadlockPolicy::kTimeout));
-  ASSERT_EQ(lm.Acquire(1, 10, Mode::kExclusive, nullptr), Outcome::kGranted);
+TEST(LockManagerTest, WaiterAbortBeforeHolderReleaseNeverGrantsWaiter) {
+  // The waiter's abort wins the race: its site releases 10 with
+  // ReleaseAll, which dequeues it before the holder releases the lock.
+  // The later ReleaseAll(30) must NOT grant 10 — its site already aborted
+  // it, and a late grant callback would resurrect a dead transaction.
+  LockManager lm;
+  ASSERT_EQ(lm.Acquire(1, 30, Mode::kExclusive, nullptr), Outcome::kGranted);
   int grants = 0;
-  ASSERT_EQ(lm.Acquire(1, 20, Mode::kExclusive, [&grants] { ++grants; }),
+  ASSERT_EQ(lm.Acquire(1, 10, Mode::kExclusive, [&grants] { ++grants; }),
             Outcome::kQueued);
-  // A third transaction waits behind 20; the cancel must unblock it, not
-  // merely drop 20.
-  int grants_30 = 0;
-  ASSERT_EQ(lm.Acquire(1, 30, Mode::kExclusive, [&grants_30] { ++grants_30; }),
+  // A third transaction waits behind 10; the cancel must unblock it, not
+  // merely drop 10.
+  int grants_20 = 0;
+  ASSERT_EQ(lm.Acquire(1, 20, Mode::kExclusive, [&grants_20] { ++grants_20; }),
             Outcome::kQueued);
 
-  lm.ReleaseAll(20);  // timeout path: the waiter aborts, holding nothing
+  lm.ReleaseAll(10);  // the waiter aborts, holding nothing
   EXPECT_EQ(grants, 0);
-  EXPECT_EQ(lm.QueueLength(1), 1u);  // 30 still waits; 20 is gone
+  EXPECT_EQ(lm.QueueLength(1), 1u);  // 20 still waits; 10 is gone
 
-  lm.ReleaseAll(10);  // crash path arrives second
-  EXPECT_EQ(grants, 0);  // 20 must stay dead
-  EXPECT_EQ(grants_30, 1);
-  EXPECT_TRUE(lm.Holds(1, 30));
-  EXPECT_FALSE(lm.Holds(1, 20));
+  lm.ReleaseAll(30);  // holder release arrives second
+  EXPECT_EQ(grants, 0);  // 10 must stay dead
+  EXPECT_EQ(grants_20, 1);
+  EXPECT_TRUE(lm.Holds(1, 20));
+  EXPECT_FALSE(lm.Holds(1, 10));
 }
 
 }  // namespace

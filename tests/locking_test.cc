@@ -2,11 +2,10 @@
 // ConcurrencyOptions::mode == kTwoPhaseLocking, overlapping transactions are
 // strict-2PL ordered — shared locks for the coordinator's local reads,
 // exclusive locks at every site for writes, wait-die for deadlock freedom
-// (the default policy; deadlock_policy selects wound-wait/timeout). These
-// tests pin down the machinery: serial runs are unaffected, conflicting
-// younger transactions die cleanly and retry, locks never leak across
-// commits, aborts, timeouts, or crashes, and the feature composes with
-// failure/recovery.
+// (the lock manager's only policy). These tests pin down the machinery:
+// serial runs are unaffected, conflicting younger transactions die cleanly
+// and retry, locks never leak across commits, aborts, timeouts, or
+// crashes, and the feature composes with failure/recovery.
 
 #include <gtest/gtest.h>
 

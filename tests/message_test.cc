@@ -201,6 +201,23 @@ TEST(MessageTest, BadEnumValuesRejected) {
   EXPECT_EQ(DecodeMessage(wire).status().code(), StatusCode::kCorruption);
 }
 
+TEST(MessageTest, OutcomeBeyondLastTxnOutcomeRejected) {
+  // kAbortedStaleView (7) is the last TxnOutcome, so any higher outcome
+  // byte on the wire must decode as corrupt.
+  std::vector<uint8_t> wire = EncodeMessage(
+      MakeMessage(0, 4, TxnResult{42, TxnOutcome::kAbortedStaleView, 0, {}}));
+  // Layout: type(1) from(4) to(4) seq(varint=1) ack(varint=1) txn id(8)
+  //         outcome(1) ...
+  constexpr size_t kOutcomeByte = 19;
+  ASSERT_EQ(wire[kOutcomeByte], 7);
+  ASSERT_TRUE(DecodeMessage(wire).ok());
+  for (const int outcome : {8, 9}) {
+    wire[kOutcomeByte] = static_cast<uint8_t>(outcome);
+    EXPECT_EQ(DecodeMessage(wire).status().code(), StatusCode::kCorruption)
+        << outcome;
+  }
+}
+
 TEST(MessageTest, RoundTripBatchMessages) {
   BatchPrepareArgs prepare;
   prepare.batch = 9;

@@ -91,7 +91,6 @@ TEST(RealClusterStressTest, LockedLoadSurvivesFailureAndRecovery) {
   ConcurrencyOptions concurrency;
   concurrency.mode = ConcurrencyMode::kTwoPhaseLocking;
   concurrency.max_executors = 8;
-  concurrency.deadlock_policy = DeadlockPolicy::kWaitDie;
   // A wider database than the serial run above: wait-die losers are not
   // resubmitted by the driver, so the item space keeps the conflict (and
   // hence forced-abort) rate low enough that the bulk still commits.

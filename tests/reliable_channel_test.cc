@@ -1,7 +1,7 @@
 // Unit tests of the ReliableChannel over the simulator transport: loss is
 // repaired by retransmission, duplicates are suppressed, reordering is
 // hidden behind the per-pair FIFO contract, and a permanently silent peer
-// bounds the retransmission effort (abandon after max_retransmits).
+// bounds the retransmission effort (abandon after 8 retransmissions).
 
 #include "net/reliable_channel.h"
 
@@ -130,13 +130,12 @@ TEST(ReliableChannelTest, AbandonsAfterMaxRetransmits) {
   topts.faults.drop_filter = [](const Message& msg) {
     return msg.from == 0 && msg.seq > 0;
   };
-  ReliableChannelOptions copts = Enabled();
-  copts.max_retransmits = 3;
-  Pair pair(&sim, topts, copts);
+  Pair pair(&sim, topts, Enabled());
   ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{1})).ok());
   sim.RunUntilIdle();  // terminates: the channel gives up, timers stop
   EXPECT_TRUE(pair.rec1.txns.empty());
-  EXPECT_EQ(pair.ch0.counters().retransmits, 3u);
+  // The channel's fixed limit: 8 retransmissions, then it abandons.
+  EXPECT_EQ(pair.ch0.counters().retransmits, 8u);
   EXPECT_EQ(pair.ch0.counters().abandoned, 1u);
   EXPECT_EQ(pair.ch0.counters().acked, 0u);
 }

@@ -369,7 +369,6 @@ CheckOptions CheckOptions::Defaults() {
       {"SessionVector", "MergeFrom", "session.merge"},
       {"LockManager", "Acquire", "lockmgr.acquire"},
       {"LockManager", "ReleaseAll", "lockmgr.release"},
-      {"LockManager", "Pin", "lockmgr.pin"},
       {"Site", "RecordOutcome", "outcome.record"},
   };
   // Deferred-execution sinks: a lambda handed to one of these runs later on

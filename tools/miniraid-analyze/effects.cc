@@ -17,7 +17,7 @@
 //   faillock.*           FailLockTable mutations (set / clear / merge)
 //   session.*            SessionVector writes (set / mark_down / mark_up /
 //                        merge)
-//   lockmgr.*            item-lock manager ops (acquire / release / pin)
+//   lockmgr.*            item-lock manager ops (acquire / release)
 //   outcome.record       transaction-outcome cache writes
 //
 // The computed map is diffed against a checked-in golden
