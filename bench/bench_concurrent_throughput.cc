@@ -12,17 +12,10 @@
 // a literal serial RunTxn loop against pipelined submission with a window
 // of 8 and reports the wall-clock speedup (expected >= 2x).
 //
-// Section 3 is the group-commit gate: under two-phase locking with a
-// submission window of 64, batched 2PC (BatchingOptions::max_batch = 16)
-// against unbatched 2PC on the simulator, paper-calibrated costs. The
-// batch coalesces N prepare/commit rounds — and N fail-lock maintenance
-// passes — into one, so committed txn/s of virtual time must improve.
-//
-//   bench_concurrent_throughput [--smoke] [--json[=PATH]] [--json-batch[=PATH]]
+//   bench_concurrent_throughput [--smoke] [--json[=PATH]]
 //
 // --smoke shrinks every phase for CI; --json writes one JSON object with
-// the section-2 numbers (default path BENCH_throughput.json); --json-batch
-// writes the section-3 numbers (default path BENCH_batch.json).
+// the section-2 numbers (default path BENCH_throughput.json).
 
 #include <cstdio>
 #include <cstring>
@@ -41,9 +34,7 @@ namespace {
 struct Config {
   uint32_t sim_txns = 400;
   uint32_t real_txns = 400;
-  uint32_t batch_txns = 800;
-  std::string json_path;        // empty = no JSON output
-  std::string batch_json_path;  // empty = no JSON output
+  std::string json_path;  // empty = no JSON output
 };
 
 UniformWorkloadOptions WorkloadConfig() {
@@ -212,69 +203,6 @@ bool RunRealSection(const Config& config) {
   return pass;
 }
 
-// -- section 3: group commit, batched vs unbatched 2PC ----------------------
-
-DriverReport MeasureSimLocking(uint32_t window, uint32_t txns,
-                               uint32_t max_batch) {
-  ClusterOptions options;
-  options.backend = ClusterBackend::kSim;
-  options.n_sites = 4;
-  // Low contention on purpose: the gate measures round coalescing, and at
-  // window 64 a small database makes cross-batch wait cycles (resolved
-  // only by the batch ack timeout, PROTOCOL.md §7.1) dominate the tail.
-  options.db_size = 2000;
-  options.site.costs = CostModel::PaperCalibrated();
-  options.site.ack_timeout = Seconds(5);
-  options.site.concurrency.mode = ConcurrencyMode::kTwoPhaseLocking;
-  options.site.concurrency.max_executors = window;
-  options.site.batching.max_batch = max_batch;
-  options.site.batching.batch_linger = Milliseconds(2);
-  options.sim.shared_cpu = false;
-  options.transport.message_latency = Milliseconds(9);
-  options.max_inflight = window;
-  auto cluster = Make(options);
-
-  UniformWorkloadOptions wopts = WorkloadConfig();
-  wopts.db_size = 2000;
-  UniformWorkload workload(wopts);
-  DriverOptions dopts;
-  dopts.concurrency = window;
-  dopts.measure_txns = txns;
-  return Driver(cluster.get(), &workload, dopts).Run();
-}
-
-bool RunBatchSection(const Config& config) {
-  constexpr uint32_t kWindow = 64;
-  constexpr uint32_t kMaxBatch = 16;
-  std::printf("=== Group commit: batched vs unbatched 2PC (sim, 2PL, "
-              "window=%u, %u txns) ===\n", kWindow, config.batch_txns);
-  const DriverReport unbatched =
-      MeasureSimLocking(kWindow, config.batch_txns, /*max_batch=*/1);
-  const DriverReport batched =
-      MeasureSimLocking(kWindow, config.batch_txns, kMaxBatch);
-  std::printf("unbatched      : %s\n", unbatched.Summary().c_str());
-  std::printf("max_batch=%-2u   : %s\n", kMaxBatch, batched.Summary().c_str());
-  const double speedup =
-      unbatched.CommittedPerSec() > 0
-          ? batched.CommittedPerSec() / unbatched.CommittedPerSec()
-          : 0.0;
-  const bool pass = speedup >= 1.05;
-  std::printf("speedup: %.2fx (gate: >= 1.05x, virtual time) %s\n\n", speedup,
-              pass ? "PASS" : "FAIL");
-
-  if (!config.batch_json_path.empty()) {
-    std::ofstream out(config.batch_json_path);
-    out << "{\"bench\": \"group_commit\", \"backend\": \"sim\", "
-        << "\"window\": " << kWindow << ", \"max_batch\": " << kMaxBatch
-        << ",\n  \"unbatched\": " << unbatched.ToJson("unbatched")
-        << ",\n  \"batched\": " << batched.ToJson("batched")
-        << ",\n  \"speedup\": " << speedup << ", \"pass\": "
-        << (pass ? "true" : "false") << "}\n";
-    std::printf("wrote %s\n", config.batch_json_path.c_str());
-  }
-  return pass;
-}
-
 }  // namespace
 }  // namespace miniraid
 
@@ -285,22 +213,15 @@ int main(int argc, char** argv) {
     if (arg == "--smoke") {
       config.sim_txns = 60;
       config.real_txns = 120;
-      config.batch_txns = 300;
     } else if (arg == "--json") {
       config.json_path = "BENCH_throughput.json";
     } else if (arg.rfind("--json=", 0) == 0) {
       config.json_path = arg.substr(std::strlen("--json="));
-    } else if (arg == "--json-batch") {
-      config.batch_json_path = "BENCH_batch.json";
-    } else if (arg.rfind("--json-batch=", 0) == 0) {
-      config.batch_json_path = arg.substr(std::strlen("--json-batch="));
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return 2;
     }
   }
   miniraid::RunSimSection(config);
-  const bool real_pass = miniraid::RunRealSection(config);
-  const bool batch_pass = miniraid::RunBatchSection(config);
-  return real_pass && batch_pass ? 0 : 1;
+  return miniraid::RunRealSection(config) ? 0 : 1;
 }

@@ -1,7 +1,6 @@
 // Microbenchmarks for the wire codec: encode/decode of the messages the
 // protocol sends most often (phase-1 copy updates, copy replies, recovery
-// info with a full fail-lock table) and the group-commit batch frames
-// against their singleton equivalents.
+// info with a full fail-lock table).
 
 #include <benchmark/benchmark.h>
 
@@ -78,72 +77,6 @@ void BM_RoundTripTxnRequest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RoundTripTxnRequest);
-
-Message MakeBatchPrepare(size_t n_members, size_t writes_per_member) {
-  BatchPrepareArgs args;
-  args.batch = 42;
-  for (size_t i = 0; i < 4; ++i) {
-    args.session_vector.push_back(SessionEntryWire{i + 1, SiteStatus::kUp});
-  }
-  args.participants = {0, 1, 2, 3};
-  for (size_t m = 0; m < n_members; ++m) {
-    BatchMember member;
-    member.txn = 1000 + m;
-    for (size_t i = 0; i < writes_per_member; ++i) {
-      member.writes.push_back(ItemWrite{static_cast<ItemId>(m * 7 + i),
-                                        static_cast<Value>(i * 7919)});
-    }
-    args.members.push_back(std::move(member));
-  }
-  return MakeMessage(0, 1, std::move(args));
-}
-
-/// One batch frame carrying N members...
-void BM_EncodeBatchPrepare(benchmark::State& state) {
-  const Message msg =
-      MakeBatchPrepare(static_cast<size_t>(state.range(0)), 3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(EncodeMessage(msg));
-  }
-}
-BENCHMARK(BM_EncodeBatchPrepare)->Arg(2)->Arg(16);
-
-/// ...against the N singleton Prepare frames it replaces (same session
-/// vector and participant list repeated per frame — the wire bytes group
-/// commit saves).
-void BM_EncodeEquivalentSingletonPrepares(benchmark::State& state) {
-  std::vector<Message> singles;
-  for (int64_t m = 0; m < state.range(0); ++m) {
-    PrepareArgs args;
-    args.txn = 1000 + static_cast<TxnId>(m);
-    for (size_t i = 0; i < 3; ++i) {
-      args.writes.push_back(ItemWrite{static_cast<ItemId>(m * 7 + i),
-                                      static_cast<Value>(i * 7919)});
-    }
-    for (size_t i = 0; i < 4; ++i) {
-      args.session_vector.push_back(SessionEntryWire{i + 1, SiteStatus::kUp});
-    }
-    args.participants = {0, 1, 2, 3};
-    singles.push_back(MakeMessage(0, 1, std::move(args)));
-  }
-  for (auto _ : state) {
-    for (const Message& msg : singles) {
-      benchmark::DoNotOptimize(EncodeMessage(msg));
-    }
-  }
-}
-BENCHMARK(BM_EncodeEquivalentSingletonPrepares)->Arg(2)->Arg(16);
-
-void BM_DecodeBatchPrepare(benchmark::State& state) {
-  const std::vector<uint8_t> wire =
-      EncodeMessage(MakeBatchPrepare(static_cast<size_t>(state.range(0)), 3));
-  for (auto _ : state) {
-    Result<Message> decoded = DecodeMessage(wire);
-    benchmark::DoNotOptimize(decoded);
-  }
-  state.SetBytesProcessed(int64_t(state.iterations()) * int64_t(wire.size()));
-}
-BENCHMARK(BM_DecodeBatchPrepare)->Arg(2)->Arg(16);
 
 /// The PutFixed hot loop in isolation (the memcpy rewrite of the old
 /// byte-at-a-time append).

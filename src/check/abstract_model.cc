@@ -199,9 +199,6 @@ std::string AbstractAction::ToString() const {
       return StrFormat("begin_commit(coord=%d item=%d)", site, item);
     case Kind::kEndCommit:
       return StrFormat("end_commit(coord=%d item=%d)", site, item);
-    case Kind::kEndBatchCommit:
-      return StrFormat("end_batch_commit(coord=%d participants=%02x)", site,
-                       peer);
   }
   return "?";
 }
@@ -259,13 +256,6 @@ const std::vector<ActionEffectVocabulary>& AbstractActionVocabulary() {
        {"kCommit", "kCommitAck", "kAbort"},
        {"send:kCommitAck", "send:kTxnReply", "faillock.set", "faillock.clear",
         "lockmgr.release", "outcome.record"}},
-      {Kind::kEndBatchCommit,
-       "kEndBatchCommit",
-       {"kBatchPrepare", "kBatchPrepareAck", "kBatchCommit", "kBatchCommitAck"},
-       {"send:kBatchPrepare", "send:kBatchPrepareAck", "send:kBatchCommit",
-        "send:kBatchCommitAck", "send:kTxnReply", "faillock.set",
-        "faillock.clear", "lockmgr.acquire", "lockmgr.release",
-        "outcome.record", "session.merge"}},
   };
   return vocab;
 }
@@ -349,35 +339,6 @@ std::vector<AbstractAction> EnabledActions(const AbstractConfig& cfg,
     for (uint8_t x = 0; x < m; ++x) {
       if (s.pend[x].active) {
         actions.push_back({Kind::kEndCommit, s.pend[x].coord, 0, x});
-      }
-    }
-    // kEndBatchCommit: group commit — two or more prepared slots at the
-    // same coordinator with the same pinned participant set drain as one
-    // atomic apply + coalesced maintenance (the engine's BatchCommit
-    // round). One action per (coordinator, participant-set) group; the
-    // singleton kEndCommit actions above stay enabled per slot, modelling
-    // the engine's batch-of-1 degrade and linger-timeout flushes.
-    if (cfg.batched_commits) {
-      for (uint8_t c = 0; c < n; ++c) {
-        // One action per distinct mask with >= 2 slots, emitted at the
-        // mask's first slot so the action list stays duplicate-free.
-        for (uint8_t x = 0; x < m; ++x) {
-          if (!s.pend[x].active || s.pend[x].coord != c) continue;
-          const uint8_t mask = s.pend[x].participants;
-          bool first = true;
-          uint32_t members = 0;
-          for (uint8_t y = 0; y < m; ++y) {
-            if (!s.pend[y].active || s.pend[y].coord != c ||
-                s.pend[y].participants != mask) {
-              continue;
-            }
-            if (y < x) first = false;
-            ++members;
-          }
-          if (first && members >= 2) {
-            actions.push_back({Kind::kEndBatchCommit, c, mask, 0});
-          }
-        }
       }
     }
   }
@@ -558,33 +519,6 @@ ModelState ApplyAction(const AbstractConfig& cfg, const ModelState& prev,
         journal_row(j, x, row, all);
       }
       s.pend[x] = ModelPending{};
-      break;
-    }
-    case Kind::kEndBatchCommit: {
-      // Group commit: every prepared slot at coordinator `site` whose
-      // pinned participant set equals `peer` applies in ONE atomic step,
-      // and the fail-lock maintenance for all of them lands as one table
-      // update per participant (each item's row is the same complement of
-      // the shared mask — the coalescing is the atomicity). Mirrors
-      // Site::FinishBatchCommit / HandleBatchCommit: per-member writes,
-      // one MaintainFailLocks over the deduped union.
-      const uint8_t participants = a.peer;
-      for (uint8_t x = 0; x < cfg.n_items; ++x) {
-        if (!prev.pend[x].active || prev.pend[x].coord != a.site ||
-            prev.pend[x].participants != participants) {
-          continue;
-        }
-        const uint8_t v = ++s.latest[x];
-        for (uint8_t j = 0; j < n; ++j) {
-          if (!((participants >> j) & 1u)) continue;
-          ModelSite& pj = s.site[j];
-          pj.ver[x] = v;
-          const uint8_t row = static_cast<uint8_t>(~participants) & all;
-          pj.locks[x] = row;
-          journal_row(j, x, row, all);
-        }
-        s.pend[x] = ModelPending{};
-      }
       break;
     }
     case Kind::kDetectFailure: {

@@ -49,16 +49,6 @@ struct AbstractConfig {
   /// pinned commit can stay in flight while dozens of others run). Off =
   /// the classic atomic kCommit action.
   bool interleaved_commits = false;
-  /// Group commit (mirrors BatchingOptions): when two or more prepared
-  /// commits at the same coordinator pinned the same participant set, a
-  /// kEndBatchCommit action applies ALL of their writes and runs the
-  /// coalesced fail-lock maintenance as ONE atomic step — the abstract
-  /// image of the engine's single BatchCommit round with one fail-lock
-  /// table update per participant. Singleton kEndCommit stays enabled for
-  /// every slot (the engine's batch-of-1 degrade path and linger-timeout
-  /// flushes), so the flag only adds interleavings. Requires
-  /// interleaved_commits; defaults off so default closures are unchanged.
-  bool batched_commits = false;
   /// Fold site- and item-permutation-symmetric states together. Sound for
   /// this model: the initial state and every guard/effect are symmetric
   /// under relabeling.
@@ -232,12 +222,6 @@ struct AbstractAction {
     /// fail-lock maintenance from the pinned participant set, then frees
     /// the pending slot.
     kEndCommit = 8,
-    /// batched_commits group-commit apply: coordinator `site` applies every
-    /// prepared commit whose slot pinned participant set `peer` (a bit
-    /// mask), with the coalesced fail-lock maintenance, in one atomic step;
-    /// enabled only when at least two such slots exist. Mirrors the
-    /// engine's BatchCommit round (kBatchPrepare .. kBatchCommitAck).
-    kEndBatchCommit = 9,
   };
   Kind kind = Kind::kCommit;
   uint8_t site = 0;

@@ -46,7 +46,6 @@ struct Args {
   std::string bug;
   bool check_agreement = false;
   bool interleaved = false;
-  bool batched = false;
   uint32_t sites = 3;
   uint32_t items = 2;
   uint32_t depth = 12;
@@ -64,8 +63,7 @@ int Usage() {
                "usage: minicheck abstract|systematic [options]\n"
                "       minicheck --replay FILE | --record-golden NAME --out "
                "FILE | --smoke | --list | --effect-vocab FILE\n"
-               "options: --sites N --items M --depth D --interleaved "
-               "--batched --bug "
+               "options: --sites N --items M --depth D --interleaved --bug "
                "drop-window|skip-merge|narrow-clear|skip-prospective "
                "--scenario NAME\n"
                "         --max-executions N --branch-points N --no-symmetry "
@@ -94,8 +92,6 @@ bool ParseArgs(int argc, char** argv, Args* args) {
       args->check_agreement = true;
     } else if (a == "--interleaved") {
       args->interleaved = true;
-    } else if (a == "--batched") {
-      args->batched = true;
     } else if (a == "--replay") {
       const char* v = next();
       if (!v) return false;
@@ -229,11 +225,7 @@ AbstractConfig AbstractConfigFromArgs(const Args& args) {
   cfg.skip_prospective_faillocks = args.bug == "skip-prospective";
   // The prospective-fail-lock bug only exists when prepare and commit are
   // separate steps, so the toggle implies the interleaved transition set.
-  // Group commit only exists as distinct prepare/apply steps, so --batched
-  // implies the interleaved transition set too.
-  cfg.batched_commits = args.batched;
-  cfg.interleaved_commits = args.interleaved || args.batched ||
-                            cfg.skip_prospective_faillocks;
+  cfg.interleaved_commits = args.interleaved || cfg.skip_prospective_faillocks;
   cfg.check_lock_agreement = args.check_agreement;
   return cfg;
 }

@@ -116,7 +116,6 @@ ExecutionOutcome RunOneExecution(
   copts.n_sites = sopts.n_sites;
   copts.db_size = sopts.db_size;
   copts.site.concurrency = sopts.concurrency;
-  copts.site.batching = sopts.batching;
   // Zero latency folds each protocol exchange onto one virtual instant, so
   // the front-time tie set is exactly the delivery nondeterminism.
   copts.transport.message_latency = 0;
@@ -338,7 +337,6 @@ SystematicResult ExploreSystematic(const SystematicOptions& sopts) {
       trace.n_sites = sopts.n_sites;
       trace.db_size = sopts.db_size;
       trace.concurrency = sopts.concurrency;
-      trace.batching = sopts.batching;
       trace.actions = sopts.actions;
       trace.picks = std::move(picks);
       trace.fanouts = std::move(fanouts);
@@ -386,7 +384,6 @@ ReplayOutcome ReplayTrace(const CheckTrace& trace,
   sopts.n_sites = trace.n_sites;
   sopts.db_size = trace.db_size;
   sopts.concurrency = trace.concurrency;
-  sopts.batching = trace.batching;
   sopts.actions = trace.actions;
   sopts.invariants = invariants;
 
@@ -440,7 +437,6 @@ CheckTrace RecordGoldenTrace(const SystematicOptions& sopts) {
   trace.n_sites = sopts.n_sites;
   trace.db_size = sopts.db_size;
   trace.concurrency = sopts.concurrency;
-  trace.batching = sopts.batching;
   trace.actions = sopts.actions;
   trace.picks = std::move(picks);
   trace.fanouts = std::move(fanouts);
@@ -461,8 +457,7 @@ InvariantChecker::Options SystematicOracleOptions() {
 
 std::vector<std::string_view> ScenarioNames() {
   return {"smoke",           "recovery-skew",  "recovery-window",
-          "double-failure",  "interleaved-2pl", "batched-commit",
-          "read-only-2pl"};
+          "double-failure",  "interleaved-2pl", "read-only-2pl"};
 }
 
 std::optional<SystematicOptions> ScenarioByName(std::string_view name) {
@@ -536,30 +531,6 @@ std::optional<SystematicOptions> ScenarioByName(std::string_view name) {
     };
     // Exhausts at ~51k executions / ~45k branch nodes (a couple of seconds);
     // the bounds leave headroom so the run reports a genuine full sweep.
-    s.max_branch_points = 32;
-    s.max_executions = 80000;
-    return s;
-  }
-  if (name == "batched-commit") {
-    // Group commit: with site 2 down (so commit-time maintenance has
-    // fail-locks to write), two coordinations on DISTINCT items overlap at
-    // coordinator 0 under 2PL with batching on. Schedules where both reach
-    // their prepare in the same step drain as one BatchPrepare/BatchCommit
-    // round with coalesced maintenance; schedules where they do not cover
-    // the batch-of-1 degrade path — the explorer sweeps both, plus the
-    // batch round racing failure detection and the serial recovery's
-    // column merge afterwards.
-    s.concurrency.mode = ConcurrencyMode::kTwoPhaseLocking;
-    s.concurrency.max_executors = 2;
-    s.batching.max_batch = 2;
-    s.batching.batch_linger = 0;
-    s.actions = {
-        ScheduleAction::Submit(WriteTxn(1, 0), 0, /*serial=*/true),
-        ScheduleAction::Fail(2, /*serial=*/true),
-        ScheduleAction::Submit(WriteTxn(2, 0), 0),
-        ScheduleAction::Submit(WriteTxn(3, 1), 0),
-        ScheduleAction::Recover(2, /*serial=*/true),
-    };
     s.max_branch_points = 32;
     s.max_executions = 80000;
     return s;

@@ -39,10 +39,6 @@ struct SystematicOptions {
   /// quiescent cuts stay reachable) to explore interleaved executions of
   /// overlapping coordinations at one site.
   ConcurrencyOptions concurrency;
-  /// Group commit (batched 2PC) of every site engine. Off by default; set
-  /// max_batch > 1 (with locking on) to explore batched prepare/commit
-  /// rounds racing the rest of the protocol.
-  BatchingOptions batching;
   std::vector<ScheduleAction> actions;
   /// Choice points recorded (and therefore explored) per execution; deeper
   /// choice points fall back to FIFO order. Exhaustive within the bound.

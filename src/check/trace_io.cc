@@ -382,13 +382,6 @@ std::string TraceToJson(const CheckTrace& trace) {
         "  \"concurrency\": {\"mode\": \"2pl\", \"max_executors\": %u},\n",
         trace.concurrency.max_executors);
   }
-  // Emitted only when group commit is on, for the same reason.
-  if (trace.batching.enabled()) {
-    out += StrFormat(
-        "  \"batching\": {\"max_batch\": %u, \"batch_linger_ms\": %ld},\n",
-        trace.batching.max_batch,
-        static_cast<long>(trace.batching.batch_linger / 1000000));
-  }
   out += "  \"note\": ";
   AppendJsonString(&out, trace.note);
   out += ",\n  \"actions\": [\n";
@@ -466,14 +459,19 @@ Result<CheckTrace> TraceFromJson(std::string_view json) {
           policy.c_str()));
     }
   }
-  // Optional: absent = batching off (traces predating group commit).
+  // Older traces may carry a "batching" block. Every transaction now
+  // commits in its own 2PC round, so a trace recorded with group commit on
+  // cannot replay.
   if (auto bat_it = obj.find("batching");
       bat_it != obj.end() && bat_it->second.type == JsonValue::Type::kObject) {
-    const JsonObject& bat = *bat_it->second.object;
-    trace.batching.max_batch = static_cast<uint32_t>(
-        GetNumberOr(bat, "max_batch", trace.batching.max_batch));
-    trace.batching.batch_linger = Milliseconds(GetNumberOr(
-        bat, "batch_linger_ms", trace.batching.batch_linger / 1000000));
+    const int64_t max_batch =
+        GetNumberOr(*bat_it->second.object, "max_batch", 1);
+    if (max_batch > 1) {
+      return Status::InvalidArgument(StrFormat(
+          "trace JSON: \"batching\" with max_batch %ld is not supported (the "
+          "engine has no group commit)",
+          static_cast<long>(max_batch)));
+    }
   }
   auto actions_it = obj.find("actions");
   if (actions_it == obj.end() ||

@@ -60,10 +60,6 @@ struct CheckTrace {
   /// when non-serial, and parsed with serial defaults, so traces recorded
   /// before the concurrency extension replay unchanged.
   ConcurrencyOptions concurrency;
-  /// Group-commit configuration of the execution. Serialized only when
-  /// batching is enabled, parsed with batching-off defaults — traces
-  /// recorded before the group-commit extension replay unchanged.
-  BatchingOptions batching;
   /// Free-form provenance ("found by ExploreSystematic, scenario X").
   std::string note;
   std::vector<ScheduleAction> actions;

@@ -37,7 +37,7 @@ SiteOptions ResolveSiteOptions(uint32_t n_sites, uint32_t db_size,
 }  // namespace
 
 Cluster::Cluster(const ClusterOptions& options)
-    : options_(options), checker_(options.invariants) {
+    : options_(options) {
   options_.site =
       ResolveSiteOptions(options_.n_sites, options_.db_size, options_.site);
 }

@@ -84,7 +84,6 @@ struct ClusterOptions {
   /// quiescent points during traffic (call CheckInvariants() explicitly at
   /// known-quiet moments instead).
   bool check_invariants = false;
-  InvariantChecker::Options invariants;
 };
 
 /// Counters over everything submitted through a Cluster since start.

@@ -89,20 +89,6 @@ Status GetFailedSite(Decoder& dec, FailedSiteEntry* e) {
   return dec.GetU64(&e->session);
 }
 
-void PutTxnId(Encoder& enc, TxnId txn) { enc.PutU64(txn); }
-
-Status GetTxnId(Decoder& dec, TxnId* txn) { return dec.GetU64(txn); }
-
-void PutBatchMember(Encoder& enc, const BatchMember& m) {
-  enc.PutU64(m.txn);
-  enc.PutVector(m.writes, PutItemWrite);
-}
-
-Status GetBatchMember(Decoder& dec, BatchMember* m) {
-  MINIRAID_RETURN_IF_ERROR(dec.GetU64(&m->txn));
-  return dec.GetVector(&m->writes, GetItemWrite);
-}
-
 // -- payload encoders --------------------------------------------------------
 
 struct PayloadEncoder {
@@ -170,24 +156,6 @@ struct PayloadEncoder {
   void operator()(const ShutdownArgs&) {}
   void operator()(const DecisionQueryArgs& a) { enc.PutU64(a.txn); }
   void operator()(const ChannelAckArgs&) {}
-  void operator()(const BatchPrepareArgs& a) {
-    enc.PutU64(a.batch);
-    enc.PutVector(a.session_vector, PutSessionEntry);
-    enc.PutVector(a.participants, PutItemId);  // SiteId == ItemId == u32
-    enc.PutVector(a.members, PutBatchMember);
-  }
-  void operator()(const BatchPrepareAckArgs& a) {
-    enc.PutU64(a.batch);
-    enc.PutU8(a.accepted ? 1 : 0);
-    enc.PutVector(a.session_vector, PutSessionEntry);
-    enc.PutVector(a.refused, PutTxnId);
-  }
-  void operator()(const BatchCommitArgs& a) {
-    enc.PutU64(a.batch);
-    enc.PutVector(a.commits, PutTxnId);
-    enc.PutVector(a.aborts, PutTxnId);
-  }
-  void operator()(const BatchCommitAckArgs& a) { enc.PutU64(a.batch); }
 };
 
 // -- payload decoders --------------------------------------------------------
@@ -337,42 +305,11 @@ Status DecodePayload(MsgType type, Decoder& dec, Payload* out) {
     case MsgType::kChannelAck:
       *out = ChannelAckArgs{};
       return Status::Ok();
-    case MsgType::kBatchPrepare: {
-      BatchPrepareArgs a;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.batch));
-      MINIRAID_RETURN_IF_ERROR(
-          dec.GetVector(&a.session_vector, GetSessionEntry));
-      MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.participants, GetItemId));
-      MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.members, GetBatchMember));
-      *out = std::move(a);
-      return Status::Ok();
-    }
-    case MsgType::kBatchPrepareAck: {
-      BatchPrepareAckArgs a;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.batch));
-      uint8_t accepted = 1;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU8(&accepted));
-      a.accepted = accepted != 0;
-      MINIRAID_RETURN_IF_ERROR(
-          dec.GetVector(&a.session_vector, GetSessionEntry));
-      MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.refused, GetTxnId));
-      *out = std::move(a);
-      return Status::Ok();
-    }
-    case MsgType::kBatchCommit: {
-      BatchCommitArgs a;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.batch));
-      MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.commits, GetTxnId));
-      MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.aborts, GetTxnId));
-      *out = std::move(a);
-      return Status::Ok();
-    }
-    case MsgType::kBatchCommitAck: {
-      BatchCommitAckArgs a;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.batch));
-      *out = a;
-      return Status::Ok();
-    }
+    case MsgType::kBatchPrepare:
+    case MsgType::kBatchPrepareAck:
+    case MsgType::kBatchCommit:
+    case MsgType::kBatchCommitAck:
+      break;  // retired group-commit types (DecodeMessage refuses them)
   }
   return Status::Corruption("unknown message type");
 }
@@ -479,7 +416,8 @@ Result<Message> DecodeMessage(const uint8_t* data, size_t size) {
   Decoder dec(data, size);
   uint8_t type_byte = 0;
   MINIRAID_RETURN_IF_ERROR(dec.GetU8(&type_byte));
-  if (type_byte > static_cast<uint8_t>(MsgType::kBatchCommitAck)) {
+  // kChannelAck is the last type with a payload; 22-25 are retired.
+  if (type_byte > static_cast<uint8_t>(MsgType::kChannelAck)) {
     return Status::Corruption("unknown message type byte");
   }
   Message msg;

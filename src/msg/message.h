@@ -56,15 +56,13 @@ enum class MsgType : uint8_t {
   kDecisionQuery = 20,  // in-doubt participant -> coordinator: outcome?
   kChannelAck = 21,     // ReliableChannel ack (value rides in the header)
 
-  // Group commit (batched 2PC extension, docs/PROTOCOL.md "Batched
-  // two-phase commit"): one frame carries N member transactions that share
-  // a participant set, so the coordination round and the per-participant
-  // fail-lock table update are paid once per batch instead of once per
-  // transaction.
-  kBatchPrepare = 22,     // coordinator -> participant: N members' writes
-  kBatchPrepareAck = 23,  // participant -> coordinator
-  kBatchCommit = 24,      // coordinator -> participant: commit/abort split
-  kBatchCommitAck = 25,   // participant -> coordinator
+  // Retired group-commit frames. No payload carries them and the decoder
+  // refuses their type bytes; the names stay only because
+  // e2ebench/main.cc lists them.
+  kBatchPrepare = 22,
+  kBatchPrepareAck = 23,
+  kBatchCommit = 24,
+  kBatchCommitAck = 25,
 };
 
 std::string_view MsgTypeName(MsgType type);
@@ -289,63 +287,10 @@ struct ChannelAckArgs {
       default;
 };
 
-/// One member transaction inside a batched prepare: its id and its copy
-/// updates. The session vector and participant set ride once at the batch
-/// level — sharing them is what makes the batch one table update.
-struct BatchMember {
-  TxnId txn = 0;
-  std::vector<ItemWrite> writes;
-  friend bool operator==(const BatchMember&, const BatchMember&) = default;
-};
-
-/// Batched prepare: N member transactions that share one participant set
-/// and were validated under one coordinator session vector. Semantically
-/// equivalent to N kPrepare messages whose session_vector/participants
-/// fields are identical; a batch of one is exactly one such kPrepare.
-struct BatchPrepareArgs {
-  /// Coordinator-local batch id, unique per coordinator (like TxnId).
-  uint64_t batch = 0;
-  std::vector<SessionEntryWire> session_vector;
-  /// Shared participant set (coordinator included), as in PrepareArgs.
-  std::vector<SiteId> participants;
-  std::vector<BatchMember> members;
-  friend bool operator==(const BatchPrepareArgs&,
-                         const BatchPrepareArgs&) = default;
-};
-
-struct BatchPrepareAckArgs {
-  uint64_t batch = 0;
-  /// False = whole-batch refusal on session-vector validation (the same
-  /// veto as PrepareAckArgs::accepted; the vector rides back below). All
-  /// members are then aborted by the coordinator: they were all validated
-  /// under the same stale view.
-  bool accepted = true;
-  std::vector<SessionEntryWire> session_vector;
-  /// Member transactions this participant refused individually (lock
-  /// conflicts under wait-die). Refusal of one member must not abort its
-  /// batch-mates; the coordinator demultiplexes per member.
-  std::vector<TxnId> refused;
-  friend bool operator==(const BatchPrepareAckArgs&,
-                         const BatchPrepareAckArgs&) = default;
-};
-
-/// Batched decision: which members commit and which abort, in one frame.
-/// Participants apply all commits and then run fail-lock maintenance once
-/// over the union of the committed writes (the rows are identical to N
-/// separate updates because the participant set is shared).
-struct BatchCommitArgs {
-  uint64_t batch = 0;
-  std::vector<TxnId> commits;
-  std::vector<TxnId> aborts;
-  friend bool operator==(const BatchCommitArgs&,
-                         const BatchCommitArgs&) = default;
-};
-
-struct BatchCommitAckArgs {
-  uint64_t batch = 0;
-  friend bool operator==(const BatchCommitAckArgs&,
-                         const BatchCommitAckArgs&) = default;
-};
+/// Declared only, never defined: e2ebench/traced_cluster.cc names them in
+/// `if constexpr` branches that no payload takes.
+struct BatchPrepareArgs;
+struct BatchCommitArgs;
 
 using Payload =
     std::variant<TxnRequestArgs, TxnResult, PrepareArgs, PrepareAckArgs,
@@ -354,8 +299,7 @@ using Payload =
                  RecoveryAnnounceArgs, RecoveryInfoArgs, FailureAnnounceArgs,
                  FailureAckArgs, CopyCreateArgs, CopyCreateAckArgs,
                  FailSiteArgs, RecoverSiteArgs, ShutdownArgs,
-                 DecisionQueryArgs, ChannelAckArgs, BatchPrepareArgs,
-                 BatchPrepareAckArgs, BatchCommitArgs, BatchCommitAckArgs>;
+                 DecisionQueryArgs, ChannelAckArgs>;
 
 /// One protocol message. `from`/`to` identify sites (the managing site has
 /// an id too). The payload variant index always matches `type`.

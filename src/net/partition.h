@@ -44,8 +44,8 @@ class PartitionController {
     return ga->second != gb->second;
   }
 
-  /// Adapter for SimTransportOptions::drop_filter. The controller must
-  /// outlive the transport.
+  /// Adapter for TransportFaults::drop_filter. The controller must outlive
+  /// the transport.
   std::function<bool(const Message&)> Filter() {
     return [this](const Message& msg) { return Crosses(msg.from, msg.to); };
   }

@@ -7,27 +7,10 @@
 
 namespace miniraid {
 
-namespace {
-
-// Folds the legacy per-field fault knobs into the shared TransportFaults
-// struct so both spellings configure the same injector.
-TransportFaults MergedFaults(const SimTransportOptions& options) {
-  TransportFaults faults = options.faults;
-  if (!faults.drop_filter && options.drop_filter) {
-    faults.drop_filter = options.drop_filter;
-  }
-  if (faults.duplicate_probability == 0.0) {
-    faults.duplicate_probability = options.duplicate_probability;
-  }
-  return faults;
-}
-
-}  // namespace
-
 SimTransport::SimTransport(SimRuntime* sim, const SimTransportOptions& options)
     : sim_(sim),
       options_(options),
-      injector_(MergedFaults(options)),
+      injector_(options.faults),
       jitter_rng_(options.jitter_seed) {}
 
 void SimTransport::Register(SiteId site, MessageHandler* handler) {

@@ -1,7 +1,6 @@
 #ifndef MINIRAID_NET_SIM_TRANSPORT_H_
 #define MINIRAID_NET_SIM_TRANSPORT_H_
 
-#include <functional>
 #include <map>
 #include <unordered_map>
 #include <utility>
@@ -31,11 +30,6 @@ struct SimTransportOptions {
   /// arrival to after the pair's previous one.
   Duration latency_jitter = 0;
   uint64_t jitter_seed = 1;
-
-  /// Legacy aliases, merged into `faults` at construction (either spelling
-  /// works; `faults` wins if both are set).
-  std::function<bool(const Message&)> drop_filter;
-  double duplicate_probability = 0.0;
 };
 
 /// Transport over the discrete-event runtime: Send schedules OnMessage at

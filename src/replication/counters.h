@@ -24,10 +24,10 @@ struct SiteCounters {
   // two-phase locking).
   uint64_t max_concurrent_coordinations = 0;
 
-  // -- group commit (batched 2PC, BatchingOptions) -------------------------
-  uint64_t batch_rounds_coordinated = 0;   // BatchPrepare rounds sent
-  uint64_t batch_members_coordinated = 0;  // member txns those rounds carried
-  uint64_t batch_prepares_handled = 0;     // BatchPrepare frames at this site
+  // Always 0: nothing counts them. Kept only because e2ebench/runner.cc
+  // reads both.
+  uint64_t batch_rounds_coordinated = 0;
+  uint64_t batch_members_coordinated = 0;
 
   // -- copier machinery ---------------------------------------------------
   uint64_t copier_transactions = 0;      // copy requests issued on demand

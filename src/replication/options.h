@@ -44,8 +44,8 @@ struct ConcurrencyOptions {
   /// logically interleaved 2PC coordinations, not threads.
   uint32_t max_executors = 8;
 
-  /// Read by nothing: kWaitDie is the only policy. Kept so existing
-  /// configurations that set it still compile.
+  /// Read by nothing: kWaitDie is the only policy. Kept only because
+  /// e2ebench/generator.cc sets it.
   DeadlockPolicy deadlock_policy = DeadlockPolicy::kWaitDie;
 
   bool locking() const { return mode == ConcurrencyMode::kTwoPhaseLocking; }
@@ -56,26 +56,10 @@ struct ConcurrencyOptions {
   }
 };
 
-/// Group commit (batched 2PC). Concurrent coordinations at one site whose
-/// participant sets are identical — under full replication (assumption 4)
-/// that is every concurrent transaction — drain into one BatchPrepare /
-/// BatchCommit round instead of N independent 2PC rounds, and the
-/// participants' fail-lock maintenance for the whole batch collapses into
-/// a single table update. Requires kTwoPhaseLocking (a serial site never
-/// has two coordinations in flight, so there is nothing to batch).
+/// Read by nothing: every transaction commits in its own 2PC round
+/// (Appendix A). Kept only because e2ebench/generator.cc sets max_batch.
 struct BatchingOptions {
-  /// Largest number of member transactions per batch. <= 1 disables
-  /// batching entirely — the default, and the paper's measured behavior
-  /// (one 2PC round per transaction).
   uint32_t max_batch = 1;
-
-  /// How long the first member of a forming batch waits for company
-  /// before the batch is flushed anyway. 0 flushes at the end of the
-  /// current scheduling step (members only coalesce when they become
-  /// ready back-to-back, e.g. drained together from the request queue).
-  Duration batch_linger = 0;
-
-  bool enabled() const { return max_batch > 1; }
 };
 
 /// Static configuration shared by every site in a cluster.
@@ -152,10 +136,7 @@ struct SiteOptions {
   /// (assumption 2). See ConcurrencyOptions.
   ConcurrencyOptions concurrency;
 
-  /// Group commit (batched 2PC): coalesces concurrent coordinations that
-  /// share a participant set into one BatchPrepare/BatchCommit round with
-  /// a single fail-lock table update per participant. Only effective under
-  /// kTwoPhaseLocking; defaults off (max_batch = 1). See BatchingOptions.
+  /// Read by nothing; see BatchingOptions.
   BatchingOptions batching;
 
   /// Optional shared protocol trace (not owned; must outlive the sites).

@@ -162,21 +162,16 @@ void Site::OnMessage(const Message& msg) {
     case MsgType::kDecisionQuery:
       HandleDecisionQuery(msg);
       break;
-    case MsgType::kBatchPrepare:
-      HandleBatchPrepare(msg);
-      break;
-    case MsgType::kBatchPrepareAck:
-      HandleBatchPrepareAck(msg);
-      break;
-    case MsgType::kBatchCommit:
-      HandleBatchCommit(msg);
-      break;
-    case MsgType::kBatchCommitAck:
-      HandleBatchCommitAck(msg);
-      break;
     case MsgType::kChannelAck:
       // Consumed by the ReliableChannel below this handler; one reaching
       // the site (channel disabled) carries nothing to act on.
+      break;
+    case MsgType::kBatchPrepare:
+    case MsgType::kBatchPrepareAck:
+    case MsgType::kBatchCommit:
+    case MsgType::kBatchCommitAck:
+      // Retired group-commit types: no payload carries them and the
+      // decoder refuses their type bytes, so none can arrive.
       break;
   }
 }
@@ -192,15 +187,6 @@ void Site::Crash() {
     runtime_->CancelTimer(batch_->timer);
     batch_.reset();
   }
-  for (auto& [key, forming] : forming_batches_) {
-    runtime_->CancelTimer(forming.timer);
-  }
-  forming_batches_.clear();
-  for (auto& [batch_id, active] : active_batches_) {
-    runtime_->CancelTimer(active.timer);
-  }
-  active_batches_.clear();
-  batch_participations_.clear();
   for (auto& [txn, participation] : participations_) {
     runtime_->CancelTimer(participation.timer);
   }
@@ -557,18 +543,6 @@ void Site::ExecuteAndPrepare(Coordination& c) {
   c.phase = Coordination::Phase::kPrepare;
   c.phase_start = runtime_->Now();
   c.retries_used = 0;
-  if (options_.batching.enabled() && options_.concurrency.locking() &&
-      !FinishesAtPhaseOne(c.writes)) {
-    // Group commit: coalesce with other prepare-ready coordinations toward
-    // the same participant set instead of opening a private 2PC round. A
-    // read-only coordination has no commit round to share.
-    EnqueueIntoBatch(c);
-    return;
-  }
-  SendSingletonPrepares(c);
-}
-
-void Site::SendSingletonPrepares(Coordination& c) {
   c.awaiting = c.participants;
   // The wire participant set includes the coordinator: commit-time
   // maintenance needs the full set, identical at every site.
@@ -584,345 +558,11 @@ void Site::SendSingletonPrepares(Coordination& c) {
       [this, txn] { CoordinationTimeout(txn, /*batch=*/false); });
 }
 
-// ---------------------------------------------------------------------------
-// Group commit, coordinator side.
-// ---------------------------------------------------------------------------
-
-void Site::EnqueueIntoBatch(Coordination& c) {
-  c.group = kFormingGroup;
-  std::vector<SiteId> wire_participants = c.participants;
-  wire_participants.push_back(id_);
-  std::sort(wire_participants.begin(), wire_participants.end());
-  FormingBatch& forming = forming_batches_[wire_participants];
-  if (forming.members.empty()) {
-    forming.participants = c.participants;
-    forming.wire_participants = wire_participants;
-  }
-  forming.members.push_back(c.txn.id);
-  if (forming.members.size() >= options_.batching.max_batch) {
-    FormingBatch ready = std::move(forming);
-    forming_batches_.erase(wire_participants);
-    if (ready.timer != kInvalidTimer) {
-      runtime_->CancelTimer(ready.timer);
-      ready.timer = kInvalidTimer;
-    }
-    FlushFormingBatch(std::move(ready));
-    return;
-  }
-  if (forming.timer == kInvalidTimer) {
-    // With batch_linger == 0 this still defers to the end of the current
-    // scheduling step, so coordinations that became ready back-to-back
-    // (e.g. drained together from the request queue) coalesce.
-    forming.timer = runtime_->ScheduleAfter(
-        options_.batching.batch_linger, [this, wire_participants] {
-          auto it = forming_batches_.find(wire_participants);
-          if (it == forming_batches_.end()) return;
-          FormingBatch ready = std::move(it->second);
-          forming_batches_.erase(it);
-          ready.timer = kInvalidTimer;
-          FlushFormingBatch(std::move(ready));
-        });
-  }
-}
-
-void Site::FlushFormingBatch(FormingBatch forming) {
-  if (forming.members.empty()) return;
-  if (forming.members.size() == 1) {
-    // A batch of one gains nothing from the batch frames; degrade to the
-    // singleton path, byte-identical on the wire to never having batched.
-    auto it = coords_.find(forming.members.front());
-    if (it == coords_.end()) return;
-    it->second.group = 0;
-    SendSingletonPrepares(it->second);
-    return;
-  }
-  ActiveBatch b;
-  b.id = next_batch_id_++;
-  b.participants = std::move(forming.participants);
-  b.wire_participants = std::move(forming.wire_participants);
-  b.members = std::move(forming.members);
-  b.phase = ActiveBatch::Phase::kPrepare;
-  b.phase_start = runtime_->Now();
-  b.awaiting.insert(b.participants.begin(), b.participants.end());
-  ++counters_.batch_rounds_coordinated;
-  counters_.batch_members_coordinated += b.members.size();
-  BatchPrepareArgs args;
-  args.batch = b.id;
-  args.session_vector = session_vector_.ToWire();
-  args.participants = b.wire_participants;
-  for (TxnId member : b.members) {
-    auto cit = coords_.find(member);
-    if (cit == coords_.end()) continue;  // defensive; members cannot die
-    cit->second.group = b.id;
-    args.members.push_back(BatchMember{member, cit->second.writes});
-  }
-  for (SiteId p : b.participants) {
-    Charge(options_.costs.prepare_send_per_site);
-    SendTo(p, args);
-  }
-  const uint64_t batch_id = b.id;
-  b.timer = runtime_->ScheduleAfter(options_.ack_timeout,
-                                    [this, batch_id] { BatchTimeout(batch_id); });
-  active_batches_.emplace(batch_id, std::move(b));
-}
-
-void Site::HandleBatchPrepareAck(const Message& msg) {
-  const auto& args = msg.As<BatchPrepareAckArgs>();
-  auto it = active_batches_.find(args.batch);
-  if (it == active_batches_.end() ||
-      it->second.phase != ActiveBatch::Phase::kPrepare) {
-    ++counters_.duplicate_msgs_ignored;
-    return;
-  }
-  ActiveBatch& b = it->second;
-  if (!args.accepted) {
-    // Whole-batch session-vector veto: every member was validated under
-    // the same stale view, so all of them abort (exactly the singleton
-    // kAbortedStaleView path, N times over one returned vector).
-    if (!args.session_vector.empty()) {
-      const Status merged = session_vector_.MergeFrom(args.session_vector);
-      if (!merged.ok()) {
-        MR_LOG(kWarn) << "site " << id_
-                      << ": bad session vector in batch prepare ack: "
-                      << merged.ToString();
-      }
-    }
-    runtime_->CancelTimer(b.timer);
-    ActiveBatch dead = std::move(b);
-    active_batches_.erase(it);
-    AbortWholeBatch(dead, TxnOutcome::kAbortedStaleView, dead.participants);
-    return;
-  }
-  // Member-level lock refusals are sticky across participants: a member
-  // any participant refused cannot commit, but its batch-mates still can.
-  for (TxnId refused : args.refused) b.refused.insert(refused);
-  b.awaiting.erase(msg.from);
-  if (b.awaiting.empty()) {
-    runtime_->CancelTimer(b.timer);
-    b.timer = kInvalidTimer;
-    StartBatchCommitPhase(b);
-  }
-}
-
-void Site::StartBatchCommitPhase(ActiveBatch& b) {
-  const TimePoint now = runtime_->Now();
-  b.commits.clear();
-  b.aborts.clear();
-  for (TxnId member : b.members) {
-    if (b.refused.count(member)) {
-      b.aborts.push_back(member);
-    } else {
-      b.commits.push_back(member);
-    }
-  }
-  for (TxnId member : b.commits) {
-    auto cit = coords_.find(member);
-    if (cit == coords_.end()) continue;
-    counters_.phase_prepare_time.Add(now - cit->second.phase_start);
-    // Members answer commit-phase decision queries from here on.
-    cit->second.phase = Coordination::Phase::kCommit;
-    cit->second.phase_start = now;
-  }
-  if (b.commits.empty()) {
-    // Every member was refused: the one frame tells the participants to
-    // discard, and there is nothing to await (abort is fire-and-forget,
-    // as in singleton 2PC).
-    BatchCommitArgs args{b.id, {}, b.aborts};
-    for (SiteId p : b.participants) {
-      Charge(options_.costs.ack_format);
-      SendTo(p, args);
-    }
-    ActiveBatch dead = std::move(b);
-    active_batches_.erase(dead.id);
-    for (TxnId member : dead.aborts) {
-      auto cit = coords_.find(member);
-      if (cit == coords_.end()) continue;
-      ++counters_.txns_aborted_lock_conflict;
-      ReplyAndClear(cit->second, TxnOutcome::kAbortedLockConflict);
-    }
-    return;
-  }
-  b.phase = ActiveBatch::Phase::kCommit;
-  b.phase_start = now;
-  b.retries_used = 0;
-  b.awaiting.insert(b.participants.begin(), b.participants.end());
-  BatchCommitArgs args{b.id, b.commits, b.aborts};
-  for (SiteId p : b.participants) {
-    Charge(options_.costs.ack_format);
-    SendTo(p, args);
-  }
-  const uint64_t batch_id = b.id;
-  b.timer = runtime_->ScheduleAfter(options_.ack_timeout,
-                                    [this, batch_id] { BatchTimeout(batch_id); });
-  // Refused members are finished now — their abort must not wait for the
-  // batch-mates' commit acks. ReplyAndClear re-enters the queue drain, so
-  // work off a copy of the list, not the live batch state.
-  const std::vector<TxnId> aborted = b.aborts;
-  for (TxnId member : aborted) {
-    auto cit = coords_.find(member);
-    if (cit == coords_.end()) continue;
-    ++counters_.txns_aborted_lock_conflict;
-    ReplyAndClear(cit->second, TxnOutcome::kAbortedLockConflict);
-  }
-}
-
-void Site::HandleBatchCommitAck(const Message& msg) {
-  const auto& args = msg.As<BatchCommitAckArgs>();
-  auto it = active_batches_.find(args.batch);
-  if (it == active_batches_.end() ||
-      it->second.phase != ActiveBatch::Phase::kCommit) {
-    ++counters_.duplicate_msgs_ignored;
-    return;
-  }
-  ActiveBatch& b = it->second;
-  b.awaiting.erase(msg.from);
-  if (b.awaiting.empty()) {
-    runtime_->CancelTimer(b.timer);
-    ActiveBatch done = std::move(b);
-    active_batches_.erase(it);
-    FinishBatchCommit(done);
-  }
-}
-
-void Site::FinishBatchCommit(ActiveBatch& b) {
-  const TimePoint now = runtime_->Now();
-  // Install every member's writes first (per-member, so last-writer-wins
-  // version ordering is preserved), then maintain fail-locks ONCE over the
-  // deduplicated union: the participant set is shared, so per item the
-  // maintained row is identical no matter which member wrote it, and the
-  // whole batch costs one table update instead of one per member.
-  std::vector<ItemWrite> union_writes;
-  for (TxnId member : b.commits) {
-    auto cit = coords_.find(member);
-    if (cit == coords_.end()) continue;
-    counters_.phase_commit_time.Add(now - b.phase_start);
-    CommitLocalWrites(member, cit->second.writes, b.wire_participants,
-                      /*maintain_now=*/false);
-    for (const ItemWrite& write : cit->second.writes) {
-      const bool seen = std::any_of(
-          union_writes.begin(), union_writes.end(),
-          [&write](const ItemWrite& u) { return u.item == write.item; });
-      if (!seen) union_writes.push_back(write);
-    }
-  }
-  if (options_.maintain_fail_locks && !union_writes.empty()) {
-    MaintainFailLocks(union_writes, b.wire_participants);
-  }
-  // Reply per member only after every install and the maintenance ran:
-  // each member lands in the outcome cache individually, so a later
-  // duplicated frame or decision query about any one of them is answered
-  // without consulting batch state (which is gone).
-  for (TxnId member : b.commits) {
-    auto cit = coords_.find(member);
-    if (cit == coords_.end()) continue;
-    ++counters_.txns_committed;
-    ReplyAndClear(cit->second, TxnOutcome::kCommitted);
-  }
-}
-
-void Site::BatchTimeout(uint64_t batch_id) {
-  auto it = active_batches_.find(batch_id);
-  if (it == active_batches_.end() || it->second.timer == kInvalidTimer) return;
-  ActiveBatch& b = it->second;
-  b.timer = kInvalidTimer;
-
-  if (b.retries_used < options_.retry_limit) {
-    ++b.retries_used;
-    if (b.phase == ActiveBatch::Phase::kPrepare) {
-      BatchPrepareArgs args;
-      args.batch = b.id;
-      args.session_vector = session_vector_.ToWire();
-      args.participants = b.wire_participants;
-      for (TxnId member : b.members) {
-        auto cit = coords_.find(member);
-        if (cit == coords_.end()) continue;
-        args.members.push_back(BatchMember{member, cit->second.writes});
-      }
-      for (SiteId p : b.awaiting) {
-        ++counters_.phase_retransmits;
-        Charge(options_.costs.prepare_send_per_site);
-        SendTo(p, args);
-      }
-    } else {
-      for (SiteId p : b.awaiting) {
-        ++counters_.phase_retransmits;
-        Charge(options_.costs.ack_format);
-        SendTo(p, BatchCommitArgs{b.id, b.commits, b.aborts});
-      }
-    }
-    b.timer = runtime_->ScheduleAfter(
-        RetryDelay(options_.ack_timeout, b.retries_used),
-        [this, batch_id] { BatchTimeout(batch_id); });
-    return;
-  }
-
-  const std::vector<SiteId> silent(b.awaiting.begin(), b.awaiting.end());
-  if (b.phase == ActiveBatch::Phase::kPrepare) {
-    // "a participating site has failed": every member aborts (none was
-    // fully prepared), the responsive participants discard in one frame,
-    // and the silent ones are announced via control type 2.
-    std::vector<SiteId> responsive;
-    for (SiteId p : b.participants) {
-      if (!b.awaiting.count(p)) responsive.push_back(p);
-    }
-    counters_.txns_aborted_participant += b.members.size();
-    ActiveBatch dead = std::move(b);
-    active_batches_.erase(batch_id);
-    AbortWholeBatch(dead, TxnOutcome::kAbortedParticipantFailed, responsive);
-    RunControlType2(silent);
-    return;
-  }
-  // Commit phase: the decision stands. The silent sites leave the
-  // participant set first — exactly as in singleton 2PC — so the coalesced
-  // maintenance fail-locks their copies instead of clearing them.
-  auto drop_silent = [&b](std::vector<SiteId>& sites) {
-    sites.erase(std::remove_if(sites.begin(), sites.end(),
-                               [&b](SiteId p) { return b.awaiting.count(p); }),
-                sites.end());
-  };
-  drop_silent(b.participants);
-  drop_silent(b.wire_participants);
-  for (TxnId member : b.commits) {
-    auto cit = coords_.find(member);
-    if (cit != coords_.end()) drop_silent(cit->second.participants);
-  }
-  ActiveBatch done = std::move(b);
-  active_batches_.erase(batch_id);
-  FinishBatchCommit(done);
-  RunControlType2(silent);
-}
-
-void Site::AbortWholeBatch(ActiveBatch& b, TxnOutcome outcome,
-                           const std::vector<SiteId>& notify) {
-  if (!notify.empty()) {
-    // One frame tells every responsive participant to discard all the
-    // members' staging; like singleton kAbort it is fire-and-forget.
-    BatchCommitArgs args{b.id, {}, b.members};
-    for (SiteId p : notify) {
-      Charge(options_.costs.ack_format);
-      SendTo(p, args);
-    }
-  }
-  for (TxnId member : b.members) {
-    auto cit = coords_.find(member);
-    if (cit == coords_.end()) continue;
-    ReplyAndClear(cit->second, outcome);
-  }
-}
-
 void Site::HandlePrepareAck(const Message& msg) {
   const auto& args = msg.As<PrepareAckArgs>();
   auto it = coords_.find(args.txn);
   if (it == coords_.end() ||
       it->second.phase != Coordination::Phase::kPrepare) {
-    return;
-  }
-  if (it->second.group != 0) {
-    // A batched (or still-forming) member's prepare fate is decided by its
-    // batch's acks; a singleton ack for it carries no information (its
-    // `awaiting` is empty, so falling through would start a private commit
-    // phase against a still-undecided batch).
-    ++counters_.duplicate_msgs_ignored;
     return;
   }
   Coordination& c = it->second;
@@ -991,13 +631,6 @@ void Site::HandleCommitAck(const Message& msg) {
   auto it = coords_.find(txn);
   if (it == coords_.end() ||
       it->second.phase != Coordination::Phase::kCommit) {
-    return;
-  }
-  if (it->second.group != 0) {
-    // A batch member commits with its batch (HandleBatchCommitAck); a
-    // singleton ack for it must not finish it alone, outside the batch's
-    // participant pruning.
-    ++counters_.duplicate_msgs_ignored;
     return;
   }
   Coordination& c = it->second;
@@ -1295,15 +928,7 @@ void Site::OnParticipantLockGranted(TxnId txn) {
   auto it = participations_.find(txn);
   if (it == participations_.end()) return;
   Participation& part = it->second;
-  if (--part.lock_waits_pending == 0) {
-    if (part.batch != 0) {
-      // A batched member acks through its batch, once nothing is waiting.
-      ResolveBatchMember(part.coordinator, part.batch, txn,
-                         /*accepted=*/true);
-      return;
-    }
-    SendPrepareAck(part);
-  }
+  if (--part.lock_waits_pending == 0) SendPrepareAck(part);
 }
 
 void Site::SendPrepareAck(Participation& part) {
@@ -1356,16 +981,9 @@ void Site::HandleAbort(const Message& msg) {
   }
   runtime_->CancelTimer(it->second.timer);
   ++counters_.aborts_handled;
-  const SiteId coordinator = it->second.coordinator;
-  const uint64_t batch = it->second.batch;
   if (options_.concurrency.locking()) lock_manager_.ReleaseAll(it->first);
   RecordOutcome(txn, /*committed=*/false);
   participations_.erase(it);  // "discard the copy updates"
-  if (batch != 0) {
-    // A singleton abort (decision-query answer) can land before the batch
-    // ack went out; the still-open batch must stop waiting on this member.
-    ResolveBatchMember(coordinator, batch, txn, /*accepted=*/false);
-  }
 }
 
 void Site::ParticipationTimeout(TxnId txn) {
@@ -1407,23 +1025,10 @@ void Site::HandleDecisionQuery(const Message& msg) {
     // querier's CommitDecision was evidently lost: re-send it. Before the
     // commit phase there is no decision yet — stay silent and let the
     // querier's next timeout re-ask.
-    const Coordination& c = deciding->second;
-    if (c.phase != Coordination::Phase::kCommit) return;
-    if (c.group == 0) {
-      ++counters_.decision_queries_answered;
-      Charge(options_.costs.ack_format);
-      SendTo(msg.from, CommitArgs{txn});
-      return;
-    }
-    // A batch member's in-flight decision is its batch frame: the
-    // querier's BatchCommitAck then counts toward the batch, whose commit
-    // timeout alone decides which silent participants leave the set.
-    auto batch = active_batches_.find(c.group);
-    if (batch == active_batches_.end()) return;
-    const ActiveBatch& b = batch->second;
+    if (deciding->second.phase != Coordination::Phase::kCommit) return;
     ++counters_.decision_queries_answered;
     Charge(options_.costs.ack_format);
-    SendTo(msg.from, BatchCommitArgs{b.id, b.commits, b.aborts});
+    SendTo(msg.from, CommitArgs{txn});
     return;
   }
   const std::optional<bool> finished = RecentOutcome(txn);
@@ -1447,226 +1052,6 @@ void Site::HandleDecisionQuery(const Message& msg) {
   ++counters_.decisions_presumed_abort;
   Charge(options_.costs.ack_format);
   SendTo(msg.from, AbortArgs{txn});
-}
-
-// ---------------------------------------------------------------------------
-// Group commit, participant side.
-// ---------------------------------------------------------------------------
-
-void Site::HandleBatchPrepare(const Message& msg) {
-  const auto& args = msg.As<BatchPrepareArgs>();
-  const SiteId coordinator = msg.from;
-  const auto key = std::make_pair(coordinator, args.batch);
-  if (batch_participations_.count(key) > 0) {
-    // Retransmission while this very batch still waits on queued locks:
-    // stay silent, the ack goes out when the last wait resolves (acking
-    // now would let the coordinator commit writes not yet locked here).
-    ++counters_.duplicate_msgs_ignored;
-    return;
-  }
-  ++counters_.batch_prepares_handled;
-
-  // Session-vector validation runs once per batch: every member was
-  // chosen under the same coordinator vector, so one veto covers all of
-  // them (and the coordinator aborts them all, none individually).
-  if (args.session_vector.size() == options_.n_sites) {
-    for (SiteId k = 0; k < options_.n_sites; ++k) {
-      if (session_vector_.session(k) > args.session_vector[k].session) {
-        ++counters_.prepare_session_vetoes;
-        Charge(options_.costs.ack_format);
-        SendTo(coordinator,
-               BatchPrepareAckArgs{args.batch, /*accepted=*/false,
-                                   session_vector_.ToWire(), {}});
-        return;
-      }
-    }
-    const Status merged = session_vector_.MergeFrom(args.session_vector);
-    if (!merged.ok()) {
-      MR_LOG(kWarn) << "site " << id_
-                    << ": bad session vector in batch prepare: "
-                    << merged.ToString();
-    }
-  }
-
-  // The bookkeeping goes into the map before any lock traffic: a lock
-  // released by one member's wait-die refusal can synchronously grant an
-  // earlier member's queued request, which routes back into this record.
-  BatchParticipation& bp = batch_participations_[key];
-  bp.coordinator = coordinator;
-  bp.batch = args.batch;
-  bp.collecting = true;
-
-  for (const BatchMember& member : args.members) {
-    const TxnId txn = member.txn;
-    auto existing = participations_.find(txn);
-    if (existing != participations_.end()) {
-      // Already staged by an earlier frame for this batch (retransmission
-      // after a crash-free ack loss): account for it without re-staging.
-      ++counters_.duplicate_msgs_ignored;
-      bp.members.push_back(txn);
-      if (existing->second.lock_waits_pending > 0) {
-        existing->second.batch = args.batch;
-        bp.waiting.insert(txn);
-      }
-      continue;
-    }
-    const std::optional<bool> finished = RecentOutcome(txn);
-    if (finished.has_value()) {
-      // Torn down already: a committed member is long applied (count it
-      // accepted so the coordinator converges); an aborted one must not be
-      // resurrected — report it refused, which the coordinator's abort of
-      // that member makes idempotent.
-      ++counters_.duplicate_msgs_ignored;
-      if (*finished) {
-        bp.members.push_back(txn);
-      } else {
-        bp.refused.push_back(txn);
-      }
-      continue;
-    }
-    ++counters_.prepares_handled;
-    Participation& part = participations_[txn];
-    part.txn = txn;
-    part.coordinator = coordinator;
-    part.participants = args.participants;
-    part.start_time = runtime_->Now();
-    part.batch = args.batch;
-    for (const ItemWrite& write : member.writes) {
-      if (!db_.Holds(write.item)) continue;
-      Charge(options_.costs.participant_stage_per_item);
-      part.staged.push_back(write);
-    }
-    Trace(TraceEvent::kPrepareHandled, txn, part.staged.size());
-    part.timer = runtime_->ScheduleAfter(
-        3 * options_.ack_timeout, [this, txn] { ParticipationTimeout(txn); });
-
-    bool refused_now = false;
-    if (options_.concurrency.locking()) {
-      for (const ItemWrite& write : part.staged) {
-        const LockManager::Outcome outcome = lock_manager_.Acquire(
-            write.item, txn, LockManager::Mode::kExclusive,
-            [this, txn] { OnParticipantLockGranted(txn); });
-        if (outcome == LockManager::Outcome::kRejected) {
-          // Wait-die refusal of this member only; its batch-mates proceed.
-          ++counters_.lock_rejections;
-          lock_manager_.ReleaseAll(txn);
-          runtime_->CancelTimer(part.timer);
-          participations_.erase(txn);
-          bp.refused.push_back(txn);
-          refused_now = true;
-          break;
-        }
-        if (outcome == LockManager::Outcome::kQueued) {
-          ++counters_.lock_waits;
-          ++part.lock_waits_pending;
-        }
-      }
-    }
-    if (refused_now) continue;
-    bp.members.push_back(txn);
-    if (part.lock_waits_pending > 0) bp.waiting.insert(txn);
-  }
-  bp.collecting = false;
-  if (bp.waiting.empty()) {
-    SendBatchPrepareAck(bp);
-    batch_participations_.erase(key);
-  }
-}
-
-void Site::ResolveBatchMember(SiteId coordinator, uint64_t batch, TxnId txn,
-                              bool accepted) {
-  auto it = batch_participations_.find(std::make_pair(coordinator, batch));
-  if (it == batch_participations_.end()) return;
-  BatchParticipation& bp = it->second;
-  bp.waiting.erase(txn);
-  if (!accepted) {
-    bp.members.erase(std::remove(bp.members.begin(), bp.members.end(), txn),
-                     bp.members.end());
-    bp.refused.push_back(txn);
-  }
-  if (!bp.collecting && bp.waiting.empty()) {
-    SendBatchPrepareAck(bp);
-    batch_participations_.erase(it);
-  }
-}
-
-void Site::SendBatchPrepareAck(BatchParticipation& bp) {
-  Charge(options_.costs.ack_format);
-  SendTo(bp.coordinator,
-         BatchPrepareAckArgs{bp.batch, /*accepted=*/true, {}, bp.refused});
-}
-
-void Site::HandleBatchCommit(const Message& msg) {
-  const auto& args = msg.As<BatchCommitArgs>();
-  const SiteId coordinator = msg.from;
-  // A whole-batch abort can arrive while this site never acked (another
-  // participant vetoed or the coordinator timed out first): drop the ack
-  // bookkeeping outright, the per-member teardown below releases whatever
-  // was staged or queued.
-  batch_participations_.erase(std::make_pair(coordinator, args.batch));
-
-  for (TxnId txn : args.aborts) {
-    auto it = participations_.find(txn);
-    if (it == participations_.end()) {
-      if (RecentOutcome(txn).has_value()) ++counters_.duplicate_msgs_ignored;
-      continue;
-    }
-    runtime_->CancelTimer(it->second.timer);
-    ++counters_.aborts_handled;
-    if (options_.concurrency.locking()) lock_manager_.ReleaseAll(txn);
-    RecordOutcome(txn, /*committed=*/false);
-    participations_.erase(it);  // "discard the copy updates"
-  }
-
-  if (args.commits.empty()) return;  // abort-only frame, fire-and-forget
-
-  // Install every committed member, then maintain fail-locks once over the
-  // deduplicated union — the coalescing that motivates the batch frames.
-  // The batch is acked only when every commit member is applied here or
-  // known-committed from a duplicate; an unknown member means this site
-  // discarded in doubt (or lost state), and silence lets the coordinator's
-  // commit timeout remove it from the participant set so the maintenance
-  // fail-locks its copies.
-  std::vector<ItemWrite> union_writes;
-  std::vector<SiteId> participants;
-  bool all_applied = true;
-  for (TxnId txn : args.commits) {
-    auto it = participations_.find(txn);
-    if (it == participations_.end()) {
-      const std::optional<bool> finished = RecentOutcome(txn);
-      if (finished.has_value() && *finished) {
-        ++counters_.duplicate_msgs_ignored;  // already applied
-      } else {
-        all_applied = false;
-      }
-      continue;
-    }
-    Participation& part = it->second;
-    runtime_->CancelTimer(part.timer);
-    if (participants.empty()) participants = part.participants;
-    CommitLocalWrites(part.txn, part.staged, part.participants,
-                      /*maintain_now=*/false);
-    for (const ItemWrite& write : part.staged) {
-      const bool seen = std::any_of(
-          union_writes.begin(), union_writes.end(),
-          [&write](const ItemWrite& u) { return u.item == write.item; });
-      if (!seen) union_writes.push_back(write);
-    }
-    if (options_.concurrency.locking()) lock_manager_.ReleaseAll(part.txn);
-    Trace(TraceEvent::kParticipantCommitted, part.txn, part.staged.size());
-    RecordOutcome(part.txn, /*committed=*/true);
-    ++counters_.commits_handled;
-    counters_.participant_time.Add(runtime_->Now() - part.start_time);
-    participations_.erase(it);
-  }
-  if (options_.maintain_fail_locks && !union_writes.empty()) {
-    MaintainFailLocks(union_writes, participants);
-  }
-  if (all_applied) {
-    Charge(options_.costs.ack_format);
-    SendTo(coordinator, BatchCommitAckArgs{args.batch});
-  }
-  MaybeStartBatchCopier();
 }
 
 // ---------------------------------------------------------------------------
@@ -2086,8 +1471,7 @@ void Site::MaybeRunType3() {
 // ---------------------------------------------------------------------------
 
 void Site::CommitLocalWrites(TxnId writer, const std::vector<ItemWrite>& writes,
-                             const std::vector<SiteId>& participants,
-                             bool maintain_now) {
+                             const std::vector<SiteId>& participants) {
   for (const ItemWrite& write : writes) {
     if (!db_.Holds(write.item)) continue;
     Charge(options_.costs.commit_install_per_item);
@@ -2106,13 +1490,7 @@ void Site::CommitLocalWrites(TxnId writer, const std::vector<ItemWrite>& writes,
                     << " failed: " << status.ToString();
     }
   }
-  if (maintain_now && options_.maintain_fail_locks) {
-    MaintainFailLocks(writes, participants);
-  }
-}
-
-void Site::MaintainFailLocks(const std::vector<ItemWrite>& writes,
-                             const std::vector<SiteId>& participants) {
+  if (!options_.maintain_fail_locks) return;
   // "As a transaction committed a particular copy on a site, the nominal
   // session vector was examined and the fail-lock bits for each written
   // data item were set for each failed site" — and re-cleared for each
@@ -2126,10 +1504,7 @@ void Site::MaintainFailLocks(const std::vector<ItemWrite>& writes,
     Charge(options_.costs.faillock_maint_per_item);
     for (SiteId t = 0; t < options_.n_sites; ++t) {
       if (!holders_.Holds(write.item, t)) continue;
-      const bool participated =
-          std::find(participants.begin(), participants.end(), t) !=
-          participants.end();
-      if (participated) {
+      if (Contains(participants, t)) {
         if (ClearFailLock(write.item, t)) ++counters_.fail_locks_cleared;
       } else {
         if (SetFailLock(write.item, t)) ++counters_.fail_locks_set;

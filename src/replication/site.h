@@ -99,9 +99,7 @@ class Site : public MessageHandler {
   /// True if no transaction / recovery is in flight at this site.
   MR_RUNS_ON(loop) bool IsIdle() const {
     return coords_.empty() && !batch_.has_value() && participations_.empty() &&
-           !recovery_.has_value() && queued_requests_.empty() &&
-           forming_batches_.empty() && active_batches_.empty() &&
-           batch_participations_.empty();
+           !recovery_.has_value() && queued_requests_.empty();
   }
 
   /// Transaction requests waiting for an executor slot (requests that
@@ -165,70 +163,7 @@ class Site : public MessageHandler {
     // lock requests.
     std::vector<ItemId> needs_copy;
     uint32_t lock_waits_pending = 0;
-
-    // Group commit: the ActiveBatch this coordination commits through
-    // (0 = plain singleton 2PC). A batched member has no timer of its
-    // own — the batch's timer covers all members.
-    uint64_t group = 0;
   };
-
-  /// Group commit, coordinator side: members that became prepare-ready
-  /// while a batch toward the same participant set was still collecting.
-  /// The batch flushes when it reaches BatchingOptions::max_batch or the
-  /// linger timer fires.
-  struct FormingBatch {
-    std::vector<SiteId> participants;       // peers (excluding this site)
-    std::vector<SiteId> wire_participants;  // peers + this site, sorted
-    std::vector<TxnId> members;
-    TimerId timer = kInvalidTimer;  // linger
-  };
-
-  /// Group commit, coordinator side: one batched 2PC round in flight.
-  /// Mirrors the per-phase state of Coordination, but one instance fronts
-  /// every member: one BatchPrepare / BatchCommit frame per participant,
-  /// one ack awaited per participant, one timer, one retry budget.
-  struct ActiveBatch {
-    uint64_t id = 0;
-    std::vector<SiteId> participants;       // peers (excluding this site)
-    std::vector<SiteId> wire_participants;  // peers + this site, sorted
-    std::vector<TxnId> members;             // each live in coords_
-    enum class Phase { kPrepare, kCommit };
-    Phase phase = Phase::kPrepare;
-    std::set<SiteId> awaiting;
-    /// Members some participant refused for lock conflicts (union across
-    /// acks). Refusal of one member never aborts its batch-mates.
-    std::set<TxnId> refused;
-    /// The decided split carried by the BatchCommit frame (also re-sent on
-    /// commit-phase retransmits).
-    std::vector<TxnId> commits;
-    std::vector<TxnId> aborts;
-    TimerId timer = kInvalidTimer;
-    uint32_t retries_used = 0;
-    TimePoint phase_start = 0;
-  };
-
-  /// Group commit, participant side: bookkeeping for one BatchPrepare
-  /// whose members still have queued lock requests. Lives only until the
-  /// single BatchPrepareAck goes out; each member's own Participation
-  /// carries the per-transaction state (staging, patience timer, decision
-  /// queries) exactly as in singleton 2PC.
-  struct BatchParticipation {
-    SiteId coordinator = kInvalidSite;
-    uint64_t batch = 0;
-    std::vector<TxnId> members;   // accepted (locks held or pending)
-    std::vector<TxnId> refused;   // lock-conflict refusals, member-level
-    std::set<TxnId> waiting;      // members with queued lock requests
-    /// True while HandleBatchPrepare is still enumerating members: a lock
-    /// released by one member's refusal can synchronously grant an earlier
-    /// member's queued request, and the ack must not go out before every
-    /// member has been processed.
-    bool collecting = false;
-  };
-
-  /// Coordination::group value while the member sits in a forming batch
-  /// (no frames sent yet; replaced by the real batch id at flush, or by 0
-  /// when a batch of one degrades to the singleton path).
-  static constexpr uint64_t kFormingGroup = ~0ull;
 
   // State of a transaction this site participates in.
   struct Participation {
@@ -246,10 +181,6 @@ class Site : public MessageHandler {
     // Lossy-network retries: decision queries sent to the coordinator
     // while in doubt (SiteOptions::retry_limit) before giving up.
     uint32_t queries_sent = 0;
-    // Group commit: id of the BatchPrepare this participation arrived in
-    // (0 = singleton Prepare). Lock grants and aborts for a batched
-    // member route through the batch's ack bookkeeping.
-    uint64_t batch = 0;
   };
 
   // State of an in-flight control-type-1 recovery at this site.
@@ -290,53 +221,12 @@ class Site : public MessageHandler {
   void HandleCopyReply(const Message& msg);
   void FinishCopierPhase(Coordination& c);
   void ExecuteAndPrepare(Coordination& c);
-  /// The unbatched phase-one send: one kPrepare per participant plus the
-  /// ack timer. Also the degenerate path for a batch of one, which is
-  /// byte-identical on the wire to never having batched.
-  void SendSingletonPrepares(Coordination& c);
   void HandlePrepareAck(const Message& msg);
   void StartCommitPhase(Coordination& c);
   void HandleCommitAck(const Message& msg);
   void FinishCommit(Coordination& c);
   void CoordinationTimeout(TxnId txn, bool batch);
 
-  // ---- group commit, coordinator side -----------------------------------
-  /// Adds a prepare-ready coordination to the forming batch toward its
-  /// wire participant set. Flushes at max_batch; otherwise arms/keeps the
-  /// linger timer.
-  void EnqueueIntoBatch(Coordination& c);
-  /// Sends the batch on its way: one member degrades to the singleton
-  /// Prepare path; two or more become an ActiveBatch with one
-  /// BatchPrepare per participant.
-  void FlushFormingBatch(FormingBatch forming);
-  void HandleBatchPrepareAck(const Message& msg);
-  /// Phase two of a batched round: one BatchCommit per participant
-  /// carrying the commit/abort split; refused members are replied to
-  /// (kAbortedLockConflict) without disturbing their batch-mates.
-  void StartBatchCommitPhase(ActiveBatch& b);
-  void HandleBatchCommitAck(const Message& msg);
-  /// All commit acks in: installs every committed member's writes, runs
-  /// fail-lock maintenance ONCE over the deduplicated union of their
-  /// write sets, and replies per member (each recorded individually in
-  /// the outcome cache).
-  void FinishBatchCommit(ActiveBatch& b);
-  void BatchTimeout(uint64_t batch_id);
-  /// Aborts every live member of a batch (stale view / participant
-  /// failure): one BatchCommit with everything in `aborts` to the
-  /// responsive participants, then per-member client replies.
-  void AbortWholeBatch(ActiveBatch& b, TxnOutcome outcome,
-                       const std::vector<SiteId>& notify);
-
-  // ---- group commit, participant side ------------------------------------
-  void HandleBatchPrepare(const Message& msg);
-  void HandleBatchCommit(const Message& msg);
-  /// A batched member's lock request resolved (grant, or abort while
-  /// waiting): updates the batch bookkeeping and acks once no member is
-  /// waiting.
-  void ResolveBatchMember(SiteId coordinator, uint64_t batch, TxnId txn,
-                          bool accepted);
-  /// Sends the one BatchPrepareAck.
-  void SendBatchPrepareAck(BatchParticipation& bp);
   /// Tears the coordination down: releases locks, cancels timers, replies
   /// to the client, erases it from coords_ (or resets batch_) and serves
   /// the queue. `c` is invalid on return.
@@ -403,13 +293,7 @@ class Site : public MessageHandler {
   /// cleared. Keying on the set — identical at every participant by
   /// construction — rather than on each site's believed-up view keeps the
   /// written rows convergent even when views are skewed.
-  /// `maintain_now = false` defers the fail-lock maintenance: group commit
-  /// installs every member's writes first and then maintains the table
-  /// once over the deduplicated union (see MaintainFailLocks).
   void CommitLocalWrites(TxnId writer, const std::vector<ItemWrite>& writes,
-                         const std::vector<SiteId>& participants,
-                         bool maintain_now = true);
-  void MaintainFailLocks(const std::vector<ItemWrite>& writes,
                          const std::vector<SiteId>& participants);
 
   /// True when a transaction with this write set finishes at phase one:
@@ -489,16 +373,6 @@ class Site : public MessageHandler {
   /// their no-2PC copier traffic out of the lock order.
   std::optional<Coordination> batch_;
   std::deque<Message> queued_requests_;
-  /// Group commit, coordinator side: forming batches keyed by wire
-  /// participant set (under full replication there is at most one), and
-  /// in-flight batched rounds keyed by batch id.
-  std::map<std::vector<SiteId>, FormingBatch> forming_batches_;
-  std::map<uint64_t, ActiveBatch> active_batches_;
-  uint64_t next_batch_id_ = 1;
-  /// Group commit, participant side: BatchPrepares whose ack is gated on
-  /// queued lock requests, keyed by (coordinator, batch id).
-  std::map<std::pair<SiteId, uint64_t>, BatchParticipation>
-      batch_participations_;
   /// In-flight participations keyed by transaction id. Multiple
   /// coordinators may have transactions staged here concurrently; each
   /// site's own execution remains serial (one event at a time).

@@ -1,11 +1,9 @@
 #include "txn/driver.h"
 
-#include <cmath>
 #include <memory>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "common/strings.h"
 
 namespace miniraid {
@@ -60,7 +58,6 @@ struct RunCtx : std::enable_shared_from_this<RunCtx> {
   DriverOptions opts;
   uint64_t total = 0;
   std::function<SiteId(uint64_t)> coordinator_for;
-  Rng rng{1};
 
   uint64_t issued = 0;
   uint64_t finished = 0;
@@ -128,12 +125,7 @@ struct RunCtx : std::enable_shared_from_this<RunCtx> {
 
   void ScheduleNextArrival() {
     if (done || issued >= total) return;
-    const double rate = opts.arrival_per_sec;
-    double gap_sec = 1.0 / rate;
-    if (opts.poisson_arrivals) {
-      // Inverse-CDF exponential gap; 1 - U keeps the argument off zero.
-      gap_sec = -std::log(1.0 - rng.NextDouble()) / rate;
-    }
+    const double gap_sec = 1.0 / opts.arrival_per_sec;
     auto self = shared_from_this();
     cluster->ScheduleAfter(Duration(gap_sec * 1e9), [self] {
       self->IssueOne();
@@ -154,7 +146,6 @@ DriverReport Driver::Run() {
   ctx->workload = workload_;
   ctx->opts = options_;
   ctx->total = uint64_t(options_.warmup_txns) + options_.measure_txns;
-  ctx->rng = Rng(options_.seed);
   if (options_.coordinator_for) {
     ctx->coordinator_for = options_.coordinator_for;
   } else {

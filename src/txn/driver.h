@@ -20,10 +20,9 @@ namespace miniraid {
 /// outstanding transactions; a new one is submitted the moment a reply
 /// arrives. This measures peak pipelined throughput.
 ///
-/// Open loop (arrival_per_sec > 0): transactions arrive on a fixed or
-/// Poisson schedule regardless of completions, the way production traffic
-/// does; latency then includes any queueing behind the cluster's
-/// submission window.
+/// Open loop (arrival_per_sec > 0): transactions arrive at fixed spacing
+/// regardless of completions, the way production traffic does; latency
+/// then includes any queueing behind the cluster's submission window.
 struct DriverOptions {
   /// Closed-loop population. 1 reproduces the paper's serial submission.
   uint32_t concurrency = 1;
@@ -31,17 +30,11 @@ struct DriverOptions {
   /// Open-loop arrival rate in transactions per second of cluster time
   /// (virtual under sim). 0 = closed loop.
   double arrival_per_sec = 0.0;
-  /// Open loop only: exponential (Poisson) inter-arrival gaps instead of
-  /// fixed spacing.
-  bool poisson_arrivals = false;
 
   /// Transactions submitted before measurement starts (not recorded).
   uint32_t warmup_txns = 0;
   /// Transactions submitted and recorded in the measure phase.
   uint32_t measure_txns = 100;
-
-  /// Seed for arrival-gap randomness (Poisson mode).
-  uint64_t seed = 1;
 
   /// Coordinator for the i-th submission (0-based, warmup included).
   /// Default: round-robin over all sites.

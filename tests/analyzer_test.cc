@@ -593,6 +593,19 @@ TEST(ProtocolEffectTest, GoldenHandlerWithoutDispatchCaseReports) {
   EXPECT_NE(stale.message.find("no dispatch case"), std::string::npos);
 }
 
+// `--effects out.txt` writes FormatEffectMap's output, so regenerating the
+// golden that way must reproduce the checked-in file, header included.
+TEST(ProtocolEffectTest, CheckedInGoldenFormatsBackByteForByte) {
+  std::ifstream in(MINIRAID_EFFECTS_GOLDEN);
+  ASSERT_TRUE(in) << "cannot read " << MINIRAID_EFFECTS_GOLDEN;
+  std::ostringstream golden;
+  golden << in.rdbuf();
+  EffectMap map;
+  map.handlers = ParseEffectGolden(golden.str());
+  ASSERT_GE(map.handlers.size(), 20u);
+  EXPECT_EQ(FormatEffectMap(map), golden.str());
+}
+
 // ---------------------------------------------------------------------------
 // Shared-state pass (guarded-by inference).
 // ---------------------------------------------------------------------------

@@ -56,66 +56,6 @@ TEST(AbstractModelTest, InterleavedCommitsClosureIsClean) {
   EXPECT_EQ(r.max_depth_reached, 20u);
 }
 
-TEST(AbstractModelTest, BatchedCommitsClosureIsClean) {
-  // Group commit: prepared slots sharing a coordinator and participant set
-  // may also drain through one atomic kEndBatchCommit (batched apply +
-  // coalesced fail-lock maintenance, mirroring the engine's BatchCommit
-  // round). The flag only ADDS interleavings over the interleaved closure
-  // — every batched apply reaches a state the per-slot kEndCommit sequence
-  // also reaches — so the same properties must close clean.
-  AbstractConfig cfg = BaseConfig();
-  cfg.interleaved_commits = true;
-  cfg.batched_commits = true;
-  AbstractResult r = ExploreAbstract(cfg);
-  ASSERT_FALSE(r.violation.has_value())
-      << r.violation->detail << "\n" << r.violation->state;
-  EXPECT_FALSE(r.depth_bounded);
-  EXPECT_FALSE(r.state_bounded);
-  // Batched draining is a shortcut through states the singleton actions
-  // already visit: the canonical state count must match the interleaved
-  // closure exactly, while the edge count grows (the new actions).
-  AbstractConfig plain = BaseConfig();
-  plain.interleaved_commits = true;
-  AbstractResult base = ExploreAbstract(plain);
-  EXPECT_EQ(r.states_visited, base.states_visited);
-  EXPECT_GT(r.transitions, base.transitions);
-}
-
-TEST(AbstractModelTest, BatchedCommitsRequireASharedParticipantSet) {
-  // Two prepared slots at the same coordinator enable exactly one
-  // kEndBatchCommit group action, and applying it drains both slots with
-  // identical fail-lock rows (the coalesced maintenance writes the
-  // complement of the shared mask everywhere).
-  AbstractConfig cfg = BaseConfig();
-  cfg.interleaved_commits = true;
-  cfg.batched_commits = true;
-  ModelState s = InitialState(cfg);
-  s = ApplyAction(cfg, s, {AbstractAction::Kind::kBeginCommit, 0, 0, 0});
-  s = ApplyAction(cfg, s, {AbstractAction::Kind::kBeginCommit, 0, 0, 1});
-  std::vector<AbstractAction> actions = EnabledActions(cfg, s);
-  int batch_actions = 0;
-  AbstractAction batch{};
-  for (const AbstractAction& a : actions) {
-    if (a.kind == AbstractAction::Kind::kEndBatchCommit) {
-      ++batch_actions;
-      batch = a;
-    }
-  }
-  ASSERT_EQ(batch_actions, 1);
-  EXPECT_EQ(batch.site, 0);
-  EXPECT_EQ(batch.peer, 0x07);  // all three sites up = the full mask
-  ModelState done = ApplyAction(cfg, s, batch);
-  for (uint8_t x = 0; x < 2; ++x) {
-    EXPECT_FALSE(done.pend[x].active);
-    EXPECT_EQ(done.latest[x], 1);
-    for (uint8_t j = 0; j < 3; ++j) {
-      EXPECT_EQ(done.site[j].ver[x], 1);
-      EXPECT_EQ(done.site[j].locks[x], 0);  // nobody outside the mask
-    }
-  }
-  EXPECT_FALSE(CheckState(cfg, done).has_value());
-}
-
 TEST(AbstractModelTest, AgreementHoldsAtClosureWithFixedSemantics) {
   AbstractConfig cfg = BaseConfig();
   cfg.check_lock_agreement = true;
@@ -245,7 +185,7 @@ TEST(AbstractModelTest, StateBoundReportsInsteadOfFailing) {
 
 TEST(ActionVocabularyTest, CoversAllKindsInOrderWithUniqueNames) {
   const auto& vocab = AbstractActionVocabulary();
-  ASSERT_EQ(vocab.size(), 10u);
+  ASSERT_EQ(vocab.size(), 9u);
   std::set<std::string> names;
   for (size_t i = 0; i < vocab.size(); ++i) {
     EXPECT_EQ(static_cast<size_t>(vocab[i].kind), i);
@@ -270,10 +210,13 @@ TEST(ActionVocabularyTest, EffectGoldenStaysInsideTheVocabulary) {
   }
 
   // Pure acks and client-side replies carry no effects, so no abstract
-  // action claims them; they are still legitimate golden entries.
+  // action claims them; they are still legitimate golden entries. So are
+  // the retired group-commit types, which the dispatcher ignores.
   const std::set<std::string> pure_wire_steps = {
-      "kChannelAck", "kClearFailLocksAck", "kCopyCreateAck", "kFailureAck",
-      "kShutdown", "kTxnReply"};
+      "kChannelAck",     "kClearFailLocksAck", "kCopyCreateAck",
+      "kFailureAck",     "kShutdown",          "kTxnReply",
+      "kBatchPrepare",   "kBatchPrepareAck",   "kBatchCommit",
+      "kBatchCommitAck"};
 
   std::string line;
   int handlers_seen = 0;

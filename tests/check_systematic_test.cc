@@ -156,6 +156,30 @@ TEST(SystematicTest, TraceUnderAnotherDeadlockPolicyIsRefused) {
   }
 }
 
+TEST(SystematicTest, TraceWithGroupCommitIsRefused) {
+  // Every transaction commits in its own 2PC round. An older trace whose
+  // "batching" block leaves group commit off still reads; one recorded
+  // with max_batch > 1 is refused with an error naming it.
+  const std::string json =
+      TraceToJson(RecordGoldenTrace(Scenario("interleaved-2pl")));
+  EXPECT_EQ(json.find("batching"), std::string::npos);
+  const std::string key = "\"note\": ";
+  const size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos) << json;
+  auto with_max_batch = [&](int max_batch) {
+    std::string out = json;
+    out.insert(at, "\"batching\": {\"max_batch\": " +
+                       std::to_string(max_batch) + "},\n  ");
+    return out;
+  };
+  EXPECT_TRUE(TraceFromJson(with_max_batch(1)).ok());
+  Result<CheckTrace> parsed = TraceFromJson(with_max_batch(2));
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().ToString().find("max_batch 2"), std::string::npos)
+      << parsed.status().ToString();
+}
+
 TEST(SystematicTest, ReadOnlyScenarioIsCleanAndEndsWithACopier) {
   SystematicOptions opts = Scenario("read-only-2pl");
   EXPECT_TRUE(opts.concurrency.locking());
@@ -241,7 +265,6 @@ INSTANTIATE_TEST_SUITE_P(
         PinnedExploration{"recovery-window", 119, 0x981b5674d899f750ull},
         PinnedExploration{"double-failure", 20000, 0x61e0acefae4bc87eull},
         PinnedExploration{"interleaved-2pl", 51046, 0x9e046c983e9eeee4ull},
-        PinnedExploration{"batched-commit", 80000, 0x8e0f540328148015ull},
         PinnedExploration{"read-only-2pl", 10806, 0xaf8c9b3e9f81140cull}),
     [](const ::testing::TestParamInfo<PinnedExploration>& info) {
       std::string name = info.param.scenario;

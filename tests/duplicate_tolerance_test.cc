@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "core/cluster.h"
 
 namespace miniraid {
@@ -244,6 +246,33 @@ TEST(DuplicateToleranceTest, DecisionQueryAnsweredFromOutcomeCache) {
   EXPECT_EQ(probe.CountOf(MsgType::kAbort), 1u);
   EXPECT_EQ(cluster.site(0).counters().decision_queries_answered, 1u);
   EXPECT_EQ(cluster.site(0).counters().decisions_presumed_abort, 1u);
+}
+
+TEST(DuplicateToleranceTest, DecisionQueryInCommitPhaseResendsTheCommit) {
+  // A coordinator in its commit phase has decided. A participant whose
+  // Commit was lost asks, and the live coordination sends it again.
+  ClusterOptions options = Options(2);
+  // Lost acks keep site 0 in its commit phase until its ack timeout.
+  options.transport.faults.drop_filter = [](const Message& msg) {
+    return msg.type == MsgType::kCommitAck;
+  };
+  auto cluster_owner = MakeSimCluster(options);
+  SimCluster& cluster = *cluster_owner;
+  Probe probe;
+  cluster.transport().Register(kProbe, &probe);
+  std::optional<TxnResult> reply;
+  cluster.SubmitTxn(MakeTxn(1, {Operation::Write(0, 1)}), 0,
+                    [&reply](const TxnResult& r) { reply = r; });
+  cluster.ScheduleAfter(Milliseconds(100), [&cluster] {
+    (void)cluster.transport().Send(
+        MakeMessage(kProbe, 0, DecisionQueryArgs{1}));
+  });
+  cluster.RunUntilIdle();
+
+  EXPECT_EQ(probe.CountOf(MsgType::kCommit), 1u);
+  EXPECT_EQ(cluster.site(0).counters().decision_queries_answered, 1u);
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->outcome, TxnOutcome::kCommitted);
 }
 
 }  // namespace

@@ -45,7 +45,7 @@ TEST(PartitionTest, MinoritySideDetectsMajorityAsFailed) {
   ClusterOptions options;
   options.n_sites = 3;
   options.db_size = 8;
-  options.transport.drop_filter = partition.Filter();
+  options.transport.faults.drop_filter = partition.Filter();
   auto cluster_owner = MakeSimCluster(options);
   SimCluster& cluster = *cluster_owner;
 
@@ -70,7 +70,7 @@ TEST(PartitionTest, RowaaDivergesUnderPartitionTheDocumentedLimitation) {
   ClusterOptions options;
   options.n_sites = 2;
   options.db_size = 4;
-  options.transport.drop_filter = partition.Filter();
+  options.transport.faults.drop_filter = partition.Filter();
   auto cluster_owner = MakeSimCluster(options);
   SimCluster& cluster = *cluster_owner;
 
@@ -95,7 +95,7 @@ TEST(PartitionTest, HealedPartitionRecoversViaControlType1) {
   ClusterOptions options;
   options.n_sites = 3;
   options.db_size = 8;
-  options.transport.drop_filter = partition.Filter();
+  options.transport.faults.drop_filter = partition.Filter();
   auto cluster_owner = MakeSimCluster(options);
   SimCluster& cluster = *cluster_owner;
 

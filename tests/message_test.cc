@@ -53,11 +53,6 @@ std::vector<Payload> EveryPayloadSample() {
       ShutdownArgs{},
       DecisionQueryArgs{15},
       ChannelAckArgs{},
-      BatchPrepareArgs{16, {terminating}, {1, 2},
-                       {BatchMember{17, {ItemWrite{3, 9}}}}},
-      BatchPrepareAckArgs{16, /*accepted=*/false, {recovering}, {18}},
-      BatchCommitArgs{16, {17}, {18}},
-      BatchCommitAckArgs{16},
   };
 }
 
@@ -181,6 +176,34 @@ TEST(MessageTest, UnknownTypeByteRejected) {
   std::vector<uint8_t> wire = EncodeMessage(msg);
   wire[0] = 250;  // no such MsgType
   EXPECT_EQ(DecodeMessage(wire).status().code(), StatusCode::kCorruption);
+
+  // The retired group-commit types 22-25 keep their names but no payload:
+  // frames a group-commit build encoded (BatchPrepare, BatchPrepareAck,
+  // BatchCommit, BatchCommitAck, byte for byte) no longer decode.
+  const std::vector<std::vector<uint8_t>> retired = {
+      {0x16, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09,
+       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x02, 0x00, 0x00, 0x00,
+       0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+       0x00, 0x01, 0x03, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x02,
+       0x00, 0x00, 0x00, 0x02, 0x07, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+       0x02, 0x03, 0x00, 0x00, 0x00, 0x09, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+       0x00, 0x01, 0x00, 0x00, 0x00, 0x04, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+       0x00, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+       0x00, 0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
+      {0x17, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09,
+       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x01, 0x08, 0x00,
+       0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
+      {0x18, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09,
+       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x07, 0x00, 0x00, 0x00,
+       0x00, 0x00, 0x00, 0x00, 0x01, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+       0x00},
+      {0x19, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09,
+       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
+  };
+  for (const std::vector<uint8_t>& frame : retired) {
+    EXPECT_EQ(DecodeMessage(frame).status().code(), StatusCode::kCorruption)
+        << MsgTypeName(static_cast<MsgType>(frame[0]));
+  }
 }
 
 TEST(MessageTest, TrailingGarbageRejected) {
@@ -218,37 +241,6 @@ TEST(MessageTest, OutcomeBeyondLastTxnOutcomeRejected) {
   }
 }
 
-TEST(MessageTest, RoundTripBatchMessages) {
-  BatchPrepareArgs prepare;
-  prepare.batch = 9;
-  prepare.session_vector = {SessionEntryWire{2, SiteStatus::kUp},
-                            SessionEntryWire{1, SiteStatus::kDown}};
-  prepare.participants = {0, 1, 2};
-  prepare.members = {BatchMember{7, {ItemWrite{3, 9}, ItemWrite{1, 4}}},
-                     BatchMember{8, {ItemWrite{0, 2}}}};
-  ExpectRoundTrip(MakeMessage(0, 1, std::move(prepare)));
-
-  ExpectRoundTrip(MakeMessage(1, 0, BatchPrepareAckArgs{9, true, {}, {8}}));
-  BatchPrepareAckArgs veto;
-  veto.batch = 9;
-  veto.accepted = false;
-  veto.session_vector = {SessionEntryWire{3, SiteStatus::kUp}};
-  ExpectRoundTrip(MakeMessage(1, 0, std::move(veto)));
-
-  ExpectRoundTrip(MakeMessage(0, 1, BatchCommitArgs{9, {7}, {8}}));
-  ExpectRoundTrip(MakeMessage(1, 0, BatchCommitAckArgs{9}));
-}
-
-TEST(MessageTest, EmptyBatchVectorsRoundTrip) {
-  // Degenerate but wire-legal shapes: a member with no writes, an
-  // abort-only commit frame (the whole-batch-abort notification), an ack
-  // with nothing refused.
-  ExpectRoundTrip(
-      MakeMessage(0, 1, BatchPrepareArgs{1, {}, {}, {BatchMember{5, {}}}}));
-  ExpectRoundTrip(MakeMessage(0, 1, BatchCommitArgs{1, {}, {5, 6}}));
-  ExpectRoundTrip(MakeMessage(1, 0, BatchPrepareAckArgs{1, true, {}, {}}));
-}
-
 TEST(MessageTest, EveryTruncationFailsCleanly) {
   // Property: no prefix of a valid message decodes successfully, and none
   // crashes. Exercises bounds checks in every payload decoder.
@@ -269,13 +261,6 @@ TEST(MessageTest, EveryTruncationFailsCleanly) {
   txn.txn.id = 2;
   txn.txn.ops = {Operation::Write(1, 2)};
   corpus.push_back(MakeMessage(4, 0, std::move(txn)));
-  BatchPrepareArgs batch;
-  batch.batch = 7;
-  batch.session_vector = {SessionEntryWire{2, SiteStatus::kUp}};
-  batch.participants = {0, 1};
-  batch.members = {BatchMember{3, {ItemWrite{1, 9}}}, BatchMember{4, {}}};
-  corpus.push_back(MakeMessage(0, 1, std::move(batch)));
-  corpus.push_back(MakeMessage(0, 1, BatchCommitArgs{7, {3}, {4}}));
 
   for (const Message& msg : corpus) {
     const std::vector<uint8_t> wire = EncodeMessage(msg);

@@ -103,7 +103,7 @@ TEST(SimTransportTest, FifoPerPair) {
 TEST(SimTransportTest, DropFilterInjectsLoss) {
   SimRuntime sim;
   SimTransportOptions options;
-  options.drop_filter = [](const Message& msg) {
+  options.faults.drop_filter = [](const Message& msg) {
     return msg.type == MsgType::kCommit;
   };
   SimTransport transport(&sim, options);

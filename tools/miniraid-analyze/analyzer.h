@@ -453,8 +453,14 @@ struct EffectMap {
 };
 
 EffectMap BuildEffectMap(const Model& model, const CheckOptions& opts);
-// One `kEnumerator: effect effect...` line per handler ("-" when pure).
+// The golden's comment header, then one `kEnumerator: effect effect...` line
+// per handler ("-" when pure).
 std::string FormatEffectMap(const EffectMap& map);
+// Parses golden text into handler -> effects: `kEnumerator: effect effect`
+// per line, "-" for a pure handler, '#' starts a comment, blank lines are
+// ignored.
+std::map<std::string, std::set<std::string>> ParseEffectGolden(
+    const std::string& text);
 // Diffs `map` against golden text ('#' comments allowed); appends one
 // "protocol-effect" finding per drifted, missing, or unexpected handler.
 void DiffEffectsAgainstGolden(const EffectMap& map, const std::string& golden,

@@ -159,8 +159,40 @@ EffectMap BuildEffectMap(const Model& model, const CheckOptions& opts) {
   return pass.Build();
 }
 
+// The comment block the golden opens with. FormatEffectMap writes it, so
+// `--effects out.txt` regenerates the golden byte for byte.
+constexpr char kEffectGoldenHeader[] =
+    R"(# Protocol-effect golden: the approved per-handler effect summary of
+# Site::OnMessage (src/replication/site.cc), as computed by
+# `miniraid-analyze --effects-golden` (see docs/ANALYSIS.md §8).
+#
+# Each line is `<MsgType enumerator>: <effect tokens>` ("-" = pure handler).
+# Effects are the synchronous call-graph closure of the dispatch case:
+# posted closures, timer continuations, and lock-grant callbacks are future
+# protocol steps and deliberately excluded.
+#
+# The vocabulary mirrors the abstract model's action alphabet
+# (src/check/abstract_model.cc, AbstractActionVocabulary()):
+#   send:<k*>        message transmission       (abstract transition labels)
+#   faillock.*       fail-lock table mutation   (kCommit / kEndRecovery /
+#                                                kRefresh bookkeeping)
+#   session.*        session-vector write       (kDetectFailure /
+#                                                kBeginRecovery / kEndRecovery)
+#   lockmgr.*        item-lock manager op       (kBeginCommit / kEndCommit)
+#   outcome.record   transaction-outcome cache  (kCommit decision durability)
+#
+# Intentional drift fails CI ("protocol-effect" findings): update this file
+# AND re-justify the change against the abstract model in src/check.
+#
+# Handler closures are wide by design: any handler that can complete a
+# transaction (ReplyAndClear) also drains the queued-request path, so it
+# inherits the coordinator effects (send:kPrepare, lockmgr.acquire, ...).
+
+)";
+
 std::string FormatEffectMap(const EffectMap& map) {
   std::ostringstream os;
+  os << kEffectGoldenHeader;
   for (const auto& kv : map.handlers) {
     os << kv.first << ":";
     if (kv.second.empty()) {
@@ -173,9 +205,7 @@ std::string FormatEffectMap(const EffectMap& map) {
   return os.str();
 }
 
-// Parses golden text: `kEnumerator: effect effect` per line, "-" for a pure
-// handler, '#' starts a comment, blank lines ignored.
-static std::map<std::string, std::set<std::string>> ParseGolden(
+std::map<std::string, std::set<std::string>> ParseEffectGolden(
     const std::string& text) {
   std::map<std::string, std::set<std::string>> out;
   std::istringstream is(text);
@@ -201,7 +231,8 @@ static std::map<std::string, std::set<std::string>> ParseGolden(
 
 void DiffEffectsAgainstGolden(const EffectMap& map, const std::string& golden,
                               std::vector<Finding>* findings) {
-  std::map<std::string, std::set<std::string>> want = ParseGolden(golden);
+  std::map<std::string, std::set<std::string>> want =
+      ParseEffectGolden(golden);
   auto at = [&map](const std::string& handler) {
     auto it = map.handler_lines.find(handler);
     return it != map.handler_lines.end() ? it->second : map.line;
