@@ -2,13 +2,21 @@
 // operations (consulted on every commit and every control transaction),
 // the trace log (to confirm tracing is cheap enough to leave on during
 // experiments), and the per-transaction steps of a site's 2PC path: the
-// item-lock release and a patience timer's schedule and cancel.
+// item-lock release, a patience timer's schedule and cancel, and the
+// in-process hand-over of many senders' messages to one site.
 
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <vector>
+
+#include "common/mutex.h"
 #include "common/rng.h"
 #include "metrics/trace.h"
 #include "net/event_loop.h"
+#include "net/inproc_transport.h"
 #include "replication/lock_manager.h"
 #include "replication/placement.h"
 #include "replication/session_vector.h"
@@ -121,6 +129,84 @@ void BM_EventLoopScheduleCancel(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventLoopScheduleCancel)->Arg(0)->Arg(64)->Arg(1024)->UseRealTime();
+
+/// Counts what it receives and wakes a waiter once an expected total has
+/// arrived.
+class FanInSink : public MessageHandler {
+ public:
+  /// Expects `n` more messages. Call before they are sent.
+  void Expect(uint64_t n) {
+    {
+      MutexLock lock(mu_);
+      done_ = false;
+    }
+    target_.fetch_add(n);
+  }
+
+  /// Blocks until every expected message has arrived.
+  void Wait() {
+    MutexLock lock(mu_);
+    while (!done_) cv_.Wait(mu_);
+  }
+
+  void OnMessage(const Message& msg) override {
+    benchmark::DoNotOptimize(msg.type);
+    if (++received_ != target_.load()) return;
+    {
+      MutexLock lock(mu_);
+      done_ = true;
+    }
+    cv_.NotifyOne();
+  }
+
+ private:
+  uint64_t received_ = 0;  // only the receiving loop touches it
+  std::atomic<uint64_t> target_{0};
+  Mutex mu_;
+  CondVar cv_;
+  bool done_ MR_GUARDED_BY(mu_) = false;
+};
+
+// Fan-in on the in-process transport, the shape of a coordinator
+// collecting its participants' acks: three sender loops each send
+// `range(0)` CommitArgs frames per iteration, in one task, to one
+// receiving loop. `ns_per_msg` is the wall time per message delivered.
+void BM_InProcFanIn(benchmark::State& state) {
+  constexpr SiteId kSenders = 3;
+  const auto per_sender = static_cast<TxnId>(state.range(0));
+  FanInSink sink;
+  FanInSink idle;  // the senders receive nothing
+  EventLoop receiver;
+  std::vector<std::unique_ptr<EventLoop>> senders;
+  InProcTransport transport;
+  transport.Register(kSenders, &receiver, &sink);
+  for (SiteId from = 0; from < kSenders; ++from) {
+    senders.push_back(std::make_unique<EventLoop>());
+    transport.Register(from, senders.back().get(), &idle);
+  }
+  TxnId txn = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    sink.Expect(kSenders * per_sender);
+    for (SiteId from = 0; from < kSenders; ++from) {
+      senders[from]->Post([&transport, from, first = txn, per_sender] {
+        for (TxnId t = first; t < first + per_sender; ++t) {
+          (void)transport.Send(MakeMessage(from, kSenders, CommitArgs{t}));
+        }
+      });
+    }
+    txn += per_sender;
+    sink.Wait();
+  }
+  const double elapsed_ns = std::chrono::duration<double, std::nano>(
+                                std::chrono::steady_clock::now() - start)
+                                .count();
+  const double messages =
+      static_cast<double>(state.iterations()) * kSenders * per_sender;
+  state.counters["ns_per_msg"] = elapsed_ns / messages;
+  state.SetItemsProcessed(static_cast<int64_t>(messages));
+}
+BENCHMARK(BM_InProcFanIn)->Arg(1)->Arg(16)->Arg(256)->UseRealTime();
 
 }  // namespace
 }  // namespace miniraid

@@ -226,6 +226,12 @@ void EventLoop::Poll(int64_t timeout_ns) {
   // block. miniraid-lint: allow(blocking-call)
   const int n = ::epoll_pwait2(epoll_fd_, events, kMaxEvents,
                                timeout_ns < 0 ? nullptr : &timeout, nullptr);
+  if (timeout_ns != 0) {
+    // Awake from here on: a Post from a callback below, such as
+    // TcpTransport's flush, must not write the loop's own eventfd.
+    MutexLock lock(mu_);
+    sleeping_ = false;
+  }
   if (n < 0) {
     MR_CHECK(errno == EINTR) << "epoll_pwait2: " << std::strerror(errno);
     return;
@@ -252,7 +258,6 @@ void EventLoop::Run() {
     int64_t timeout_ns = 0;
     {
       MutexLock lock(mu_);
-      sleeping_ = false;
       if (stopping_.load()) return;
       if (!tasks_.empty()) {
         if (polled || watched_ == 0) batch.swap(tasks_);

@@ -25,10 +25,12 @@ namespace miniraid {
 ///
 /// The loop sleeps in epoll on an eventfd plus every watched fd. Post and
 /// ScheduleAfter write the eventfd only when the loop is asleep, so a busy
-/// loop takes new work without a syscall. A loop that watches fds also
-/// polls them (zero timeout) between two back-to-back task batches, so a
-/// task stream that never drains cannot starve its sockets; a loop that
-/// watches none never polls while it has work.
+/// loop takes new work without a syscall. The loop counts as awake from
+/// the moment its wait returns, so the tasks its own fd callbacks post
+/// (TcpTransport's flush) cost no syscall either. A loop that watches fds
+/// also polls them (zero timeout) between two back-to-back task batches,
+/// so a task stream that never drains cannot starve its sockets; a loop
+/// that watches none never polls while it has work.
 class EventLoop {
  public:
   EventLoop();
@@ -140,7 +142,8 @@ class EventLoop {
   std::vector<TimerEntry> timer_heap_ MR_GUARDED_BY(mu_);
   TimerId next_timer_seq_ MR_GUARDED_BY(mu_) = 1;
   /// True while the loop waits (or is about to) in Poll; the first Post
-  /// that sees it writes the eventfd and clears it.
+  /// that sees it writes the eventfd and clears it, and Poll clears it as
+  /// soon as the wait returns.
   bool sleeping_ MR_GUARDED_BY(mu_) = false;
   /// Written under mu_ (so Post never queues after Stop); also read
   /// without it between the tasks of a batch, to stop promptly.

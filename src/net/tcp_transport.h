@@ -32,7 +32,7 @@ struct TcpTransportOptions {
 /// Message passing over real TCP sockets, one transport instance per site.
 /// One outbound connection per destination gives per-pair FIFO delivery
 /// (the paper's reliable ordered channel). InProcTransport is the same
-/// framing and delivery without the socket.
+/// framing, per-turn hand-over and delivery without the socket.
 ///
 /// Threading: one thread per endpoint, the site's own EventLoop. The loop
 /// accepts inbound connections, reads them non-blocking into a buffer per

@@ -47,13 +47,14 @@ class MessageHandler {
 /// delivered arrive in the order sent per (from, to) pair — a duplicate's
 /// delayed copy is the one exception — and Send never blocks on the
 /// receiver. The simulator schedules each delivery as an event. The two
-/// real backends append a frame (net/framing.h) to a buffer under a short
-/// lock: InProcTransport to the receiver's inbox, which one posted task
-/// drains on the receiver's loop, and TCP to a per-peer buffer that the
-/// sender's loop writes to a non-blocking socket, parking what the socket
-/// cannot take until it is writable. (TCP's one blocking call is the lazy
-/// loopback connect on the first Send to a peer, which does not wait for
-/// the peer's loop.)
+/// real backends append a frame (net/framing.h) to a per-destination
+/// buffer of the sender's and hand each buffer over once per turn of the
+/// sender's loop, in one posted flush task: InProcTransport moves it into
+/// the receiver's inbox, which one posted task drains on the receiver's
+/// loop, and TCP writes it to a non-blocking socket, parking what the
+/// socket cannot take until it is writable. (TCP's one blocking call is
+/// the lazy loopback connect on the first Send to a peer, which does not
+/// wait for the peer's loop.)
 class Transport {
  public:
   virtual ~Transport() = default;

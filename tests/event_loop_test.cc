@@ -9,7 +9,9 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <functional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -416,6 +418,45 @@ TEST(EventLoopTest, TimerFiresOnTimeWhileFdsAreWatched) {
   ASSERT_TRUE(WaitFor([&] { return fired_after_ns >= 0; }));
   EXPECT_GE(fired_after_ns, Milliseconds(5));
   EXPECT_LT(fired_after_ns, Milliseconds(100));
+  loop.PostAndWait([&] { loop.Unwatch(pipe.read_end()); });
+}
+
+/// The calling thread's write syscalls so far (the `syscw` line of
+/// /proc/thread-self/io), or -1 where that file is missing.
+int64_t ThreadWriteSyscalls() {
+  std::ifstream io("/proc/thread-self/io");
+  std::string key;
+  int64_t value = 0;
+  while (io >> key >> value) {
+    if (key == "syscw:") return value;
+  }
+  return -1;
+}
+
+TEST(EventLoopTest, PostFromFdCallbackOfWokenLoopWritesNoEventfd) {
+  if (ThreadWriteSyscalls() < 0) {
+    GTEST_SKIP() << "/proc/thread-self/io is missing";
+  }
+  EventLoop loop;
+  Pipe pipe;
+  std::atomic<int64_t> writes{-1};
+  std::atomic<bool> ran{false};
+  loop.PostAndWait([&] {
+    loop.Watch(pipe.read_end(), EPOLLIN, [&](uint32_t) {
+      char c;
+      EXPECT_EQ(::read(pipe.read_end(), &c, 1), 1);
+      const int64_t before = ThreadWriteSyscalls();
+      loop.Post([&ran] { ran = true; });
+      writes = ThreadWriteSyscalls() - before;
+    });
+  });
+  // The loop falls asleep with nothing to do; only the pipe wakes it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  pipe.Write();
+  ASSERT_TRUE(WaitFor([&] { return ran.load(); }));
+  // The loop is awake once its wait returns, so posting to it from its
+  // own callback needs no eventfd write.
+  EXPECT_EQ(writes, 0);
   loop.PostAndWait([&] { loop.Unwatch(pipe.read_end()); });
 }
 

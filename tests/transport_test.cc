@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -195,99 +196,181 @@ TEST(InProcTransportTest, UnknownDestinationIsError) {
 }
 
 TEST(InProcTransportTest, ConcurrentSendersEachKeepTheirOrder) {
-  // Four threads append to one inbox at once (run it under the tsan
+  // Four senders hand frames to one inbox at once (run it under the tsan
   // preset too); each sender's sequence must arrive whole and in order.
+  // The first `registered` senders send from tasks on their own loops, 100
+  // frames a task; the others from threads of their own, with no loop.
   constexpr SiteId kSenders = 4;
   constexpr TxnId kPerSender = 10000;
-  Collector collector;
-  EventLoop loop;
-  InProcTransport transport;
-  transport.Register(kSenders, &loop, &collector);
-  std::vector<std::thread> senders;
-  for (SiteId from = 0; from < kSenders; ++from) {
-    senders.emplace_back([&transport, from] {
-      for (TxnId t = 1; t <= kPerSender; ++t) {
+  for (const SiteId registered : {SiteId{0}, SiteId{3}}) {
+    SCOPED_TRACE(registered);
+    Collector collector;
+    Recorder idle;  // registered senders receive nothing
+    EventLoop loop;
+    InProcTransport transport;
+    // Declared after the transport, so the sender loops stop (finishing
+    // the task that may be sending) before it is destroyed.
+    std::vector<std::unique_ptr<EventLoop>> sender_loops;
+    transport.Register(kSenders, &loop, &collector);
+    for (SiteId from = 0; from < registered; ++from) {
+      sender_loops.push_back(std::make_unique<EventLoop>());
+      transport.Register(from, sender_loops.back().get(), &idle);
+    }
+    auto send = [&transport](SiteId from, TxnId first, TxnId last) {
+      for (TxnId t = first; t <= last; ++t) {
         ASSERT_TRUE(
             transport.Send(MakeMessage(from, kSenders, CommitArgs{t})).ok());
       }
-    });
-  }
-  for (std::thread& sender : senders) sender.join();
-  loop.PostAndWait([] {});  // every drain was posted before its Send returned
-  ASSERT_EQ(collector.Count(), size_t{kSenders} * kPerSender);
-  EXPECT_EQ(transport.messages_sent(), uint64_t{kSenders} * kPerSender);
-  std::vector<TxnId> last(kSenders, 0);
-  for (size_t i = 0; i < collector.Count(); ++i) {
-    const Message msg = collector.At(i);
-    ASSERT_LT(msg.from, kSenders);
-    ASSERT_EQ(msg.As<CommitArgs>().txn, last[msg.from] + 1)
-        << "sender " << msg.from;
-    last[msg.from] = msg.As<CommitArgs>().txn;
+    };
+    std::vector<std::thread> senders;
+    for (SiteId from = 0; from < kSenders; ++from) {
+      if (from < registered) {
+        for (TxnId t = 1; t <= kPerSender; t += 100) {
+          sender_loops[from]->Post([&send, from, t] { send(from, t, t + 99); });
+        }
+      } else {
+        senders.emplace_back([&send, from] { send(from, 1, kPerSender); });
+      }
+    }
+    for (std::thread& sender : senders) sender.join();
+    ASSERT_TRUE(collector.WaitForCount(size_t{kSenders} * kPerSender));
+    loop.PostAndWait([] {});
+    ASSERT_EQ(collector.Count(), size_t{kSenders} * kPerSender);
+    EXPECT_EQ(transport.messages_sent(), uint64_t{kSenders} * kPerSender);
+    std::vector<TxnId> last(kSenders, 0);
+    for (size_t i = 0; i < collector.Count(); ++i) {
+      const Message msg = collector.At(i);
+      ASSERT_LT(msg.from, kSenders);
+      ASSERT_EQ(msg.As<CommitArgs>().txn, last[msg.from] + 1)
+          << "sender " << msg.from;
+      last[msg.from] = msg.As<CommitArgs>().txn;
+    }
   }
 }
 
 TEST(InProcTransportTest, LatencyDelaysEveryMessageInSendOrder) {
   constexpr TxnId kCount = 50;
   const Duration latency = Milliseconds(5);
-  Collector collector;
-  EventLoop loop;
-  InProcTransportOptions options;
-  options.message_latency = latency;
-  InProcTransport transport(options);
-  transport.Register(1, &loop, &collector);
-  std::vector<SteadyTime> sent;
-  for (TxnId t = 1; t <= kCount; ++t) {
-    sent.push_back(std::chrono::steady_clock::now());
-    ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
-    if (t % 10 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  ASSERT_TRUE(collector.WaitForCount(kCount));
-  for (TxnId t = 1; t <= kCount; ++t) {
-    EXPECT_EQ(collector.At(t - 1).As<CommitArgs>().txn, t);
-    EXPECT_GE(collector.ArrivalAt(t - 1) - sent[t - 1],
-              std::chrono::nanoseconds(latency))
-        << "txn " << t;
+  // Site 0 sends from the test thread, then from a task on its own loop.
+  for (const bool registered : {false, true}) {
+    SCOPED_TRACE(registered);
+    Collector collector;
+    Recorder idle;
+    EventLoop loop;
+    EventLoop sender_loop;
+    InProcTransportOptions options;
+    options.message_latency = latency;
+    InProcTransport transport(options);
+    transport.Register(1, &loop, &collector);
+    if (registered) transport.Register(0, &sender_loop, &idle);
+    std::vector<SteadyTime> sent;
+    auto send_all = [&] {
+      for (TxnId t = 1; t <= kCount; ++t) {
+        sent.push_back(std::chrono::steady_clock::now());
+        ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
+        if (t % 10 == 0) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      }
+    };
+    if (registered) {
+      sender_loop.PostAndWait(send_all);
+    } else {
+      send_all();
+    }
+    ASSERT_TRUE(collector.WaitForCount(kCount));
+    for (TxnId t = 1; t <= kCount; ++t) {
+      EXPECT_EQ(collector.At(t - 1).As<CommitArgs>().txn, t);
+      EXPECT_GE(collector.ArrivalAt(t - 1) - sent[t - 1],
+                std::chrono::nanoseconds(latency))
+          << "txn " << t;
+    }
   }
 }
 
 TEST(InProcTransportTest, DuplicateCountsOnceAndFollowsItsOriginal) {
   constexpr TxnId kCount = 100;
-  for (const Duration delay : {Duration{0}, Milliseconds(2)}) {
-    SCOPED_TRACE(delay);
-    Collector collector;
-    EventLoop loop;
-    InProcTransportOptions options;
-    options.faults.duplicate_probability = 1.0;
-    options.faults.duplicate_delay = delay;
-    InProcTransport transport(options);
-    transport.Register(1, &loop, &collector);
-    std::vector<SteadyTime> sent;
-    for (TxnId t = 1; t <= kCount; ++t) {
-      sent.push_back(std::chrono::steady_clock::now());
+  // Site 0 sends from the test thread, then from a task on its own loop.
+  for (const bool registered : {false, true}) {
+    for (const Duration delay : {Duration{0}, Milliseconds(2)}) {
+      SCOPED_TRACE(testing::Message() << "registered " << registered
+                                      << ", delay " << delay);
+      Collector collector;
+      Recorder idle;
+      EventLoop loop;
+      EventLoop sender_loop;
+      InProcTransportOptions options;
+      options.faults.duplicate_probability = 1.0;
+      options.faults.duplicate_delay = delay;
+      InProcTransport transport(options);
+      transport.Register(1, &loop, &collector);
+      if (registered) transport.Register(0, &sender_loop, &idle);
+      std::vector<SteadyTime> sent;
+      auto send_all = [&] {
+        for (TxnId t = 1; t <= kCount; ++t) {
+          sent.push_back(std::chrono::steady_clock::now());
+          ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
+        }
+      };
+      if (registered) {
+        sender_loop.PostAndWait(send_all);
+      } else {
+        send_all();
+      }
+      ASSERT_TRUE(collector.WaitForCount(2 * kCount));
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      EXPECT_EQ(transport.messages_sent(), kCount);
+      ASSERT_EQ(collector.Count(), 2 * kCount);
+      // The first arrival of each message is its original, in send order;
+      // the second is its copy, `delay` or more after the Send (with no
+      // delay, right behind the original).
+      std::map<TxnId, int> seen;
+      TxnId next_original = 1;
+      for (size_t i = 0; i < 2 * kCount; ++i) {
+        const TxnId t = collector.At(i).As<CommitArgs>().txn;
+        if (++seen[t] == 1) {
+          EXPECT_EQ(t, next_original++);
+          continue;
+        }
+        EXPECT_EQ(seen[t], 2) << "txn " << t;
+        EXPECT_GE(collector.ArrivalAt(i) - sent[t - 1],
+                  std::chrono::nanoseconds(delay));
+        if (delay == 0) {
+          EXPECT_EQ(collector.At(i - 1).As<CommitArgs>().txn, t);
+        }
+      }
+    }
+  }
+}
+
+TEST(InProcTransportTest, RegisteredSenderHandsOverWhenItsTurnEnds) {
+  // Frames a loop task sends wait in its outbox until the task returns,
+  // however long it runs, then arrive together and in order.
+  Collector collector;
+  Recorder idle;
+  EventLoop loop;
+  EventLoop sender_loop;
+  InProcTransport transport;
+  transport.Register(1, &loop, &collector);
+  transport.Register(0, &sender_loop, &idle);
+  size_t delivered_mid_turn = 0;
+  sender_loop.PostAndWait([&] {
+    for (TxnId t = 1; t <= 50; ++t) {
       ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
     }
-    ASSERT_TRUE(collector.WaitForCount(2 * kCount));
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    EXPECT_EQ(transport.messages_sent(), kCount);
-    ASSERT_EQ(collector.Count(), 2 * kCount);
-    // The first arrival of each message is its original, in send order;
-    // the second is its copy, `delay` or more after the Send (with no
-    // delay, right behind the original).
-    std::map<TxnId, int> seen;
-    TxnId next_original = 1;
-    for (size_t i = 0; i < 2 * kCount; ++i) {
-      const TxnId t = collector.At(i).As<CommitArgs>().txn;
-      if (++seen[t] == 1) {
-        EXPECT_EQ(t, next_original++);
-        continue;
-      }
-      EXPECT_EQ(seen[t], 2) << "txn " << t;
-      EXPECT_GE(collector.ArrivalAt(i) - sent[t - 1],
-                std::chrono::nanoseconds(delay));
-      if (delay == 0) {
-        EXPECT_EQ(collector.At(i - 1).As<CommitArgs>().txn, t);
-      }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    delivered_mid_turn = collector.Count();
+    for (TxnId t = 51; t <= 100; ++t) {
+      ASSERT_TRUE(transport.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
     }
+  });
+  EXPECT_EQ(delivered_mid_turn, 0u);
+  EXPECT_EQ(transport.messages_sent(), 100u);
+  ASSERT_TRUE(collector.WaitForCount(100));
+  loop.PostAndWait([] {});
+  ASSERT_EQ(collector.Count(), 100u);
+  for (TxnId t = 1; t <= 100; ++t) {
+    EXPECT_EQ(collector.At(t - 1).As<CommitArgs>().txn, t);
   }
 }
 
