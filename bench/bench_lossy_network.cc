@@ -1,6 +1,6 @@
 // Lossy-network bench: sweeps message-loss rates over the deterministic
-// simulator and measures what the reliable channel + protocol retry budget
-// cost and buy — throughput, tail latency, per-2PC-phase latency, channel
+// simulator and measures what the reliable channel costs and buys —
+// throughput, tail latency, per-2PC-phase latency, channel
 // retransmissions/dedup, and (the acceptance bar) client timeouts, which
 // must stay at zero at every swept loss rate.
 //
@@ -68,12 +68,13 @@ Point RunPoint(const Config& config, double loss) {
   options.transport.faults.duplicate_probability =
       config.duplicate_probability;
   options.transport.faults.seed = 7;
-  // The repair stack under test: channel retransmission below the
-  // protocol, phase re-sends + decision queries inside it. The timeouts
-  // are sized so a full retry chain still beats the client timeout.
+  // The repair under test: channel retransmission below the protocol,
+  // the only layer that re-sends. ack_timeout is the coordinator's whole
+  // wait, sized to cover the channel's repair (RTO 100 ms, doubling per
+  // attempt) and still beat the client timeout; a prepared participant
+  // waits 3x as long.
   options.reliable.enabled = true;
-  options.site.retry_limit = 2;
-  options.site.ack_timeout = Milliseconds(500);
+  options.site.ack_timeout = Milliseconds(2375);
 
   auto cluster = MakeSimCluster(options);
 
@@ -179,7 +180,7 @@ bool Run(const Config& config) {
   }
 
   std::printf("=== Throughput and tail latency vs message loss "
-              "(reliable channel on, retry_limit=2, window=%u, %u "
+              "(reliable channel on, ack_timeout=2375ms, window=%u, %u "
               "txns/phase, dup=%.0f%%) ===\n",
               config.window, config.phase_txns,
               config.duplicate_probability * 100.0);
@@ -194,8 +195,8 @@ bool Run(const Config& config) {
 
   std::printf("\nExpected shape: throughput degrades gracefully with loss "
               "(every drop costs one\nRTO, ~100ms, of tail latency) while "
-              "unreachable stays at zero — the channel\nand the retry "
-              "budget absorb loss before the client timeout fires.\n");
+              "unreachable stays at zero — the channel\nabsorbs loss "
+              "before the client timeout fires.\n");
 
   if (!config.json_path.empty()) {
     std::ofstream out(config.json_path);

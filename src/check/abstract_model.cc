@@ -213,7 +213,7 @@ const std::vector<ActionEffectVocabulary>& AbstractActionVocabulary() {
       {Kind::kCommit,
        "kCommit",
        {"kTxnRequest", "kPrepare", "kPrepareAck", "kCommit", "kCommitAck",
-        "kAbort", "kTxnReply", "kDecisionQuery"},
+        "kAbort", "kTxnReply"},
        {"send:kPrepare", "send:kPrepareAck", "send:kCommit", "send:kCommitAck",
         "send:kAbort", "send:kTxnReply", "faillock.set", "faillock.clear",
         "session.merge", "outcome.record", "lockmgr.acquire",

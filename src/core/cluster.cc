@@ -1,6 +1,7 @@
 #include "core/cluster.h"
 
 #include <chrono>
+#include <functional>
 #include <optional>
 #include <thread>
 
@@ -10,14 +11,26 @@
 namespace miniraid {
 namespace {
 
-/// Per-endpoint channel options: each endpoint gets its own retransmission
-/// jitter stream so simultaneous losses at different senders back off on
-/// decorrelated schedules.
-ReliableChannelOptions ChannelOptionsFor(const ReliableChannelOptions& base,
-                                         SiteId endpoint) {
-  ReliableChannelOptions options = base;
-  options.seed = base.seed + endpoint;
-  return options;
+/// Builds one endpoint (a site or the managing site) over `inner`, its
+/// backend's transport. With the reliable channel off the endpoint sends
+/// through `inner`, and `inner` delivers to it. With the channel on the
+/// endpoint sends through its own ReliableChannel stacked on `inner`
+/// (appended to `channels`), `inner` delivers into the channel, and the
+/// channel passes in-order, deduplicated messages up. `make` builds the
+/// endpoint from the transport it sends through and returns it. Returns
+/// the handler `inner` must deliver this endpoint's messages to.
+template <typename Make>
+MessageHandler* WireEndpoint(
+    SiteId id, bool reliable, Transport* inner, SiteRuntime* runtime,
+    std::vector<std::unique_ptr<ReliableChannel>>* channels, Make make) {
+  if (!reliable) return make(inner);
+  ReliableChannel* channel =
+      channels
+          ->emplace_back(std::make_unique<ReliableChannel>(
+              id, inner, runtime, /*upper=*/nullptr))
+          .get();
+  channel->set_upper(make(channel));
+  return channel;
 }
 
 }  // namespace
@@ -29,45 +42,27 @@ ReliableChannelOptions ChannelOptionsFor(const ReliableChannelOptions& base,
 SimCluster::SimCluster(const ClusterOptions& options)
     : Cluster(options), sim_(options.sim) {
   transport_ = std::make_unique<SimTransport>(&sim_, options_.transport);
-  // With the reliable layer on, every endpoint sends and receives through
-  // its own ReliableChannel stacked on the shared SimTransport: the site
-  // sends into the channel, the transport delivers into the channel, and
-  // the channel delivers in-order deduplicated messages up to the site.
   const bool reliable = options_.reliable.enabled;
   for (SiteId id = 0; id < options_.n_sites; ++id) {
-    Transport* site_transport = transport_.get();
-    if (reliable) {
-      channels_.push_back(std::make_unique<ReliableChannel>(
-          id, transport_.get(), sim_.RuntimeFor(id), /*upper=*/nullptr,
-          ChannelOptionsFor(options_.reliable, id)));
-      site_transport = channels_.back().get();
-    }
-    sites_.push_back(std::make_unique<Site>(id, options_.site, site_transport,
-                                            sim_.RuntimeFor(id)));
-    if (reliable) {
-      channels_.back()->set_upper(sites_.back().get());
-      transport_->Register(id, channels_.back().get());
-    } else {
-      transport_->Register(id, sites_.back().get());
-    }
+    SiteRuntime* runtime = sim_.RuntimeFor(id);
+    transport_->Register(
+        id, WireEndpoint(id, reliable, transport_.get(), runtime, &channels_,
+                         [&](Transport* transport) {
+                           sites_.push_back(std::make_unique<Site>(
+                               id, options_.site, transport, runtime));
+                           return sites_.back().get();
+                         }));
   }
-  Transport* managing_transport = transport_.get();
-  if (reliable) {
-    channels_.push_back(std::make_unique<ReliableChannel>(
-        managing_id(), transport_.get(), sim_.RuntimeFor(managing_id()),
-        /*upper=*/nullptr, ChannelOptionsFor(options_.reliable,
-                                             managing_id())));
-    managing_transport = channels_.back().get();
-  }
-  managing_ = std::make_unique<ManagingSite>(
-      managing_id(), managing_transport, sim_.RuntimeFor(managing_id()),
-      options_.managing);
-  if (reliable) {
-    channels_.back()->set_upper(managing_.get());
-    transport_->Register(managing_id(), channels_.back().get());
-  } else {
-    transport_->Register(managing_id(), managing_.get());
-  }
+  const SiteId managing = managing_id();
+  SiteRuntime* runtime = sim_.RuntimeFor(managing);
+  transport_->Register(
+      managing,
+      WireEndpoint(managing, reliable, transport_.get(), runtime, &channels_,
+                   [&](Transport* transport) {
+                     managing_ = std::make_unique<ManagingSite>(
+                         managing, transport, runtime, options_.managing);
+                     return managing_.get();
+                   }));
   window_ =
       std::make_unique<SubmitWindow>(managing_.get(), options_.max_inflight);
 }
@@ -218,95 +213,56 @@ Status RealCluster::Start() {
         std::make_unique<ThreadSiteRuntime>(loops_.back().get(), &clock_));
   }
 
-  const bool reliable = options_.reliable.enabled;
+  // Each endpoint's backend transport, and how that transport is told
+  // where to deliver. Inproc has one transport that delivers on each
+  // endpoint's loop. TCP has one per endpoint (sites + managing), created
+  // handler-less first (breaking the site <-> transport dependency cycle),
+  // then wired and started.
+  std::function<Transport*(SiteId)> inner;
+  std::function<void(SiteId, MessageHandler*)> attach;
   if (options_.backend == ClusterBackend::kInProc) {
     inproc_ = std::make_unique<InProcTransport>(options_.inproc);
-    for (SiteId id = 0; id < options_.n_sites; ++id) {
-      Transport* site_transport = inproc_.get();
-      if (reliable) {
-        channels_.push_back(std::make_unique<ReliableChannel>(
-            id, inproc_.get(), runtimes_[id].get(), /*upper=*/nullptr,
-            ChannelOptionsFor(options_.reliable, id)));
-        site_transport = channels_.back().get();
-      }
-      sites_.push_back(std::make_unique<Site>(
-          id, options_.site, site_transport, runtimes_[id].get()));
-      if (reliable) {
-        channels_.back()->set_upper(sites_.back().get());
-        inproc_->Register(id, loops_[id].get(), channels_.back().get());
-      } else {
-        inproc_->Register(id, loops_[id].get(), sites_.back().get());
-      }
+    inner = [this](SiteId) -> Transport* { return inproc_.get(); };
+    attach = [this](SiteId id, MessageHandler* handler) {
+      inproc_->Register(id, loops_[id].get(), handler);
+    };
+  } else {
+    const uint16_t base = options_.base_port != 0 ? options_.base_port
+                                                  : PickEphemeralBasePort();
+    std::map<SiteId, uint16_t> ports;
+    for (uint32_t i = 0; i < total; ++i) {
+      ports[i] = static_cast<uint16_t>(base + i);
     }
-    Transport* managing_transport = inproc_.get();
-    if (reliable) {
-      channels_.push_back(std::make_unique<ReliableChannel>(
-          managing_id(), inproc_.get(), runtimes_[managing_id()].get(),
-          /*upper=*/nullptr,
-          ChannelOptionsFor(options_.reliable, managing_id())));
-      managing_transport = channels_.back().get();
+    for (uint32_t i = 0; i < total; ++i) {
+      tcp_.push_back(std::make_unique<TcpTransport>(
+          static_cast<SiteId>(i), ports, loops_[i].get(), /*handler=*/nullptr,
+          options_.tcp));
     }
-    managing_ = std::make_unique<ManagingSite>(
-        managing_id(), managing_transport, runtimes_[managing_id()].get(),
-        options_.managing);
-    if (reliable) {
-      channels_.back()->set_upper(managing_.get());
-      inproc_->Register(managing_id(), loops_[managing_id()].get(),
-                        channels_.back().get());
-    } else {
-      inproc_->Register(managing_id(), loops_[managing_id()].get(),
-                        managing_.get());
-    }
-    window_ = std::make_unique<SubmitWindow>(managing_.get(),
-                                             options_.max_inflight);
-    return Status::Ok();
+    inner = [this](SiteId id) -> Transport* { return tcp_[id].get(); };
+    attach = [this](SiteId id, MessageHandler* handler) {
+      tcp_[id]->set_handler(handler);
+    };
   }
 
-  // TCP: every endpoint (sites + managing) gets its own transport. The
-  // transports are created handler-less first (breaking the site <->
-  // transport dependency cycle), then wired and started.
-  const uint16_t base =
-      options_.base_port != 0 ? options_.base_port : PickEphemeralBasePort();
-  std::map<SiteId, uint16_t> ports;
-  for (uint32_t i = 0; i < total; ++i) {
-    ports[i] = static_cast<uint16_t>(base + i);
-  }
-  for (uint32_t i = 0; i < total; ++i) {
-    tcp_.push_back(std::make_unique<TcpTransport>(
-        static_cast<SiteId>(i), ports, loops_[i].get(), /*handler=*/nullptr,
-        options_.tcp));
-    if (reliable) {
-      channels_.push_back(std::make_unique<ReliableChannel>(
-          static_cast<SiteId>(i), tcp_.back().get(), runtimes_[i].get(),
-          /*upper=*/nullptr,
-          ChannelOptionsFor(options_.reliable, static_cast<SiteId>(i))));
-    }
-  }
+  const bool reliable = options_.reliable.enabled;
   for (SiteId id = 0; id < options_.n_sites; ++id) {
-    Transport* site_transport =
-        reliable ? static_cast<Transport*>(channels_[id].get())
-                 : static_cast<Transport*>(tcp_[id].get());
-    sites_.push_back(std::make_unique<Site>(id, options_.site, site_transport,
-                                            runtimes_[id].get()));
-    if (reliable) {
-      channels_[id]->set_upper(sites_.back().get());
-      tcp_[id]->set_handler(channels_[id].get());
-    } else {
-      tcp_[id]->set_handler(sites_.back().get());
-    }
+    SiteRuntime* runtime = runtimes_[id].get();
+    attach(id, WireEndpoint(id, reliable, inner(id), runtime, &channels_,
+                            [&](Transport* transport) {
+                              sites_.push_back(std::make_unique<Site>(
+                                  id, options_.site, transport, runtime));
+                              return sites_.back().get();
+                            }));
   }
-  Transport* managing_transport =
-      reliable ? static_cast<Transport*>(channels_[managing_id()].get())
-               : static_cast<Transport*>(tcp_[managing_id()].get());
-  managing_ = std::make_unique<ManagingSite>(
-      managing_id(), managing_transport,
-      runtimes_[managing_id()].get(), options_.managing);
-  if (reliable) {
-    channels_[managing_id()]->set_upper(managing_.get());
-    tcp_[managing_id()]->set_handler(channels_[managing_id()].get());
-  } else {
-    tcp_[managing_id()]->set_handler(managing_.get());
-  }
+  const SiteId managing = managing_id();
+  SiteRuntime* runtime = runtimes_[managing].get();
+  attach(managing,
+         WireEndpoint(managing, reliable, inner(managing), runtime,
+                      &channels_, [&](Transport* transport) {
+                        managing_ = std::make_unique<ManagingSite>(
+                            managing, transport, runtime, options_.managing);
+                        return managing_.get();
+                      }));
   window_ =
       std::make_unique<SubmitWindow>(managing_.get(), options_.max_inflight);
   for (auto& transport : tcp_) {

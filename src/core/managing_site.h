@@ -74,8 +74,9 @@ class ManagingSite : public MessageHandler {
   /// often a commit racing the timeout on a slow or lossy network. The
   /// caller-visible tallies are not retroactively rewritten (the caller
   /// already acted on the timeout); this counter sizes the lie. A non-zero
-  /// value under loss means client_timeout is too tight for the retry
-  /// chain underneath it. See docs/API.md.
+  /// value under loss means client_timeout is too tight for the timeouts
+  /// underneath it (ack_timeout and the channel's repair). See
+  /// docs/API.md.
   MR_RUNS_ON(managing) uint64_t late_outcomes() const { return late_outcomes_; }
 
   MR_RUNS_ON(any) SiteId id() const { return id_; }

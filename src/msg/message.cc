@@ -154,7 +154,6 @@ struct PayloadEncoder {
   void operator()(const FailSiteArgs&) {}
   void operator()(const RecoverSiteArgs&) {}
   void operator()(const ShutdownArgs&) {}
-  void operator()(const DecisionQueryArgs& a) { enc.PutU64(a.txn); }
   void operator()(const ChannelAckArgs&) {}
 };
 
@@ -296,12 +295,6 @@ Status DecodePayload(MsgType type, Decoder& dec, Payload* out) {
     case MsgType::kShutdown:
       *out = ShutdownArgs{};
       return Status::Ok();
-    case MsgType::kDecisionQuery: {
-      DecisionQueryArgs a;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.txn));
-      *out = a;
-      return Status::Ok();
-    }
     case MsgType::kChannelAck:
       *out = ChannelAckArgs{};
       return Status::Ok();
@@ -358,8 +351,6 @@ std::string_view MsgTypeName(MsgType type) {
       return "RecoverSite";
     case MsgType::kShutdown:
       return "Shutdown";
-    case MsgType::kDecisionQuery:
-      return "DecisionQuery";
     case MsgType::kChannelAck:
       return "ChannelAck";
     case MsgType::kBatchPrepare:
@@ -416,7 +407,7 @@ Result<Message> DecodeMessage(const uint8_t* data, size_t size) {
   Decoder dec(data, size);
   uint8_t type_byte = 0;
   MINIRAID_RETURN_IF_ERROR(dec.GetU8(&type_byte));
-  // kChannelAck is the last type with a payload; 22-25 are retired.
+  // kChannelAck is the last type with a payload; 21-24 are retired.
   if (type_byte > static_cast<uint8_t>(MsgType::kChannelAck)) {
     return Status::Corruption("unknown message type byte");
   }

@@ -53,16 +53,15 @@ enum class MsgType : uint8_t {
   kShutdown = 19,     // managing -> site: terminate cleanly
 
   // Reliable-delivery machinery (lossy-network extension).
-  kDecisionQuery = 20,  // in-doubt participant -> coordinator: outcome?
-  kChannelAck = 21,     // ReliableChannel ack (value rides in the header)
+  kChannelAck = 20,  // ReliableChannel ack (value rides in the header)
 
   // Retired group-commit frames. No payload carries them and the decoder
   // refuses their type bytes; the names stay only because
   // e2ebench/main.cc lists them.
-  kBatchPrepare = 22,
-  kBatchPrepareAck = 23,
-  kBatchCommit = 24,
-  kBatchCommitAck = 25,
+  kBatchPrepare = 21,
+  kBatchPrepareAck = 22,
+  kBatchCommit = 23,
+  kBatchCommitAck = 24,
 };
 
 std::string_view MsgTypeName(MsgType type);
@@ -269,16 +268,6 @@ struct ShutdownArgs {
   friend bool operator==(const ShutdownArgs&, const ShutdownArgs&) = default;
 };
 
-/// An in-doubt participant (its patience timer fired while a transaction
-/// was still staged) asks the coordinator for the outcome. The coordinator
-/// answers with a Commit or Abort; a transaction it has no record of is
-/// presumed aborted (see docs/PROTOCOL.md, reliable delivery).
-struct DecisionQueryArgs {
-  TxnId txn = 0;
-  friend bool operator==(const DecisionQueryArgs&, const DecisionQueryArgs&) =
-      default;
-};
-
 /// Standalone acknowledgement emitted by a ReliableChannel when it has no
 /// outbound data message to piggyback the cumulative ack on. The ack value
 /// itself rides in the message header (Message::ack); the payload is empty.
@@ -299,7 +288,7 @@ using Payload =
                  RecoveryAnnounceArgs, RecoveryInfoArgs, FailureAnnounceArgs,
                  FailureAckArgs, CopyCreateArgs, CopyCreateAckArgs,
                  FailSiteArgs, RecoverSiteArgs, ShutdownArgs,
-                 DecisionQueryArgs, ChannelAckArgs>;
+                 ChannelAckArgs>;
 
 /// One protocol message. `from`/`to` identify sites (the managing site has
 /// an id too). The payload variant index always matches `type`.

@@ -15,7 +15,7 @@ namespace miniraid {
 /// backends, so a lossy-network experiment configured once runs anywhere.
 /// The paper assumes a reliable network ("no messages were lost"); these
 /// knobs deliberately break that assumption to exercise the reliable
-/// channel and the protocol's retry machinery.
+/// channel and the protocol's duplicate tolerance.
 struct TransportFaults {
   /// Probability that a message is silently dropped.
   double drop_probability = 0.0;

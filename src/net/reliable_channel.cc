@@ -22,14 +22,12 @@ constexpr uint32_t kMaxRetransmits = 8;
 }  // namespace
 
 ReliableChannel::ReliableChannel(SiteId self, Transport* inner,
-                                 SiteRuntime* runtime, MessageHandler* upper,
-                                 const ReliableChannelOptions& options)
+                                 SiteRuntime* runtime, MessageHandler* upper)
     : self_(self),
       inner_(inner),
       runtime_(runtime),
       upper_(upper),
-      options_(options),
-      jitter_rng_(options.seed) {}
+      jitter_rng_(1 + uint64_t{self}) {}
 
 ReliableChannel::~ReliableChannel() {
   for (auto& [peer, state] : peers_) {
@@ -41,7 +39,6 @@ ReliableChannel::~ReliableChannel() {
 }
 
 Status ReliableChannel::Send(const Message& msg) {
-  if (!options_.enabled) return inner_->Send(msg);
   PeerState& peer = Peer(msg.to);
   Message stamped = msg;
   stamped.seq = peer.send.next_seq++;
@@ -56,10 +53,6 @@ Status ReliableChannel::Send(const Message& msg) {
 }
 
 void ReliableChannel::OnMessage(const Message& msg) {
-  if (!options_.enabled) {
-    upper_->OnMessage(msg);
-    return;
-  }
   HandleAck(msg.from, msg.ack);
   if (msg.type == MsgType::kChannelAck) return;  // header-only, never data
   if (msg.seq == 0) {

@@ -12,13 +12,11 @@
 namespace miniraid {
 
 struct ReliableChannelOptions {
-  /// Master switch. Off by default: the stack then behaves exactly as
-  /// before this layer existed (messages travel with seq = 0 and no acks),
-  /// which is what the paper's reliable-network experiments assume.
+  /// Master switch, read where a cluster wires its endpoints: on, every
+  /// endpoint sends and receives through its own ReliableChannel. Off by
+  /// default: no channel is built, so messages travel with seq = 0 and no
+  /// acks, which is what the paper's reliable-network experiments assume.
   bool enabled = false;
-
-  /// Seed for the retransmission jitter stream.
-  uint64_t seed = 1;
 };
 
 /// At-least-once delivery with receiver-side dedup over any Transport —
@@ -34,7 +32,8 @@ struct ReliableChannelOptions {
 /// message). The retransmission timeout is fixed: 100 ms for the first
 /// re-send, doubled per attempt up to 2 s, plus a uniform jitter in
 /// [0, 20 ms] so synchronized senders decorrelate instead of
-/// retransmitting in lockstep. Per source it delivers in
+/// retransmitting in lockstep; each channel seeds its jitter stream with
+/// 1 + its endpoint id. Per source it delivers in
 /// sequence order exactly once — duplicates (retransmissions or
 /// transport-injected copies) are suppressed and re-acked, gaps are
 /// buffered — so the upper layer keeps the per-pair FIFO ordering the
@@ -64,7 +63,7 @@ struct ReliableChannelOptions {
 class ReliableChannel : public Transport, public MessageHandler {
  public:
   ReliableChannel(SiteId self, Transport* inner, SiteRuntime* runtime,
-                  MessageHandler* upper, const ReliableChannelOptions& options);
+                  MessageHandler* upper);
   ~ReliableChannel() override;
 
   ReliableChannel(const ReliableChannel&) = delete;
@@ -141,7 +140,6 @@ class ReliableChannel : public Transport, public MessageHandler {
   /// additionally written once by set_upper() during wiring, before the loop
   /// starts delivering — the phases cannot overlap.
   MessageHandler* upper_ MR_CONTEXT_CONFINED(loop);
-  const ReliableChannelOptions options_;
   Rng jitter_rng_;
   std::map<SiteId, PeerState> peers_;
   ChannelCounters counters_ MR_CONTEXT_CONFINED(loop);

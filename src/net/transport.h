@@ -39,9 +39,10 @@ class MessageHandler {
 /// receiver-side sequence-number dedup and reorder buffering. Code sending
 /// directly through a raw transport must tolerate silent loss; code
 /// receiving behind a ReliableChannel may assume per-pair FIFO and no
-/// duplicates, but must still tolerate duplicates at the PROTOCOL level
-/// (a retried Prepare or re-announced recovery is a fresh message with a
-/// fresh sequence number — dedup below cannot see protocol retries).
+/// duplicates, because the channel is the only layer that re-sends (the
+/// protocol engine sends each message once). The protocol handlers still
+/// tolerate duplicates, which reach them when the channel is off and a
+/// transport injects copies.
 ///
 /// What stays true on every backend, faults or not: messages that are
 /// delivered arrive in the order sent per (from, to) pair — a duplicate's

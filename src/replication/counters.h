@@ -69,18 +69,7 @@ struct SiteCounters {
   // fail-locked every held copy.
   uint64_t recovery_blind_completions = 0;
 
-  // -- lossy-network retry machinery (SiteOptions::retry_limit) ------------
-  // Phase messages re-sent by a coordinator after an ack_timeout expired
-  // with retries remaining (copy requests, Prepares, CommitDecisions).
-  uint64_t phase_retransmits = 0;
-  // Decision queries sent by this site as an in-doubt prepared participant.
-  uint64_t decision_queries_sent = 0;
-  // Decision queries answered from coordination state or recent outcomes.
-  uint64_t decision_queries_answered = 0;
-  // Decision queries answered by presumed abort (no trace of the txn).
-  uint64_t decisions_presumed_abort = 0;
-  // Type-1 announcements re-sent for the same session after a timeout.
-  uint64_t recovery_reannounces = 0;
+  // -- duplicate tolerance -------------------------------------------------
   // Messages recognized as protocol-level duplicates and ignored or
   // re-acked without side effects (duplicate Prepare / CommitDecision /
   // RecoveryInfo / TxnRequest and friends).

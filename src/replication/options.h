@@ -88,20 +88,11 @@ struct SiteOptions {
   CostModel costs = CostModel::Zero();
 
   /// How long a site waits for acknowledgements (2PC acks, copy replies,
-  /// recovery info) before declaring the silent party failed.
+  /// recovery info) before declaring the silent party failed. It is the
+  /// whole wait: the engine re-sends nothing, so over a lossy network the
+  /// reliable channel's repair (RTO 100 ms, doubling per attempt) must fit
+  /// inside it. A prepared participant waits 3x this for the decision.
   Duration ack_timeout = Milliseconds(1000);
-
-  /// Lossy-network retry budget. With retry_limit = 0 (the default, and
-  /// the paper's reliable-network behavior) the first expired ack_timeout
-  /// declares the silent party failed. With retry_limit = N, a timeout
-  /// first retries up to N times — a coordinator re-sends the current
-  /// phase's message (copy request / Prepare / CommitDecision) to the
-  /// still-silent sites only, a prepared participant queries the
-  /// coordinator for the decision instead of unilaterally discarding, and
-  /// a recovering site re-announces the same session — each wait 1.5x the
-  /// one before. Only after the budget is exhausted does the legacy failure
-  /// handling run.
-  uint32_t retry_limit = 0;
 
   /// Two-step recovery (paper §3.2 proposal). When the fraction of this
   /// site's copies that are fail-locked drops to or below this threshold,

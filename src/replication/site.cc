@@ -8,17 +8,6 @@
 namespace miniraid {
 namespace {
 
-/// How much longer each lossy-network retry waits than the one before.
-constexpr double kRetryBackoff = 1.5;
-
-/// Timeout for the (attempt+1)-th wait: base stretched by
-/// kRetryBackoff^attempt.
-Duration RetryDelay(Duration base, uint32_t attempt) {
-  double delay = static_cast<double>(base);
-  for (uint32_t i = 0; i < attempt; ++i) delay *= kRetryBackoff;
-  return static_cast<Duration>(delay);
-}
-
 Database MakeDatabase(SiteId id, const SiteOptions& options) {
   if (options.placement.empty()) return Database(options.db_size);
   MR_CHECK(options.placement.size() == options.n_sites)
@@ -159,12 +148,9 @@ void Site::OnMessage(const Message& msg) {
     case MsgType::kShutdown:
       status_ = SiteStatus::kTerminating;
       break;
-    case MsgType::kDecisionQuery:
-      HandleDecisionQuery(msg);
-      break;
     case MsgType::kChannelAck:
       // Consumed by the ReliableChannel below this handler; one reaching
-      // the site (channel disabled) carries nothing to act on.
+      // a site with no channel carries nothing to act on.
       break;
     case MsgType::kBatchPrepare:
     case MsgType::kBatchPrepareAck:
@@ -374,7 +360,6 @@ void Site::StartCopierPhase(Coordination& c,
                             const std::vector<ItemId>& needed) {
   c.phase = Coordination::Phase::kCopier;
   c.phase_start = runtime_->Now();
-  c.retries_used = 0;
   if (!c.batch_refresh) {
     Trace(TraceEvent::kCopierStarted, c.txn.id, needed.size());
   }
@@ -406,11 +391,8 @@ void Site::StartCopierPhase(Coordination& c,
     SendTo(source, CopyRequestArgs{c.txn.id, items});
   }
   const TxnId txn = c.txn.id;
-  const bool batch = c.batch_refresh;
-  c.timer = runtime_->ScheduleAfter(
-      options_.ack_timeout, [this, txn, batch] {
-        CoordinationTimeout(txn, batch);
-      });
+  c.timer = runtime_->ScheduleAfter(options_.ack_timeout,
+                                    [this, txn] { CoordinationTimeout(txn); });
 }
 
 Site::Coordination* Site::CoordinationFor(TxnId txn) {
@@ -542,7 +524,6 @@ void Site::ExecuteAndPrepare(Coordination& c) {
   }
   c.phase = Coordination::Phase::kPrepare;
   c.phase_start = runtime_->Now();
-  c.retries_used = 0;
   c.awaiting = c.participants;
   // The wire participant set includes the coordinator: commit-time
   // maintenance needs the full set, identical at every site.
@@ -553,9 +534,8 @@ void Site::ExecuteAndPrepare(Coordination& c) {
          PrepareArgs{c.txn.id, c.writes, session_vector_.ToWire(),
                      std::move(wire_participants)});
   const TxnId txn = c.txn.id;
-  c.timer = runtime_->ScheduleAfter(
-      options_.ack_timeout,
-      [this, txn] { CoordinationTimeout(txn, /*batch=*/false); });
+  c.timer = runtime_->ScheduleAfter(options_.ack_timeout,
+                                    [this, txn] { CoordinationTimeout(txn); });
 }
 
 void Site::HandlePrepareAck(const Message& msg) {
@@ -617,13 +597,11 @@ void Site::HandlePrepareAck(const Message& msg) {
 void Site::StartCommitPhase(Coordination& c) {
   c.phase = Coordination::Phase::kCommit;
   c.phase_start = runtime_->Now();
-  c.retries_used = 0;
   c.awaiting = c.participants;
   SendTo(c.participants, options_.costs.ack_format, CommitArgs{c.txn.id});
   const TxnId txn = c.txn.id;
-  c.timer = runtime_->ScheduleAfter(
-      options_.ack_timeout,
-      [this, txn] { CoordinationTimeout(txn, /*batch=*/false); });
+  c.timer = runtime_->ScheduleAfter(options_.ack_timeout,
+                                    [this, txn] { CoordinationTimeout(txn); });
 }
 
 void Site::HandleCommitAck(const Message& msg) {
@@ -655,58 +633,11 @@ void Site::FinishCommit(Coordination& c) {
   ReplyAndClear(c, TxnOutcome::kCommitted);
 }
 
-void Site::CoordinationTimeout(TxnId txn, bool batch) {
-  Coordination* cp =
-      batch ? (batch_ ? &*batch_ : nullptr)
-            : (coords_.count(txn) ? &coords_.at(txn) : nullptr);
+void Site::CoordinationTimeout(TxnId txn) {
+  Coordination* cp = CoordinationFor(txn);
   if (cp == nullptr || cp->timer == kInvalidTimer) return;
   Coordination& c = *cp;
   c.timer = kInvalidTimer;
-
-  // Lossy-network retries: before declaring the silent parties failed,
-  // re-send the current phase's message to exactly the sites still owed a
-  // reply, with the next wait stretched by kRetryBackoff. Every phase
-  // message is idempotent at the receiver (duplicate Prepare re-acks,
-  // duplicate CommitDecision after teardown re-acks from the outcome
-  // cache, duplicate copy requests re-serve), so re-sending is safe even
-  // when the original was delivered and only the reply was lost.
-  if (c.retries_used < options_.retry_limit) {
-    ++c.retries_used;
-    switch (c.phase) {
-      case Coordination::Phase::kCopier:
-        for (const auto& [source, items] : c.copies_pending) {
-          ++counters_.phase_retransmits;
-          Charge(options_.costs.ack_format);
-          SendTo(source, CopyRequestArgs{c.txn.id, items});
-        }
-        break;
-      case Coordination::Phase::kPrepare: {
-        std::vector<SiteId> wire_participants = c.participants;
-        wire_participants.push_back(id_);
-        std::sort(wire_participants.begin(), wire_participants.end());
-        const std::vector<SessionEntryWire> vector_wire =
-            session_vector_.ToWire();
-        for (SiteId p : c.awaiting) {
-          ++counters_.phase_retransmits;
-          Charge(options_.costs.prepare_send_per_site);
-          SendTo(p, PrepareArgs{c.txn.id, c.writes, vector_wire,
-                                wire_participants});
-        }
-        break;
-      }
-      case Coordination::Phase::kCommit:
-        for (SiteId p : c.awaiting) {
-          ++counters_.phase_retransmits;
-          Charge(options_.costs.ack_format);
-          SendTo(p, CommitArgs{c.txn.id});
-        }
-        break;
-    }
-    c.timer = runtime_->ScheduleAfter(
-        RetryDelay(options_.ack_timeout, c.retries_used),
-        [this, txn, batch] { CoordinationTimeout(txn, batch); });
-    return;
-  }
 
   switch (c.phase) {
     case Coordination::Phase::kCopier: {
@@ -716,11 +647,11 @@ void Site::CoordinationTimeout(TxnId txn, bool batch) {
       for (const auto& [source, items] : c.copies_pending) {
         silent.push_back(source);
       }
-      if (!batch) {
+      if (c.batch_refresh) {
+        batch_.reset();
+      } else {
         ++counters_.txns_aborted_copier;
         ReplyAndClear(c, TxnOutcome::kAbortedCopierFailed);
-      } else {
-        batch_.reset();
       }
       RunControlType2(silent);
       break;
@@ -774,9 +705,8 @@ void Site::ReplyAndClear(Coordination& c, TxnOutcome outcome) {
     Trace(outcome == TxnOutcome::kCommitted ? TraceEvent::kTxnCommitted
                                             : TraceEvent::kTxnAborted,
           txn, static_cast<uint64_t>(outcome));
-    // Remember the outcome so duplicated requests, duplicated 2PC traffic,
-    // and in-doubt decision queries arriving after this teardown can be
-    // answered consistently.
+    // Remember the outcome so duplicated requests and duplicated 2PC
+    // traffic arriving after this teardown are answered consistently.
     RecordOutcome(txn, outcome == TxnOutcome::kCommitted);
     Charge(options_.costs.reply_format);
     SendTo(c.client, TxnResult{txn, outcome, c.copier_count, c.reads});
@@ -817,10 +747,11 @@ void Site::HandlePrepare(const Message& msg) {
   const auto& args = msg.As<PrepareArgs>();
   auto existing = participations_.find(args.txn);
   if (existing != participations_.end()) {
-    // Duplicate prepare (retransmission): re-ack, keep the staging. With
-    // the locking extension, an ack before the queued locks are granted
-    // would let the coordinator commit writes this site has not locked —
-    // stay silent and let SendPrepareAck run when the locks arrive.
+    // Duplicate prepare (a transport-injected copy): re-ack, keep the
+    // staging. With the locking extension, an ack before the queued locks
+    // are granted would let the coordinator commit writes this site has
+    // not locked — stay silent and let SendPrepareAck run when the locks
+    // arrive.
     ++counters_.duplicate_msgs_ignored;
     if (existing->second.lock_waits_pending == 0) {
       Charge(options_.costs.ack_format);
@@ -832,9 +763,9 @@ void Site::HandlePrepare(const Message& msg) {
   if (finished.has_value()) {
     // Duplicate prepare arriving after this participation was torn down.
     // If the transaction committed here, the staging is long applied:
-    // re-ack so a still-retrying coordinator is not stuck. If it aborted
-    // (or was discarded in doubt), re-staging a finished transaction's
-    // writes would resurrect it — drop.
+    // re-ack, repeating the answer the original got. If it aborted (or
+    // was discarded in doubt), re-staging a finished transaction's writes
+    // would resurrect it — drop.
     ++counters_.duplicate_msgs_ignored;
     if (*finished) {
       Charge(options_.costs.ack_format);
@@ -940,12 +871,11 @@ void Site::HandleCommit(const Message& msg) {
   const TxnId txn = msg.As<CommitArgs>().txn;
   auto it = participations_.find(txn);
   if (it == participations_.end()) {
-    // Duplicated (or retried) CommitDecision after this participation was
-    // torn down. If the commit already happened here, the coordinator is
-    // still waiting for an ack that was lost — re-ack, or its
-    // retransmissions never converge. Anything else (aborted, discarded in
-    // doubt, or too old to remember) must stay a no-op: the staging is
-    // gone, so there is nothing correct to apply.
+    // Duplicated Commit after this participation was torn down. If the
+    // commit already happened here, re-ack: the original ack may have been
+    // lost while the coordinator still waits. Anything else (aborted,
+    // discarded in doubt, or too old to remember) must stay a no-op: the
+    // staging is gone, so there is nothing correct to apply.
     const std::optional<bool> finished = RecentOutcome(txn);
     if (finished.has_value()) {
       ++counters_.duplicate_msgs_ignored;
@@ -991,21 +921,6 @@ void Site::ParticipationTimeout(TxnId txn) {
   if (it == participations_.end()) return;
   Participation& part = it->second;
   part.timer = kInvalidTimer;
-  // Lossy-network retries: before declaring the coordinator dead, ask it
-  // for the decision — the Prepare may have been answered but the
-  // CommitDecision (or Abort) lost. A live coordinator re-sends the
-  // decision from its in-flight state or outcome cache; a coordinator
-  // with no trace of the transaction answers Abort (presumed abort).
-  if (part.queries_sent < options_.retry_limit) {
-    ++part.queries_sent;
-    ++counters_.decision_queries_sent;
-    Charge(options_.costs.ack_format);
-    SendTo(part.coordinator, DecisionQueryArgs{txn});
-    part.timer = runtime_->ScheduleAfter(
-        RetryDelay(options_.ack_timeout, part.queries_sent),
-        [this, txn] { ParticipationTimeout(txn); });
-    return;
-  }
   // "coordinating site has failed": discard and run control type 2.
   ++counters_.coordinator_failures_detected;
   const SiteId coordinator = part.coordinator;
@@ -1015,43 +930,6 @@ void Site::ParticipationTimeout(TxnId txn) {
   RecordOutcome(txn, /*committed=*/false);
   participations_.erase(it);
   RunControlType2({coordinator});
-}
-
-void Site::HandleDecisionQuery(const Message& msg) {
-  const TxnId txn = msg.As<DecisionQueryArgs>().txn;
-  auto deciding = coords_.find(txn);
-  if (deciding != coords_.end()) {
-    // Still deciding. In the commit phase the decision exists and the
-    // querier's CommitDecision was evidently lost: re-send it. Before the
-    // commit phase there is no decision yet — stay silent and let the
-    // querier's next timeout re-ask.
-    if (deciding->second.phase != Coordination::Phase::kCommit) return;
-    ++counters_.decision_queries_answered;
-    Charge(options_.costs.ack_format);
-    SendTo(msg.from, CommitArgs{txn});
-    return;
-  }
-  const std::optional<bool> finished = RecentOutcome(txn);
-  if (finished.has_value()) {
-    ++counters_.decision_queries_answered;
-    Charge(options_.costs.ack_format);
-    if (*finished) {
-      SendTo(msg.from, CommitArgs{txn});
-    } else {
-      SendTo(msg.from, AbortArgs{txn});
-    }
-    return;
-  }
-  // No trace of the transaction: presumed abort. Safe because a
-  // coordinator that commits always keeps the outcome in its cache for
-  // far longer than a participant keeps querying, and a coordinator that
-  // stopped waiting for this participant (commit-phase timeout) removed it
-  // from the participant set — the participant's copies were fail-locked
-  // by everyone's commit-time maintenance, so a discard here is repaired
-  // by the copier machinery, not silently divergent.
-  ++counters_.decisions_presumed_abort;
-  Charge(options_.costs.ack_format);
-  SendTo(msg.from, AbortArgs{txn});
 }
 
 // ---------------------------------------------------------------------------
@@ -1135,26 +1013,6 @@ void Site::StartRecovery() {
 void Site::RecoveryTimeout() {
   if (!recovery_) return;
   recovery_->timer = kInvalidTimer;
-  // Lossy-network retries: the announce (or an info reply) may have been
-  // lost rather than the peers being down. Re-announce the SAME session to
-  // the still-silent peers — receivers that already served it re-serve
-  // their info without touching their vectors, so a re-announce is
-  // idempotent — and stretch the next wait. Completing with partial info
-  // is safe but costly (missing responders can force a blind completion
-  // that fail-locks everything), so patience is cheap insurance.
-  if (recovery_->retries_used < options_.retry_limit &&
-      !recovery_->awaiting.empty()) {
-    ++recovery_->retries_used;
-    ++counters_.recovery_reannounces;
-    for (SiteId t : recovery_->awaiting) {
-      Charge(options_.costs.announce_format);
-      SendTo(t, RecoveryAnnounceArgs{id_, recovery_->new_session});
-    }
-    recovery_->timer = runtime_->ScheduleAfter(
-        RetryDelay(options_.ack_timeout, recovery_->retries_used),
-        [this] { RecoveryTimeout(); });
-    return;
-  }
   CompleteRecovery();
 }
 
@@ -1188,9 +1046,8 @@ void Site::HandleRecoveryAnnounce(const Message& msg) {
   const SessionNumber recorded = session_vector_.session(args.recovering_site);
   if (args.new_session < recorded) return;
   if (args.new_session == recorded) {
-    // Same session again: either our earlier info reply was lost and the
-    // recovering site re-announced, or the announce itself was duplicated.
-    // If our vector still shows the site up for this session we already
+    // Same session again: the announce itself was duplicated. If our
+    // vector still shows the site up for this session we already
     // served it — re-serve the info (a fresh snapshot is at least as
     // complete) without touching the vector. If we recorded it down at
     // this session, "down wins": serving would let a site everyone
@@ -1273,8 +1130,8 @@ void Site::HandleRecoveryInfo(const Message& msg) {
     return;
   }
   if (recovery_->awaiting.erase(msg.from) == 0) {
-    // Second info from the same responder (duplicated reply, or a
-    // re-announce crossing the original reply): the first one is already
+    // Second info from the same responder (a duplicated reply, or the
+    // reply to a duplicated announce): the first one is already
     // in `infos`, and unioning a newer snapshot of the same table could
     // resurrect fail-locks the special transaction cleared in between.
     ++counters_.duplicate_msgs_ignored;

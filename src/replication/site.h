@@ -152,10 +152,7 @@ class Site : public MessageHandler {
     // transaction (txn/client unused, no 2PC follows the copier).
     bool batch_refresh = false;
 
-    // Lossy-network retries: timeouts spent re-sending the current phase's
-    // message instead of declaring failure (SiteOptions::retry_limit), and
-    // when the current phase started (per-phase latency counters).
-    uint32_t retries_used = 0;
+    // When the current phase started (per-phase latency counters).
     TimePoint phase_start = 0;
 
     // Locking extension state: read-set items needing copier refresh
@@ -178,9 +175,6 @@ class Site : public MessageHandler {
     // Locking extension: queued exclusive-lock requests still outstanding
     // before the prepare-ack can be sent.
     uint32_t lock_waits_pending = 0;
-    // Lossy-network retries: decision queries sent to the coordinator
-    // while in doubt (SiteOptions::retry_limit) before giving up.
-    uint32_t queries_sent = 0;
   };
 
   // State of an in-flight control-type-1 recovery at this site.
@@ -198,10 +192,6 @@ class Site : public MessageHandler {
     /// would be silently forgotten.
     std::map<std::pair<ItemId, SiteId>, bool> window_journal;
     TimerId timer = kInvalidTimer;
-    // Lossy-network retries: re-announcements of the same session after a
-    // timeout (SiteOptions::retry_limit) before completing with whatever
-    // info arrived.
-    uint32_t retries_used = 0;
   };
 
   // ---- coordinator role -------------------------------------------------
@@ -225,7 +215,7 @@ class Site : public MessageHandler {
   void StartCommitPhase(Coordination& c);
   void HandleCommitAck(const Message& msg);
   void FinishCommit(Coordination& c);
-  void CoordinationTimeout(TxnId txn, bool batch);
+  void CoordinationTimeout(TxnId txn);
 
   /// Tears the coordination down: releases locks, cancels timers, replies
   /// to the client, erases it from coords_ (or resets batch_) and serves
@@ -239,10 +229,6 @@ class Site : public MessageHandler {
   void ParticipationTimeout(TxnId txn);
   void OnParticipantLockGranted(TxnId txn);
   void SendPrepareAck(Participation& part);
-  /// Answers an in-doubt participant's outcome query: from live
-  /// coordination state, from the recent-outcome cache, or — when the
-  /// transaction left no trace — by presumed abort.
-  void HandleDecisionQuery(const Message& msg);
 
   /// Runs when an executor slot frees up: serves queued requests while
   /// slots are free, then lets step-two batch copiers proceed.
@@ -326,8 +312,8 @@ class Site : public MessageHandler {
   void MaybeStartBatchCopier();
 
   /// Records a transaction's final outcome in the bounded recent-outcome
-  /// cache, which lets this site answer duplicated 2PC messages and
-  /// decision queries after the live state is torn down.
+  /// cache, which lets this site answer duplicated 2PC messages after the
+  /// live state is torn down.
   void RecordOutcome(TxnId txn, bool committed);
   /// Looks up a recent outcome; nullopt if the id fell out of the cache.
   std::optional<bool> RecentOutcome(TxnId txn) const;
@@ -387,10 +373,10 @@ class Site : public MessageHandler {
 
   /// Final outcomes of recently finished transactions (true = committed),
   /// both coordinated here and participated in. Bounded FIFO. Duplicated
-  /// Prepares/CommitDecisions and decision queries for transactions whose
-  /// live state is gone are answered from this cache; anything older than
-  /// the cache window is presumed aborted. Wiped by a lose-state crash
-  /// (the cache is volatile, like the paper's site memory).
+  /// Prepares and Commits for transactions whose live state is gone are
+  /// answered from this cache; anything older than the cache window is
+  /// forgotten. Wiped by a lose-state crash (the cache is volatile, like
+  /// the paper's site memory).
   RecentOutcomes recent_outcomes_;
 };
 

@@ -51,7 +51,6 @@ std::vector<Payload> EveryPayloadSample() {
       FailSiteArgs{},
       RecoverSiteArgs{},
       ShutdownArgs{},
-      DecisionQueryArgs{15},
       ChannelAckArgs{},
   };
 }
@@ -177,9 +176,12 @@ TEST(MessageTest, UnknownTypeByteRejected) {
   wire[0] = 250;  // no such MsgType
   EXPECT_EQ(DecodeMessage(wire).status().code(), StatusCode::kCorruption);
 
-  // The retired group-commit types 22-25 keep their names but no payload:
-  // frames a group-commit build encoded (BatchPrepare, BatchPrepareAck,
-  // BatchCommit, BatchCommitAck, byte for byte) no longer decode.
+  // Frames of retired payloads, byte for byte as earlier builds encoded
+  // them, no longer decode: the group-commit types (BatchPrepare,
+  // BatchPrepareAck, BatchCommit, BatchCommitAck, then 22-25; their names
+  // stay, now 21-24, with no payload) and the participant's decision query
+  // for txn 42 (then 20, now ChannelAck's byte, whose empty payload leaves
+  // the txn id trailing).
   const std::vector<std::vector<uint8_t>> retired = {
       {0x16, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09,
        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x02, 0x00, 0x00, 0x00,
@@ -198,6 +200,8 @@ TEST(MessageTest, UnknownTypeByteRejected) {
        0x00, 0x00, 0x00, 0x00, 0x01, 0x08, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
        0x00},
       {0x19, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09,
+       0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
+      {0x14, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x2a,
        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00},
   };
   for (const std::vector<uint8_t>& frame : retired) {
@@ -284,12 +288,17 @@ TEST(MessageTest, RandomBytesNeverCrashDecoder) {
 }
 
 TEST(MessageTest, MsgTypeNamesAreUnique) {
+  // Bytes 0-20 carry payloads (kChannelAck last), 21-24 are the retired
+  // group-commit names, and byte 25 has no name.
+  ASSERT_EQ(static_cast<int>(MsgType::kChannelAck), 20);
+  ASSERT_EQ(static_cast<int>(MsgType::kBatchCommitAck), 24);
   std::set<std::string_view> names;
   for (int t = 0; t <= static_cast<int>(MsgType::kBatchCommitAck); ++t) {
     names.insert(MsgTypeName(static_cast<MsgType>(t)));
   }
-  EXPECT_EQ(names.size(),
-            static_cast<size_t>(MsgType::kBatchCommitAck) + 1);
+  EXPECT_EQ(names.size(), 25u);
+  EXPECT_EQ(names.count("Unknown"), 0u);
+  EXPECT_EQ(MsgTypeName(static_cast<MsgType>(25)), "Unknown");
 }
 
 TEST(MessageTest, ChannelSequenceNumbersRoundTrip) {
@@ -300,7 +309,6 @@ TEST(MessageTest, ChannelSequenceNumbersRoundTrip) {
   msg.ack = 70000;   // three varint bytes
   ExpectRoundTrip(msg);
   ExpectRoundTrip(MakeMessage(1, 0, ChannelAckArgs{}));
-  ExpectRoundTrip(MakeMessage(0, 2, DecisionQueryArgs{42}));
 }
 
 }  // namespace

@@ -130,7 +130,8 @@ TEST_P(RealClusterTest, ReliableChannelRepairsLossOnRealRuntimes) {
   // to clients: every transaction commits without a client timeout.
   ClusterOptions options = Options(GetParam(), 3);
   options.reliable.enabled = true;
-  options.site.retry_limit = 2;
+  // The whole coordinator wait; nothing above the channel re-sends.
+  options.site.ack_timeout = Microseconds(1187500);
   TransportFaults faults;
   faults.drop_probability = 0.10;
   faults.duplicate_probability = 0.05;

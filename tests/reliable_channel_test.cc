@@ -31,11 +31,10 @@ class Recorder : public MessageHandler {
 /// Two endpoints (0 and 1) each fronted by a ReliableChannel over one
 /// shared SimTransport.
 struct Pair {
-  Pair(SimRuntime* sim, const SimTransportOptions& topts,
-       const ReliableChannelOptions& copts)
+  Pair(SimRuntime* sim, const SimTransportOptions& topts)
       : transport(sim, topts),
-        ch0(0, &transport, sim->RuntimeFor(0), &rec0, copts),
-        ch1(1, &transport, sim->RuntimeFor(1), &rec1, copts) {
+        ch0(0, &transport, sim->RuntimeFor(0), &rec0),
+        ch1(1, &transport, sim->RuntimeFor(1), &rec1) {
     transport.Register(0, &ch0);
     transport.Register(1, &ch1);
   }
@@ -43,12 +42,6 @@ struct Pair {
   Recorder rec0, rec1;
   ReliableChannel ch0, ch1;
 };
-
-ReliableChannelOptions Enabled() {
-  ReliableChannelOptions copts;
-  copts.enabled = true;
-  return copts;
-}
 
 TEST(ReliableChannelTest, RetransmitsEveryLostMessageInOrder) {
   SimRuntime sim;
@@ -60,7 +53,7 @@ TEST(ReliableChannelTest, RetransmitsEveryLostMessageInOrder) {
     if (msg.from != 0 || msg.seq == 0) return false;
     return seen.insert(msg.seq).second;
   };
-  Pair pair(&sim, topts, Enabled());
+  Pair pair(&sim, topts);
   for (TxnId t = 1; t <= 10; ++t) {
     ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
   }
@@ -79,7 +72,7 @@ TEST(ReliableChannelTest, TransportDuplicatesSuppressedAtReceiver) {
   SimRuntime sim;
   SimTransportOptions topts;
   topts.faults.duplicate_probability = 1.0;  // every message arrives twice
-  Pair pair(&sim, topts, Enabled());
+  Pair pair(&sim, topts);
   for (TxnId t = 1; t <= 20; ++t) {
     ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
   }
@@ -106,7 +99,7 @@ TEST(ReliableChannelTest, GapIsBufferedAndReleasedInSequence) {
     }
     return false;
   };
-  Pair pair(&sim, topts, Enabled());
+  Pair pair(&sim, topts);
   for (TxnId t = 1; t <= 5; ++t) {
     ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
   }
@@ -130,7 +123,7 @@ TEST(ReliableChannelTest, AbandonsAfterMaxRetransmits) {
   topts.faults.drop_filter = [](const Message& msg) {
     return msg.from == 0 && msg.seq > 0;
   };
-  Pair pair(&sim, topts, Enabled());
+  Pair pair(&sim, topts);
   ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{1})).ok());
   sim.RunUntilIdle();  // terminates: the channel gives up, timers stop
   EXPECT_TRUE(pair.rec1.txns.empty());
@@ -140,19 +133,6 @@ TEST(ReliableChannelTest, AbandonsAfterMaxRetransmits) {
   EXPECT_EQ(pair.ch0.counters().acked, 0u);
 }
 
-TEST(ReliableChannelTest, DisabledChannelIsAPassthrough) {
-  SimRuntime sim;
-  Pair pair(&sim, SimTransportOptions{}, ReliableChannelOptions{});
-  ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{7})).ok());
-  sim.RunUntilIdle();
-  ASSERT_EQ(pair.rec1.txns.size(), 1u);
-  EXPECT_EQ(pair.rec1.txns[0], 7u);
-  // No channel machinery engaged: no seq stamped, nothing counted.
-  EXPECT_EQ(pair.ch0.counters().data_sent, 0u);
-  EXPECT_EQ(pair.ch1.counters().delivered, 0u);
-  EXPECT_EQ(pair.transport.messages_sent(), 1u);  // no acks either
-}
-
 TEST(ReliableChannelTest, UnsequencedDatagramBypassesDedup) {
   // A message from a sender with no channel (seq = 0) must still reach the
   // upper handler — mixed deployments and control probes rely on it.
@@ -160,7 +140,7 @@ TEST(ReliableChannelTest, UnsequencedDatagramBypassesDedup) {
   SimTransportOptions topts;
   SimTransport transport(&sim, topts);
   Recorder rec1;
-  ReliableChannel ch1(1, &transport, sim.RuntimeFor(1), &rec1, Enabled());
+  ReliableChannel ch1(1, &transport, sim.RuntimeFor(1), &rec1);
   transport.Register(1, &ch1);
   ASSERT_TRUE(transport.Send(MakeMessage(9, 1, CommitArgs{42})).ok());
   sim.RunUntilIdle();
@@ -171,7 +151,7 @@ TEST(ReliableChannelTest, UnsequencedDatagramBypassesDedup) {
 
 TEST(ReliableChannelTest, BidirectionalTrafficPiggybacksAcks) {
   SimRuntime sim;
-  Pair pair(&sim, SimTransportOptions{}, Enabled());
+  Pair pair(&sim, SimTransportOptions{});
   for (TxnId t = 1; t <= 5; ++t) {
     ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
     ASSERT_TRUE(pair.ch1.Send(MakeMessage(1, 0, CommitArgs{100 + t})).ok());
