@@ -64,10 +64,9 @@ Point RunPoint(const Config& config, double loss) {
   options.site.costs = CostModel::PaperCalibrated();
   options.sim.shared_cpu = false;
   options.transport.message_latency = Milliseconds(9);
-  options.transport.faults.drop_probability = loss;
-  options.transport.faults.duplicate_probability =
-      config.duplicate_probability;
-  options.transport.faults.seed = 7;
+  options.faults.drop_probability = loss;
+  options.faults.duplicate_probability = config.duplicate_probability;
+  options.faults.seed = 7;
   // The repair under test: channel retransmission below the protocol,
   // the only layer that re-sends. ack_timeout is the coordinator's whole
   // wait, sized to cover the channel's repair (RTO 100 ms, doubling per

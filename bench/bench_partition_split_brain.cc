@@ -79,7 +79,7 @@ void Run() {
     ClusterOptions options;
     options.n_sites = kSites;
     options.db_size = kDbSize;
-    options.transport.faults.drop_filter = partition.Filter();
+    options.faults.drop_filter = partition.Filter();
     options.managing.client_timeout = Seconds(8);
     auto cluster_owner = MakeSimCluster(options);
     SimCluster& cluster = *cluster_owner;
@@ -99,7 +99,7 @@ void Run() {
     options.n_sites = kSites;
     options.db_size = kDbSize;
     options.kind = BaselineKind::kQuorum;
-    options.transport.faults.drop_filter = partition.Filter();
+    options.faults.drop_filter = partition.Filter();
     options.managing.client_timeout = Seconds(8);
     BaselineCluster cluster(options);
     // With 4 sites the majority is 3: neither 2-site half can assemble a

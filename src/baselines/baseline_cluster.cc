@@ -5,28 +5,34 @@
 namespace miniraid {
 
 BaselineCluster::BaselineCluster(const BaselineClusterOptions& options)
-    : options_(options), sim_(options.sim) {
+    : options_(options),
+      sim_(options.sim),
+      layers_(/*reliable=*/false, options.faults) {
   options_.site.n_sites = options_.n_sites;
   options_.site.db_size = options_.db_size;
   options_.site.managing_site = managing_id();
   transport_ = std::make_unique<SimTransport>(&sim_, options_.transport);
-  for (SiteId id = 0; id < options_.n_sites; ++id) {
-    MessageHandler* handler = nullptr;
-    if (options_.kind == BaselineKind::kRowaStrict) {
-      rowa_.push_back(std::make_unique<RowaSite>(
-          id, options_.site, transport_.get(), sim_.RuntimeFor(id)));
-      handler = rowa_.back().get();
-    } else {
-      quorum_.push_back(std::make_unique<QuorumSite>(
-          id, options_.site, transport_.get(), sim_.RuntimeFor(id)));
-      handler = quorum_.back().get();
-    }
-    transport_->Register(id, handler);
+  // The sites, then the managing site.
+  for (SiteId id = 0; id <= managing_id(); ++id) {
+    SiteRuntime* runtime = sim_.RuntimeFor(id);
+    transport_->Register(
+        id, layers_.Wire(id, transport_.get(), runtime,
+                         [&](Transport* transport) -> MessageHandler* {
+                           if (id == managing_id()) {
+                             managing_ = std::make_unique<ManagingSite>(
+                                 id, transport, runtime, options_.managing);
+                             return managing_.get();
+                           }
+                           if (options_.kind == BaselineKind::kRowaStrict) {
+                             rowa_.push_back(std::make_unique<RowaSite>(
+                                 id, options_.site, transport, runtime));
+                             return rowa_.back().get();
+                           }
+                           quorum_.push_back(std::make_unique<QuorumSite>(
+                               id, options_.site, transport, runtime));
+                           return quorum_.back().get();
+                         }));
   }
-  managing_ = std::make_unique<ManagingSite>(
-      managing_id(), transport_.get(), sim_.RuntimeFor(managing_id()),
-      options_.managing);
-  transport_->Register(managing_id(), managing_.get());
 }
 
 BaselineCluster::~BaselineCluster() = default;

@@ -6,7 +6,9 @@
 
 #include "baselines/quorum_site.h"
 #include "baselines/rowa_site.h"
+#include "core/cluster.h"
 #include "core/managing_site.h"
+#include "net/faults.h"
 #include "net/sim_transport.h"
 #include "sim/sim_runtime.h"
 
@@ -25,6 +27,9 @@ struct BaselineClusterOptions {
   BaselineSiteOptions site;
   SimOptions sim;
   SimTransportOptions transport;
+  /// Loss and duplication, as ClusterOptions::faults: when it injects
+  /// anything, every endpoint sends and receives through a FaultLayer.
+  TransportFaults faults;
   ManagingSite::Options managing;
 };
 
@@ -54,6 +59,9 @@ class BaselineCluster {
   BaselineClusterOptions options_;
   SimRuntime sim_;
   std::unique_ptr<SimTransport> transport_;
+  /// A fault layer per endpoint, when options.faults injects anything;
+  /// never a channel.
+  internal::EndpointLayers layers_;
   std::vector<std::unique_ptr<RowaSite>> rowa_;
   std::vector<std::unique_ptr<QuorumSite>> quorum_;
   std::unique_ptr<ManagingSite> managing_;

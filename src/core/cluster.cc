@@ -9,60 +9,72 @@
 #include "common/strings.h"
 
 namespace miniraid {
-namespace {
 
-/// Builds one endpoint (a site or the managing site) over `inner`, its
-/// backend's transport. With the reliable channel off the endpoint sends
-/// through `inner`, and `inner` delivers to it. With the channel on the
-/// endpoint sends through its own ReliableChannel stacked on `inner`
-/// (appended to `channels`), `inner` delivers into the channel, and the
-/// channel passes in-order, deduplicated messages up. `make` builds the
-/// endpoint from the transport it sends through and returns it. Returns
-/// the handler `inner` must deliver this endpoint's messages to.
-template <typename Make>
-MessageHandler* WireEndpoint(
-    SiteId id, bool reliable, Transport* inner, SiteRuntime* runtime,
-    std::vector<std::unique_ptr<ReliableChannel>>* channels, Make make) {
-  if (!reliable) return make(inner);
-  ReliableChannel* channel =
-      channels
-          ->emplace_back(std::make_unique<ReliableChannel>(
-              id, inner, runtime, /*upper=*/nullptr))
-          .get();
-  channel->set_upper(make(channel));
-  return channel;
+namespace internal {
+
+EndpointLayers::EndpointLayers(bool reliable, const TransportFaults& faults)
+    : reliable(reliable),
+      faults(faults.Any() ? std::make_unique<FaultInjector>(faults)
+                          : nullptr) {}
+
+MessageHandler* EndpointLayers::Wire(
+    SiteId id, Transport* inner, SiteRuntime* runtime,
+    const std::function<MessageHandler*(Transport*)>& make) {
+  FaultLayer* fault_layer = nullptr;
+  if (faults) {
+    fault_layer = fault_layers
+                      .emplace_back(std::make_unique<FaultLayer>(
+                          faults.get(), inner, /*upper=*/nullptr))
+                      .get();
+    inner = fault_layer;
+  }
+  ReliableChannel* channel = nullptr;
+  if (reliable) {
+    channel = channels
+                  .emplace_back(std::make_unique<ReliableChannel>(
+                      id, inner, runtime, /*upper=*/nullptr))
+                  .get();
+    inner = channel;
+  }
+  MessageHandler* handler = make(inner);
+  if (channel) {
+    channel->set_upper(handler);
+    handler = channel;
+  }
+  if (fault_layer) {
+    fault_layer->set_upper(handler);
+    handler = fault_layer;
+  }
+  return handler;
 }
 
-}  // namespace
+}  // namespace internal
 
 // ---------------------------------------------------------------------------
 // SimCluster.
 // ---------------------------------------------------------------------------
 
 SimCluster::SimCluster(const ClusterOptions& options)
-    : Cluster(options), sim_(options.sim) {
+    : Cluster(options),
+      sim_(options.sim),
+      layers_(options.reliable.enabled, options.faults) {
   transport_ = std::make_unique<SimTransport>(&sim_, options_.transport);
-  const bool reliable = options_.reliable.enabled;
-  for (SiteId id = 0; id < options_.n_sites; ++id) {
+  // The sites, then the managing site.
+  for (SiteId id = 0; id <= managing_id(); ++id) {
     SiteRuntime* runtime = sim_.RuntimeFor(id);
     transport_->Register(
-        id, WireEndpoint(id, reliable, transport_.get(), runtime, &channels_,
-                         [&](Transport* transport) {
+        id, layers_.Wire(id, transport_.get(), runtime,
+                         [&](Transport* transport) -> MessageHandler* {
+                           if (id == managing_id()) {
+                             managing_ = std::make_unique<ManagingSite>(
+                                 id, transport, runtime, options_.managing);
+                             return managing_.get();
+                           }
                            sites_.push_back(std::make_unique<Site>(
                                id, options_.site, transport, runtime));
                            return sites_.back().get();
                          }));
   }
-  const SiteId managing = managing_id();
-  SiteRuntime* runtime = sim_.RuntimeFor(managing);
-  transport_->Register(
-      managing,
-      WireEndpoint(managing, reliable, transport_.get(), runtime, &channels_,
-                   [&](Transport* transport) {
-                     managing_ = std::make_unique<ManagingSite>(
-                         managing, transport, runtime, options_.managing);
-                     return managing_.get();
-                   }));
   window_ =
       std::make_unique<SubmitWindow>(managing_.get(), options_.max_inflight);
 }
@@ -141,11 +153,13 @@ ClusterStats SimCluster::Stats() const {
   stats.unreachable = managing_->unreachable();
   stats.late_outcomes = managing_->late_outcomes();
   stats.messages_sent = transport_->messages_sent();
-  stats.messages_dropped = transport_->messages_dropped();
+  stats.messages_dropped = layers_.dropped();
   stats.backlogged = window_->backlogged_total();
   stats.inflight = window_->inflight();
   stats.max_inflight_seen = window_->max_inflight_seen();
-  for (const auto& channel : channels_) stats.channel += channel->counters();
+  for (const auto& channel : layers_.channels) {
+    stats.channel += channel->counters();
+  }
   return stats;
 }
 
@@ -195,7 +209,8 @@ void SimCluster::EnforceInvariants() {
 // RealCluster.
 // ---------------------------------------------------------------------------
 
-RealCluster::RealCluster(const ClusterOptions& options) : Cluster(options) {
+RealCluster::RealCluster(const ClusterOptions& options)
+    : Cluster(options), layers_(options.reliable.enabled, options.faults) {
   MR_CHECK(options.backend != ClusterBackend::kSim)
       << "RealCluster needs an inproc or tcp backend "
          "(use SimCluster / MakeCluster for the simulator)";
@@ -244,25 +259,21 @@ Status RealCluster::Start() {
     };
   }
 
-  const bool reliable = options_.reliable.enabled;
-  for (SiteId id = 0; id < options_.n_sites; ++id) {
+  // The sites, then the managing site.
+  for (SiteId id = 0; id <= managing_id(); ++id) {
     SiteRuntime* runtime = runtimes_[id].get();
-    attach(id, WireEndpoint(id, reliable, inner(id), runtime, &channels_,
-                            [&](Transport* transport) {
+    attach(id, layers_.Wire(id, inner(id), runtime,
+                            [&](Transport* transport) -> MessageHandler* {
+                              if (id == managing_id()) {
+                                managing_ = std::make_unique<ManagingSite>(
+                                    id, transport, runtime, options_.managing);
+                                return managing_.get();
+                              }
                               sites_.push_back(std::make_unique<Site>(
                                   id, options_.site, transport, runtime));
                               return sites_.back().get();
                             }));
   }
-  const SiteId managing = managing_id();
-  SiteRuntime* runtime = runtimes_[managing].get();
-  attach(managing,
-         WireEndpoint(managing, reliable, inner(managing), runtime,
-                      &channels_, [&](Transport* transport) {
-                        managing_ = std::make_unique<ManagingSite>(
-                            managing, transport, runtime, options_.managing);
-                        return managing_.get();
-                      }));
   window_ =
       std::make_unique<SubmitWindow>(managing_.get(), options_.max_inflight);
   for (auto& transport : tcp_) {
@@ -343,18 +354,16 @@ ClusterStats RealCluster::Stats() const {
     stats.inflight = window_->inflight();
     stats.max_inflight_seen = window_->max_inflight_seen();
   });
-  if (inproc_) {
-    stats.messages_sent = inproc_->messages_sent();
-    stats.messages_dropped = inproc_->messages_dropped();
-  }
+  if (inproc_) stats.messages_sent = inproc_->messages_sent();
   for (const auto& transport : tcp_) {
     stats.messages_sent += transport->messages_sent();
-    stats.messages_dropped += transport->messages_dropped();
   }
+  stats.messages_dropped = layers_.dropped();
   // Channel state lives in each endpoint's loop context; read it there.
-  for (size_t i = 0; i < channels_.size(); ++i) {
-    loops_[i]->PostAndWait(
-        [this, i, &stats] { stats.channel += channels_[i]->counters(); });
+  for (size_t i = 0; i < layers_.channels.size(); ++i) {
+    loops_[i]->PostAndWait([this, i, &stats] {
+      stats.channel += layers_.channels[i]->counters();
+    });
   }
   return stats;
 }

@@ -1,6 +1,7 @@
 #ifndef MINIRAID_CORE_CLUSTER_H_
 #define MINIRAID_CORE_CLUSTER_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -10,13 +11,46 @@
 #include "core/managing_site.h"
 #include "core/submit_window.h"
 #include "net/event_loop.h"
+#include "net/faults.h"
 #include "net/inproc_transport.h"
+#include "net/reliable_channel.h"
 #include "net/sim_transport.h"
 #include "net/tcp_transport.h"
 #include "replication/site.h"
 #include "sim/sim_runtime.h"
 
 namespace miniraid {
+
+namespace internal {
+
+/// The layers a cluster stacks on each endpoint (a site or the managing
+/// site), bottom up: over its backend's transport a FaultLayer when
+/// `faults` injects anything, then a ReliableChannel when `reliable`
+/// (ClusterOptions::faults and ::reliable). Each vector holds one layer
+/// per endpoint in id order, and is empty while that layer is off.
+struct EndpointLayers {
+  EndpointLayers(bool reliable, const TransportFaults& faults);
+
+  /// Builds endpoint `id` over `inner`, its backend's transport: `make`
+  /// builds it from the transport it sends through (the top layer) and
+  /// returns it. Returns the handler `inner` must deliver its messages to
+  /// (the bottom layer).
+  MessageHandler* Wire(SiteId id, Transport* inner, SiteRuntime* runtime,
+                       const std::function<MessageHandler*(Transport*)>& make);
+
+  /// Messages the fault layers dropped.
+  uint64_t dropped() const { return faults ? faults->dropped() : 0; }
+
+  const bool reliable;
+  /// Shared by every fault layer; null when none is stacked.
+  std::unique_ptr<FaultInjector> faults;
+  std::vector<std::unique_ptr<FaultLayer>> fault_layers;
+  /// Channel state lives in its endpoint's execution context, like the
+  /// Site behind it.
+  std::vector<std::unique_ptr<ReliableChannel>> channels;
+};
+
+}  // namespace internal
 
 /// A cluster under the deterministic simulator: N database sites plus the
 /// managing site, wired through SimTransport. This is the substrate of all
@@ -88,10 +122,7 @@ class SimCluster : public Cluster {
 
   SimRuntime sim_;
   std::unique_ptr<SimTransport> transport_;
-  /// Per-endpoint reliable channels (sites + managing), in id order;
-  /// empty unless options.reliable.enabled. Each fronts the shared
-  /// SimTransport for its endpoint.
-  std::vector<std::unique_ptr<ReliableChannel>> channels_;
+  internal::EndpointLayers layers_;
   std::vector<std::unique_ptr<Site>> sites_;
   std::unique_ptr<ManagingSite> managing_;
   std::unique_ptr<SubmitWindow> window_;
@@ -164,10 +195,7 @@ class RealCluster : public Cluster {
   std::vector<std::unique_ptr<ThreadSiteRuntime>> runtimes_;
   std::unique_ptr<InProcTransport> inproc_;
   std::vector<std::unique_ptr<TcpTransport>> tcp_;  // per site + managing
-  /// Per-endpoint reliable channels (sites + managing), in id order; empty
-  /// unless options.reliable.enabled. Channel state lives in its
-  /// endpoint's loop context, like the Site behind it.
-  std::vector<std::unique_ptr<ReliableChannel>> channels_;
+  internal::EndpointLayers layers_;
   std::vector<std::unique_ptr<Site>> sites_;
   std::unique_ptr<ManagingSite> managing_;
   std::unique_ptr<SubmitWindow> window_;  // managing-loop context only

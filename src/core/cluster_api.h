@@ -13,6 +13,7 @@
 #include "common/types.h"
 #include "core/invariants.h"
 #include "core/managing_site.h"
+#include "net/faults.h"
 #include "net/inproc_transport.h"
 #include "net/reliable_channel.h"
 #include "net/sim_transport.h"
@@ -60,9 +61,15 @@ struct ClusterOptions {
   /// with `reliable.enabled` every endpoint (sites + managing) sends and
   /// receives through a ReliableChannel, which retransmits lost messages
   /// with exponential backoff and suppresses duplicates at the receiver.
-  /// Pair with per-transport fault injection (TransportFaults) to run the
-  /// protocol over a lossy network.
+  /// Pair with `faults` to run the protocol over a lossy network.
   ReliableChannelOptions reliable;
+
+  /// Loss and duplication (net/faults.h), on every backend: when it injects
+  /// anything, every endpoint sends and receives through a FaultLayer
+  /// stacked on its transport, under the channel, and all of them draw
+  /// from one FaultInjector. The default injects nothing and stacks no
+  /// layer: the paper's reliable network.
+  TransportFaults faults;
 
   // -- sim backend only ----------------------------------------------------
   SimOptions sim;
@@ -98,7 +105,7 @@ struct ClusterStats {
   uint64_t late_outcomes = 0;
   /// Messages accepted by the transport (all sites + managing).
   uint64_t messages_sent = 0;
-  /// Messages dropped by transport fault injection.
+  /// Messages dropped by the fault layer (ClusterOptions::faults).
   uint64_t messages_dropped = 0;
   /// Submissions that had to wait for a window slot (max_inflight).
   uint64_t backlogged = 0;

@@ -299,13 +299,4 @@ void EventLoop::Run() {
   }
 }
 
-void ThreadSiteRuntime::ChargeCpu(Duration amount) {
-  if (cpu_scale_ <= 0.0) return;
-  const Duration target = static_cast<Duration>(double(amount) * cpu_scale_);
-  const TimePoint start = clock_->Now();
-  while (clock_->Now() - start < target) {
-    // Busy spin: emulates the modelled CPU cost in wall-clock time.
-  }
-}
-
 }  // namespace miniraid

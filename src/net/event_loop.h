@@ -160,16 +160,13 @@ class EventLoop {
   std::thread thread_;
 };
 
-/// SiteRuntime over an EventLoop and a shared SteadyClock. ChargeCpu can
-/// optionally busy-spin (scaled) to emulate modelled work in real time; by
-/// default it is a no-op because real work has real cost.
+/// SiteRuntime over an EventLoop and a shared SteadyClock. ChargeCpu is a
+/// no-op: real work has real cost.
 class ThreadSiteRuntime : public SiteRuntime {
  public:
-  /// `clock` must outlive this runtime. `cpu_scale` multiplies ChargeCpu
-  /// durations into actual spinning (0 disables).
-  ThreadSiteRuntime(EventLoop* loop, const Clock* clock,
-                    double cpu_scale = 0.0)
-      : loop_(loop), clock_(clock), cpu_scale_(cpu_scale) {}
+  /// `clock` must outlive this runtime.
+  ThreadSiteRuntime(EventLoop* loop, const Clock* clock)
+      : loop_(loop), clock_(clock) {}
 
   MR_RUNS_ON(any) TimePoint Now() const override { return clock_->Now(); }
 
@@ -180,14 +177,13 @@ class ThreadSiteRuntime : public SiteRuntime {
 
   MR_RUNS_ON(any) void CancelTimer(TimerId id) override { loop_->CancelTimer(id); }
 
-  MR_RUNS_ON(any) void ChargeCpu(Duration amount) override;
+  MR_RUNS_ON(any) void ChargeCpu(Duration /*amount*/) override {}
 
   MR_RUNS_ON(any) EventLoop* loop() { return loop_; }
 
  private:
   EventLoop* loop_;
   const Clock* clock_;
-  double cpu_scale_;
 };
 
 }  // namespace miniraid

@@ -1,40 +1,44 @@
 #ifndef MINIRAID_NET_FAULTS_H_
 #define MINIRAID_NET_FAULTS_H_
 
+#include <atomic>
+#include <cstdint>
 #include <functional>
 
-#include "common/clock.h"
+#include "common/mutex.h"
 #include "common/rng.h"
 #include "common/thread_annotations.h"
 #include "msg/message.h"
+#include "net/transport.h"
 
 namespace miniraid {
 
-/// Fault model shared by every transport (sim, inproc, TCP): the same
-/// struct injects loss, duplication, and duplicate delay on all three
-/// backends, so a lossy-network experiment configured once runs anywhere.
-/// The paper assumes a reliable network ("no messages were lost"); these
-/// knobs deliberately break that assumption to exercise the reliable
-/// channel and the protocol's duplicate tolerance.
+/// The fault model of a cluster (ClusterOptions::faults), the same on every
+/// backend: a lossy-network experiment configured once runs anywhere. The
+/// paper assumes a reliable network ("no messages were lost"); these knobs
+/// deliberately break that assumption to exercise the reliable channel and
+/// the protocol's duplicate tolerance. A FaultLayer applies them above the
+/// transport, which itself only delivers.
 struct TransportFaults {
-  /// Probability that a message is silently dropped.
+  /// Probability that a message is silently dropped, drawn per send.
   double drop_probability = 0.0;
 
-  /// Probability that a message is delivered twice. The copy is scheduled
-  /// `duplicate_delay` after the original (0 = immediately after), from an
-  /// RNG stream separate from the latency jitter's, so enabling
-  /// duplication never perturbs a same-seed run's original arrivals.
+  /// Probability that a message is handed up twice, back to back, drawn
+  /// per delivery from an RNG stream separate from the drops'. A copy
+  /// never moves its original's arrival and draws nothing from the drop
+  /// stream (the messages it provokes, such as re-acks, do).
   double duplicate_probability = 0.0;
-  Duration duplicate_delay = 0;
 
-  /// Seed for the drop/duplicate decision streams (deterministic under the
-  /// simulator; on the real backends determinism additionally depends on
-  /// thread scheduling).
+  /// Seed for the drop and duplicate decision streams (deterministic under
+  /// the simulator; on the real backends which message draws which
+  /// decision also depends on thread scheduling).
   uint64_t seed = 1;
 
   /// Optional targeted drop: return true to drop this message. Evaluated
-  /// in addition to drop_probability (either one drops). Lets tests kill a
-  /// specific protocol message while the probabilistic knobs stay off.
+  /// before drop_probability (either one drops). Lets tests kill a
+  /// specific protocol message while the probabilistic knobs stay off. On
+  /// the real backends it runs on every sender's loop thread at once, so
+  /// a filter with state must synchronize it.
   std::function<bool(const Message&)> drop_filter;
 
   bool Any() const {
@@ -43,54 +47,65 @@ struct TransportFaults {
   }
 };
 
-/// Stateful fault decision maker: owns the deterministic RNG streams
-/// behind a TransportFaults config. Not thread-safe — callers on
-/// multi-threaded transports serialize access (a short lock around the
-/// decision only, never around delivery).
+/// The drop and duplicate decisions of one cluster: the deterministic RNG
+/// streams behind a TransportFaults config and the count of drops. Every
+/// endpoint's FaultLayer shares the one injector, so on every backend the
+/// sends of all endpoints draw from one drop stream. Thread-safe: each
+/// coin is drawn under a short lock, and the filter runs outside it.
 class FaultInjector {
  public:
-  explicit FaultInjector(const TransportFaults& faults)
-      : faults_(faults),
-        // Distinct SplitMix64-scrambled seeds give uncorrelated streams:
-        // drop decisions never perturb duplicate decisions and vice versa.
-        drop_rng_(faults.seed),
-        duplicate_rng_(~faults.seed) {}
+  explicit FaultInjector(const TransportFaults& faults);
 
   /// True if this message should be dropped (filter first, then coin).
-  bool ShouldDrop(const Message& msg) {
-    if (faults_.drop_filter && faults_.drop_filter(msg)) {
-      ++dropped_;
-      return true;
-    }
-    if (faults_.drop_probability > 0.0 &&
-        drop_rng_.NextBool(faults_.drop_probability)) {
-      ++dropped_;
-      return true;
-    }
-    return false;
-  }
+  MR_RUNS_ON(any) bool ShouldDrop(const Message& msg);
 
-  /// True if a second copy of this message should be delivered.
-  bool ShouldDuplicate() {
-    if (faults_.duplicate_probability <= 0.0) return false;
-    if (!duplicate_rng_.NextBool(faults_.duplicate_probability)) return false;
-    ++duplicated_;
-    return true;
-  }
+  /// True if this delivery should be handed up a second time.
+  MR_RUNS_ON(any) bool ShouldDuplicate();
 
-  const TransportFaults& faults() const { return faults_; }
-  uint64_t dropped() const { return dropped_; }
-  uint64_t duplicated() const { return duplicated_; }
+  /// Messages dropped so far.
+  MR_RUNS_ON(any) uint64_t dropped() const;
 
  private:
-  TransportFaults faults_;
-  Rng drop_rng_;
-  Rng duplicate_rng_;
-  /// Value type: synchronization is the owning transport's job —
-  /// SimTransport is single-threaded, InProcTransport declares its
-  /// injector MR_GUARDED_BY(faults_mu_); the counters inherit that regime.
-  uint64_t dropped_ MR_CONTEXT_CONFINED(any) = 0;
-  uint64_t duplicated_ MR_CONTEXT_CONFINED(any) = 0;
+  /// Never written after construction, so read without the lock.
+  const TransportFaults faults_;
+  Mutex mu_;
+  // Distinct seeds give uncorrelated streams: drop decisions never
+  // perturb duplicate decisions and vice versa.
+  Rng drop_rng_ MR_GUARDED_BY(mu_);
+  Rng duplicate_rng_ MR_GUARDED_BY(mu_);
+  std::atomic<uint64_t> dropped_{0};
+};
+
+/// Fronts one endpoint the way a ReliableChannel does, below it when both
+/// are stacked: it is the Transport the endpoint (or its channel) sends
+/// through and the MessageHandler its transport delivers to. Send draws
+/// the drop decision before the inner transport sees (and counts) the
+/// message; delivery draws the duplicate decision and hands a duplicated
+/// message up twice, back to back, so a copy never overtakes its original
+/// and the transport counts it once. Holds nothing but its wiring: every
+/// call runs in whichever context the transport gives it.
+class FaultLayer : public Transport, public MessageHandler {
+ public:
+  FaultLayer(FaultInjector* injector, Transport* inner,
+             MessageHandler* upper);
+
+  FaultLayer(const FaultLayer&) = delete;
+  FaultLayer& operator=(const FaultLayer&) = delete;
+
+  /// Late wiring for construction cycles (layer before endpoint); must be
+  /// set before any message flows.
+  MR_RUNS_ON(any) void set_upper(MessageHandler* upper) { upper_ = upper; }
+
+  MR_RUNS_ON(any) Status Send(const Message& msg) override;
+  MR_RUNS_ON(any) void OnMessage(const Message& msg) override;
+
+ private:
+  FaultInjector* const injector_;
+  Transport* const inner_;
+  /// Written once by set_upper() during wiring, before the loop starts
+  /// delivering; read only by OnMessage after that. The phases cannot
+  /// overlap.
+  MessageHandler* upper_ MR_CONTEXT_CONFINED(loop);
 };
 
 }  // namespace miniraid

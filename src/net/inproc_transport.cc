@@ -9,7 +9,7 @@
 namespace miniraid {
 
 InProcTransport::InProcTransport(const InProcTransportOptions& options)
-    : options_(options), injector_(options.faults) {}
+    : options_(options) {}
 
 void InProcTransport::Register(SiteId site, EventLoop* loop,
                                MessageHandler* handler) {
@@ -38,18 +38,6 @@ Status InProcTransport::Send(const Message& msg) {
     return Status::InvalidArgument(
         StrFormat("no endpoint registered for site %u", msg.to));
   }
-  bool duplicate = false;
-  // With no faults configured the injector would decide nothing, so skip
-  // its lock: every site thread sends through this transport.
-  if (options_.faults.Any()) {
-    // Draw fault decisions under the lock, deliver outside it.
-    MutexLock lock(faults_mu_);
-    if (injector_.ShouldDrop(msg)) {
-      messages_dropped_.fetch_add(1);
-      return Status::Ok();
-    }
-    duplicate = injector_.ShouldDuplicate();
-  }
   // Counted before the receiver can see the frame, so no message this one
   // causes is ever counted ahead of it.
   messages_sent_.fetch_add(1);
@@ -58,37 +46,31 @@ Status InProcTransport::Send(const Message& msg) {
   const std::shared_ptr<Sender>& sender =
       from == endpoints_.end() ? unregistered_ : from->second.sender;
   const Duration latency = options_.message_latency;
-  const Duration copy_latency = latency + options_.faults.duplicate_delay;
-  const bool copy_later = duplicate && copy_latency > 0;
-  std::vector<uint8_t> later;  // the body of the frames queued on a timer
+  std::vector<uint8_t> later;  // the body of a frame queued on a timer
   std::vector<uint8_t> now;    // frames of a sender with no loop
   {
     Sender& out = *sender;
     MutexLock lock(out.mu);
     EncodeMessageInto(msg, out.scratch);
-    const std::vector<uint8_t>& body = out.scratch.buffer();
-    if (latency > 0 || copy_later) later = body;
-    if (latency == 0) {
-      out.Append(dest.index, body);
-      // Appended right behind the original, so the copy never comes first.
-      if (duplicate && !copy_later) out.Append(dest.index, body);
+    if (latency > 0) {
+      later = out.scratch.buffer();
+    } else {
+      out.Append(dest.index, out.scratch.buffer());
       out.EndTurn(dest.index, now);
     }
   }
-  HandOver(dest.inbox, now);
+  if (latency == 0) {
+    HandOver(dest.inbox, now);
+    return Status::Ok();
+  }
   // A delayed frame joins the sender's outbox on the sender's own loop, or
   // on the receiver's for a sender with none. A loop runs the flush a turn
   // posted before its next due timer, so the frames of one pair keep their
-  // order and a copy still follows its original.
+  // order.
   EventLoop* const loop =
       sender->loop != nullptr ? sender->loop : dest.inbox->loop;
-  if (latency > 0) {
-    EnqueueAfter(sender, loop, dest.inbox, dest.index, latency, later);
-  }
-  if (copy_later) {
-    EnqueueAfter(sender, loop, dest.inbox, dest.index, copy_latency,
-                 std::move(later));
-  }
+  EnqueueAfter(sender, loop, dest.inbox, dest.index, latency,
+               std::move(later));
   return Status::Ok();
 }
 

@@ -10,7 +10,6 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "net/event_loop.h"
-#include "net/faults.h"
 #include "net/transport.h"
 
 namespace miniraid {
@@ -24,12 +23,6 @@ struct InProcTransportOptions {
   /// full delay, no thread ever blocks, and per-pair FIFO is preserved
   /// (equal deadlines fire in insertion order).
   Duration message_latency = 0;
-
-  /// Fault injection (loss, duplication, duplicate delay) shared with the
-  /// sim and TCP transports; defaults inject nothing. The decision streams
-  /// are deterministic per seed, but which Send draws which decision
-  /// depends on thread interleaving on this backend.
-  TransportFaults faults;
 };
 
 /// Real message passing between sites running as threads in one process —
@@ -61,15 +54,9 @@ class InProcTransport : public Transport {
 
   MR_RUNS_ON(any) Status Send(const Message& msg) override;
 
-  /// Messages accepted for delivery so far (a duplicated message counts
-  /// once). Safe from any thread.
+  /// Messages accepted for delivery so far. Safe from any thread.
   MR_RUNS_ON(any) uint64_t messages_sent() const {
     return messages_sent_.load();
-  }
-
-  /// Messages dropped by fault injection so far. Safe from any thread.
-  MR_RUNS_ON(any) uint64_t messages_dropped() const {
-    return messages_dropped_.load();
   }
 
  private:
@@ -164,13 +151,7 @@ class InProcTransport : public Transport {
   /// The one sender shared by every site id with no registered endpoint;
   /// it has no loop, so each of its Sends hands over at once.
   std::shared_ptr<Sender> unregistered_ = std::make_shared<Sender>(nullptr);
-  /// Send runs on every site's loop thread, so fault decisions (which
-  /// mutate RNG state) are drawn under a short lock; delivery itself never
-  /// happens while the lock is held.
-  Mutex faults_mu_;
-  FaultInjector injector_ MR_GUARDED_BY(faults_mu_);
   std::atomic<uint64_t> messages_sent_{0};
-  std::atomic<uint64_t> messages_dropped_{0};
 };
 
 }  // namespace miniraid

@@ -35,14 +35,15 @@ struct ReliableChannelOptions {
 /// retransmitting in lockstep; each channel seeds its jitter stream with
 /// 1 + its endpoint id. Per source it delivers in
 /// sequence order exactly once — duplicates (retransmissions or
-/// transport-injected copies) are suppressed and re-acked, gaps are
+/// the fault layer's copies) are suppressed and re-acked, gaps are
 /// buffered — so the upper layer keeps the per-pair FIFO ordering the
 /// protocol was built on (paper assumption 1), now also under loss.
 ///
-/// Acks are cumulative and piggyback on every outbound data message; a
-/// standalone kChannelAck is emitted when data arrives and nothing is
-/// going the other way. Acks themselves travel with seq = 0 and are never
-/// acked or retransmitted (the next data arrival re-triggers one).
+/// Acks are cumulative and piggyback on every outbound data message, and
+/// every data arrival (in order, duplicate or out of order) also sends a
+/// standalone kChannelAck, whether or not data is going the other way.
+/// Acks themselves travel with seq = 0 and are never acked or
+/// retransmitted (the next data arrival re-triggers one).
 ///
 /// Retransmissions re-enter the inner transport's Send per attempt; the
 /// real transports encode into reused scratch space and append to a

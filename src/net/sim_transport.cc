@@ -8,10 +8,7 @@
 namespace miniraid {
 
 SimTransport::SimTransport(SimRuntime* sim, const SimTransportOptions& options)
-    : sim_(sim),
-      options_(options),
-      injector_(options.faults),
-      jitter_rng_(options.jitter_seed) {}
+    : sim_(sim), options_(options), jitter_rng_(options.jitter_seed) {}
 
 void SimTransport::Register(SiteId site, MessageHandler* handler) {
   handlers_[site] = handler;
@@ -22,10 +19,6 @@ Status SimTransport::Send(const Message& msg) {
   if (it == handlers_.end()) {
     return Status::InvalidArgument(
         StrFormat("no handler registered for site %u", msg.to));
-  }
-  if (injector_.ShouldDrop(msg)) {
-    ++messages_dropped_;
-    return Status::Ok();
   }
   ++messages_sent_;
   MessageHandler* handler = it->second;
@@ -40,20 +33,7 @@ Status SimTransport::Send(const Message& msg) {
   }
   sim_->ScheduleSiteEvent(arrival, msg.to,
                           [handler, msg]() { handler->OnMessage(msg); });
-  // Duplicate decisions come from the injector's own RNG stream, never the
-  // latency jitter's, so a same-seed run's original arrivals are identical
-  // with duplication on or off.
-  if (injector_.ShouldDuplicate()) {
-    TimePoint dup_arrival = arrival + injector_.faults().duplicate_delay;
-    sim_->ScheduleSiteEvent(dup_arrival, msg.to,
-                            [handler, msg]() { handler->OnMessage(msg); });
-  }
   return Status::Ok();
-}
-
-void SimTransport::ResetCounters() {
-  messages_sent_ = 0;
-  messages_dropped_ = 0;
 }
 
 }  // namespace miniraid

@@ -7,7 +7,6 @@
 
 #include "common/rng.h"
 #include "common/thread_annotations.h"
-#include "net/faults.h"
 #include "net/transport.h"
 #include "sim/sim_runtime.h"
 
@@ -18,11 +17,6 @@ struct SimTransportOptions {
   /// single communication from one site to another site ... as nine
   /// milliseconds" (§2.1); that figure is the default.
   Duration message_latency = Milliseconds(9);
-
-  /// Fault injection (loss, duplication, duplicate delay) shared with the
-  /// inproc and TCP transports. Reliability is the paper's assumption, so
-  /// the default injects nothing.
-  TransportFaults faults;
 
   /// Uniform extra delay in [0, latency_jitter] added per message
   /// (deterministic from jitter_seed). Delivery stays FIFO per sender ->
@@ -50,15 +44,10 @@ class SimTransport : public Transport {
   Status Send(const Message& msg) override;
 
   uint64_t messages_sent() const { return messages_sent_; }
-  uint64_t messages_dropped() const { return messages_dropped_; }
-
-  /// Resets the message counters (used between measurement windows).
-  void ResetCounters();
 
  private:
   SimRuntime* sim_;
   SimTransportOptions options_;
-  FaultInjector injector_;
   // Simulation-only transport: senders and receivers are SimRuntime events,
   // all executed on the driving (client) thread — the loop/managing callers
   // in the call graph never run concurrently with it.
@@ -67,7 +56,6 @@ class SimTransport : public Transport {
   Rng jitter_rng_;
   std::map<std::pair<SiteId, SiteId>, TimePoint> last_arrival_;
   uint64_t messages_sent_ MR_CONTEXT_CONFINED(client) = 0;
-  uint64_t messages_dropped_ MR_CONTEXT_CONFINED(client) = 0;
 };
 
 }  // namespace miniraid

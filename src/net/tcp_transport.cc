@@ -33,8 +33,7 @@ TcpTransport::TcpTransport(SiteId self, std::map<SiteId, uint16_t> peers,
       peers_(std::move(peers)),
       loop_(loop),
       handler_(handler),
-      options_(options),
-      injector_(options.faults) {
+      options_(options) {
   for (const auto& [id, port] : peers_) out_[id];
 }
 
@@ -103,7 +102,6 @@ void TcpTransport::Teardown() {
     MutexLock lock(conn_mu_);
     for (auto& [id, peer] : out_) Disconnect(peer);
   }
-  *alive_ = false;
   for (auto& [fd, conn] : inbound_) {
     loop_->Unwatch(fd);
     ::close(fd);
@@ -230,25 +228,6 @@ void TcpTransport::Disconnect(Peer& peer) {
   peer = Peer{};
 }
 
-Status TcpTransport::Enqueue(SiteId to, const std::vector<uint8_t>& body) {
-  if (stopping_) return Status::FailedPrecondition("transport stopped");
-  auto it = out_.find(to);
-  if (it == out_.end()) {
-    return Status::InvalidArgument(StrFormat("unknown peer site %u", to));
-  }
-  Peer& peer = it->second;
-  if (peer.fd < 0) MINIRAID_RETURN_IF_ERROR(Connect(to, peer));
-  // Posted under conn_mu_, so the flush cannot run before the append.
-  if (!peer.flush_queued) {
-    if (!loop_->Post([this, to] { Flush(to); })) {
-      return Status::FailedPrecondition("event loop stopped");
-    }
-    peer.flush_queued = true;
-  }
-  AppendFrame(body, peer.out);
-  return Status::Ok();
-}
-
 void TcpTransport::Flush(SiteId to) {
   MutexLock lock(conn_mu_);
   Peer& peer = out_.find(to)->second;
@@ -290,38 +269,26 @@ void TcpTransport::Flush(SiteId to) {
 }
 
 Status TcpTransport::Send(const Message& msg) {
-  bool duplicate = false;
-  // With no faults configured the injector would decide nothing, so skip
-  // its lock.
-  if (options_.faults.Any()) {
-    MutexLock lock(faults_mu_);
-    if (injector_.ShouldDrop(msg)) {
-      messages_dropped_.fetch_add(1);
-      return Status::Ok();
-    }
-    duplicate = injector_.ShouldDuplicate();
-  }
   MutexLock lock(conn_mu_);
+  if (stopping_) return Status::FailedPrecondition("transport stopped");
+  auto it = out_.find(msg.to);
+  if (it == out_.end()) {
+    return Status::InvalidArgument(StrFormat("unknown peer site %u", msg.to));
+  }
+  Peer& peer = it->second;
+  if (peer.fd < 0) MINIRAID_RETURN_IF_ERROR(Connect(msg.to, peer));
   EncodeMessageInto(msg, scratch_);
-  // Counted before the peer can read the frame, so no message this one
-  // causes is ever counted ahead of it.
+  // Posted under conn_mu_, so the flush cannot run before the append.
+  if (!peer.flush_queued) {
+    if (!loop_->Post([this, to = msg.to] { Flush(to); })) {
+      return Status::FailedPrecondition("event loop stopped");
+    }
+    peer.flush_queued = true;
+  }
+  AppendFrame(scratch_.buffer(), peer.out);
+  // Counted before the flush can write the frame (it takes conn_mu_), so
+  // no message this one causes is ever counted ahead of it.
   messages_sent_.fetch_add(1);
-  if (Status status = Enqueue(msg.to, scratch_.buffer()); !status.ok()) {
-    messages_sent_.fetch_sub(1);
-    return status;
-  }
-  if (!duplicate) return Status::Ok();
-  const Duration delay = options_.faults.duplicate_delay;
-  if (delay <= 0) {
-    (void)Enqueue(msg.to, scratch_.buffer());
-    return Status::Ok();
-  }
-  loop_->ScheduleAfter(delay, [this, alive = alive_, to = msg.to,
-                               body = scratch_.buffer()] {
-    if (!*alive) return;
-    MutexLock lock(conn_mu_);
-    (void)Enqueue(to, body);
-  });
   return Status::Ok();
 }
 

@@ -11,7 +11,6 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "net/event_loop.h"
-#include "net/faults.h"
 #include "net/transport.h"
 
 namespace miniraid {
@@ -20,13 +19,6 @@ struct TcpTransportOptions {
   /// Address every peer binds on. Experiments run on localhost, like the
   /// paper's single-machine testbed; any IPv4 address works.
   std::string bind_address = "127.0.0.1";
-
-  /// Fault injection (loss, duplication, duplicate delay) shared with the
-  /// sim and inproc transports; defaults inject nothing. TCP itself never
-  /// loses or duplicates, so faults are applied above the socket: a
-  /// dropped message is never framed, a duplicated one is framed twice
-  /// (the copy after `duplicate_delay`).
-  TransportFaults faults;
 };
 
 /// Message passing over real TCP sockets, one transport instance per site.
@@ -79,13 +71,9 @@ class TcpTransport : public Transport {
   /// Thread-safe; lazily connects to the destination on first use.
   MR_RUNS_ON(any) Status Send(const Message& msg) override;
 
-  /// Messages accepted for sending, not socket calls: a duplicated
-  /// message counts once, as on the other backends.
+  /// Messages accepted for sending, not socket calls.
   MR_RUNS_ON(any) uint64_t messages_sent() const {
     return messages_sent_.load();
-  }
-  MR_RUNS_ON(any) uint64_t messages_dropped() const {
-    return messages_dropped_.load();
   }
 
  private:
@@ -114,11 +102,6 @@ class TcpTransport : public Transport {
   /// remainder the socket cannot take yet.
   MR_RUNS_ON(loop) void Flush(SiteId to);
   MR_RUNS_ON(loop) void Teardown();
-  /// Frames `body` onto `to`'s buffer, connecting first if needed, and
-  /// queues the flush. The fault-free inner send, also used for delayed
-  /// duplicate copies (which must not re-draw fault decisions).
-  Status Enqueue(SiteId to, const std::vector<uint8_t>& body)
-      MR_REQUIRES(conn_mu_);
   Status Connect(SiteId to, Peer& peer) MR_REQUIRES(conn_mu_);
   MR_RUNS_ON(loop) void Disconnect(Peer& peer) MR_REQUIRES(conn_mu_);
 
@@ -146,11 +129,6 @@ class TcpTransport : public Transport {
   /// queues a flush behind it.
   bool stopping_ MR_GUARDED_BY(conn_mu_) = false;
 
-  // Fault decisions mutate RNG state and Send runs on many threads; held
-  // only around the decision, never around a socket call or a loop post.
-  Mutex faults_mu_ MR_ACQUIRED_BEFORE(loop_->mu_);
-  FaultInjector injector_ MR_GUARDED_BY(faults_mu_);
-
   /// Loop-confined: Start() hands the listen socket to the loop inside a
   /// PostAndWait, and only loop callbacks and Teardown touch it after that
   /// (the destructor closes what a stopped loop left behind).
@@ -158,12 +136,8 @@ class TcpTransport : public Transport {
   /// Keyed by fd; map nodes stay put, so callbacks hold Inbound*.
   /// Loop-confined like listen_fd_.
   std::map<int, Inbound> inbound_ MR_CONTEXT_CONFINED(loop);
-  /// Cleared by Teardown on the loop; delayed duplicate copies, which run
-  /// there too, check it before touching the transport.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 
   std::atomic<uint64_t> messages_sent_{0};
-  std::atomic<uint64_t> messages_dropped_{0};
 };
 
 /// Returns a base port unlikely to collide between concurrently running

@@ -26,13 +26,14 @@ class MessageHandler {
   MR_RUNS_ON(any) virtual void OnMessage(const Message& msg) = 0;
 };
 
-/// Asynchronous, per-pair-FIFO message channel. Delivery is AT MOST ONCE
-/// per accepted copy but not guaranteed: every transport can be configured
-/// to lose, duplicate, and delay messages (TransportFaults in net/faults.h),
-/// and the real backends can lose them on connection failure. The paper's
-/// assumption 1 ("no messages were lost; messages arrived and were
-/// processed in the order that they were sent") therefore does NOT hold at
-/// this layer. It is restored for the protocol engine by stacking a
+/// Asynchronous, per-pair-FIFO message channel. A transport only delivers:
+/// each accepted message arrives once, in the order sent per (from, to)
+/// pair, unless a real backend loses it on connection failure. Loss and
+/// duplication are injected above it, by the FaultLayer (net/faults.h) a
+/// cluster stacks on every endpoint when ClusterOptions::faults asks for
+/// them. The paper's assumption 1 ("no messages were lost; messages
+/// arrived and were processed in the order that they were sent") then no
+/// longer holds. It is restored for the protocol engine by stacking a
 /// ReliableChannel (net/reliable_channel.h) on top, which turns the lossy
 /// substrate into AT-LEAST-ONCE delivery via retransmission with
 /// exponential backoff, and then into exactly-once in-order delivery via
@@ -41,12 +42,11 @@ class MessageHandler {
 /// receiving behind a ReliableChannel may assume per-pair FIFO and no
 /// duplicates, because the channel is the only layer that re-sends (the
 /// protocol engine sends each message once). The protocol handlers still
-/// tolerate duplicates, which reach them when the channel is off and a
-/// transport injects copies.
+/// tolerate duplicates, which reach them when the channel is off and the
+/// fault layer injects copies.
 ///
-/// What stays true on every backend, faults or not: messages that are
-/// delivered arrive in the order sent per (from, to) pair — a duplicate's
-/// delayed copy is the one exception — and Send never blocks on the
+/// What stays true on every backend: messages that are delivered arrive
+/// in the order sent per (from, to) pair, and Send never blocks on the
 /// receiver. The simulator schedules each delivery as an event. The two
 /// real backends append a frame (net/framing.h) to a per-destination
 /// buffer of the sender's and hand each buffer over once per turn of the
@@ -61,8 +61,8 @@ class Transport {
   virtual ~Transport() = default;
 
   /// Queues `msg` for delivery to `msg.to`. Fire-and-forget: an OK return
-  /// means the transport accepted the message — not that it was delivered
-  /// (fault injection may still drop it) nor that it was processed.
+  /// means the message was accepted — not that it was delivered (a fault
+  /// layer may have dropped it) nor that it was processed.
   /// MR_RUNS_ON(any): Send never blocks on the receiver and every backend
   /// accepts it from any execution context.
   MR_RUNS_ON(any) virtual Status Send(const Message& msg) = 0;

@@ -131,7 +131,8 @@ struct SiteOptions {
   BatchingOptions batching;
 
   /// Optional shared protocol trace (not owned; must outlive the sites).
-  /// Only enable under the simulator — TraceLog is not thread-safe.
+  /// Works on every backend: one mutex guards TraceLog's buffer, so the
+  /// sites' loop threads may record into it concurrently.
   TraceLog* trace = nullptr;
 
   /// Durability hook: invoked from the site's execution context after every

@@ -747,7 +747,7 @@ void Site::HandlePrepare(const Message& msg) {
   const auto& args = msg.As<PrepareArgs>();
   auto existing = participations_.find(args.txn);
   if (existing != participations_.end()) {
-    // Duplicate prepare (a transport-injected copy): re-ack, keep the
+    // Duplicate prepare (a fault-layer copy): re-ack, keep the
     // staging. With the locking extension, an ack before the queued locks
     // are granted would let the coordinator commit writes this site has
     // not locked — stay silent and let SendPrepareAck run when the locks

@@ -42,6 +42,20 @@ TEST(RowaStrictTest, AnyFailureBlocksAllUpdates) {
   }
 }
 
+TEST(RowaStrictTest, FaultsStackTheSameLayerAsAMiniRaidCluster) {
+  // BaselineClusterOptions::faults reaches the sites through the fault
+  // layer, as ClusterOptions::faults does: a Prepare lost on its way to
+  // site 2 blocks the write like a failed site 2.
+  BaselineClusterOptions options = Options(BaselineKind::kRowaStrict, 3);
+  options.faults.drop_filter = [](const Message& msg) {
+    return msg.type == MsgType::kPrepare && msg.to == 2;
+  };
+  BaselineCluster cluster(options);
+  const TxnResult reply =
+      cluster.RunTxn(MakeTxn(1, {Operation::Write(1, 10)}), 0);
+  EXPECT_EQ(reply.outcome, TxnOutcome::kAbortedParticipantFailed);
+}
+
 TEST(RowaStrictTest, ReadOnlyTransactionsSurviveFailures) {
   BaselineCluster cluster(Options(BaselineKind::kRowaStrict, 3));
   (void)cluster.RunTxn(MakeTxn(1, {Operation::Write(1, 10)}), 0);

@@ -159,7 +159,7 @@ TEST(DuplicateDeliveryTest, ProtocolToleratesRetransmittingTransport) {
   ClusterOptions options;
   options.n_sites = 3;
   options.db_size = 12;
-  options.transport.faults.duplicate_probability = 0.3;
+  options.faults.duplicate_probability = 0.3;
   options.transport.jitter_seed = 4;
   auto cluster_owner = MakeSimCluster(options);
   SimCluster& cluster = *cluster_owner;

@@ -469,19 +469,5 @@ TEST(ThreadSiteRuntimeTest, NowAdvances) {
   EXPECT_GT(runtime.Now(), a);
 }
 
-TEST(ThreadSiteRuntimeTest, ChargeCpuSpinsWhenScaled) {
-  EventLoop loop;
-  SteadyClock clock;
-  ThreadSiteRuntime scaled(&loop, &clock, /*cpu_scale=*/1.0);
-  const TimePoint start = clock.Now();
-  scaled.ChargeCpu(Milliseconds(5));
-  EXPECT_GE(clock.Now() - start, Milliseconds(5));
-
-  ThreadSiteRuntime unscaled(&loop, &clock, /*cpu_scale=*/0.0);
-  const TimePoint start2 = clock.Now();
-  unscaled.ChargeCpu(Seconds(100));  // must return immediately
-  EXPECT_LT(clock.Now() - start2, Seconds(1));
-}
-
 }  // namespace
 }  // namespace miniraid

@@ -11,6 +11,7 @@
 #include <utility>
 
 #include "core/cluster.h"
+#include "net/faults.h"
 #include "net/partition.h"
 #include "txn/driver.h"
 #include "txn/workload.h"
@@ -45,7 +46,7 @@ TEST(PartitionTest, MinoritySideDetectsMajorityAsFailed) {
   ClusterOptions options;
   options.n_sites = 3;
   options.db_size = 8;
-  options.transport.faults.drop_filter = partition.Filter();
+  options.faults.drop_filter = partition.Filter();
   auto cluster_owner = MakeSimCluster(options);
   SimCluster& cluster = *cluster_owner;
 
@@ -70,7 +71,7 @@ TEST(PartitionTest, RowaaDivergesUnderPartitionTheDocumentedLimitation) {
   ClusterOptions options;
   options.n_sites = 2;
   options.db_size = 4;
-  options.transport.faults.drop_filter = partition.Filter();
+  options.faults.drop_filter = partition.Filter();
   auto cluster_owner = MakeSimCluster(options);
   SimCluster& cluster = *cluster_owner;
 
@@ -95,7 +96,7 @@ TEST(PartitionTest, HealedPartitionRecoversViaControlType1) {
   ClusterOptions options;
   options.n_sites = 3;
   options.db_size = 8;
-  options.transport.faults.drop_filter = partition.Filter();
+  options.faults.drop_filter = partition.Filter();
   auto cluster_owner = MakeSimCluster(options);
   SimCluster& cluster = *cluster_owner;
 
@@ -252,12 +253,11 @@ void RunLossScenario(ClusterOptions options, MsgType victim_type) {
   auto dropped = std::make_shared<bool>(false);
   options.n_sites = 3;
   options.db_size = 8;
-  options.transport.faults.drop_filter =
-      [dropped, victim_type](const Message& msg) {
-        if (*dropped || msg.type != victim_type) return false;
-        *dropped = true;
-        return true;
-      };
+  options.faults.drop_filter = [dropped, victim_type](const Message& msg) {
+    if (*dropped || msg.type != victim_type) return false;
+    *dropped = true;
+    return true;
+  };
   auto cluster_owner = MakeSimCluster(options);
   SimCluster& cluster = *cluster_owner;
 
@@ -305,18 +305,20 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(DuplicateDeterminismTest, SameSeedArrivalsUnchangedByDuplication) {
-  // The duplicate decision stream is separate from the latency jitter's:
-  // turning duplication on must not move a single original arrival in a
-  // same-seed run (satellite guarantee for A/B experiments).
+  // Copies are drawn per delivery, from a stream separate from the latency
+  // jitter's, and handed up behind their original: turning duplication on
+  // must not move a single original arrival in a same-seed run (a
+  // guarantee A/B experiments rely on).
   auto run = [](double duplicate_probability) {
     SimRuntime sim;
     SimTransportOptions topts;
     topts.latency_jitter = Milliseconds(4);
     topts.jitter_seed = 99;
-    topts.faults.seed = 5;
-    topts.faults.duplicate_probability = duplicate_probability;
-    topts.faults.duplicate_delay = Milliseconds(2);
     SimTransport transport(&sim, topts);
+    TransportFaults faults;
+    faults.seed = 5;
+    faults.duplicate_probability = duplicate_probability;
+    FaultInjector injector(faults);
 
     class TimedRecorder : public MessageHandler {
      public:
@@ -334,9 +336,11 @@ TEST(DuplicateDeterminismTest, SameSeedArrivalsUnchangedByDuplication) {
       SimRuntime* const sim_;
     };
     TimedRecorder recorder(&sim);
-    transport.Register(1, &recorder);
+    FaultLayer sender(&injector, &transport, /*upper=*/nullptr);
+    FaultLayer receiver(&injector, &transport, &recorder);
+    transport.Register(1, &receiver);
     for (TxnId t = 1; t <= 40; ++t) {
-      (void)transport.Send(MakeMessage(0, 1, CommitArgs{t}));
+      (void)sender.Send(MakeMessage(0, 1, CommitArgs{t}));
     }
     sim.RunUntilIdle();
     return recorder.arrivals;
@@ -358,8 +362,8 @@ TEST(LossyNetworkAcceptanceTest, PipelinedLoadWithFailureAtTenPercentLoss) {
   options.n_sites = 4;
   options.db_size = 32;
   options.max_inflight = 8;
-  options.transport.faults.drop_probability = 0.10;
-  options.transport.faults.seed = 7;
+  options.faults.drop_probability = 0.10;
+  options.faults.seed = 7;
   options.reliable.enabled = true;
   options.site.ack_timeout = Milliseconds(2375);
   auto cluster_owner = MakeSimCluster(options);

@@ -157,7 +157,7 @@ TEST(LockingTest, StaleLocksDoNotOutliveTimeoutsOrCrashes) {
   // releases it. (Both survivors then suspect each other — the protocol's
   // correct response to asymmetric silence.)
   ClusterOptions options = Options(3, 6);
-  options.transport.faults.drop_filter = [](const Message& msg) {
+  options.faults.drop_filter = [](const Message& msg) {
     return msg.from == 0 && msg.to == 1 && msg.type == MsgType::kCommit;
   };
   options.managing.client_timeout = Seconds(30);
@@ -269,7 +269,7 @@ TEST(LockingTest, VetoedReadOnlyPrepareAbortsWithoutAbortMessages) {
   // carry a stale session for site 2 and both participants veto them.
   ClusterOptions options = Options(3);
   uint64_t aborts_sent = 0;
-  options.transport.faults.drop_filter = [&aborts_sent](const Message& msg) {
+  options.faults.drop_filter = [&aborts_sent](const Message& msg) {
     if (msg.type == MsgType::kAbort) ++aborts_sent;
     return msg.type == MsgType::kRecoveryAnnounce && msg.to == 0;
   };
@@ -302,7 +302,7 @@ TEST(LockingTest, ReadOnlyPrepareStillDetectsAFailedParticipant) {
   // is announced by control type 2.
   ClusterOptions options = Options(3);
   uint64_t aborts_sent = 0;
-  options.transport.faults.drop_filter = [&aborts_sent](const Message& msg) {
+  options.faults.drop_filter = [&aborts_sent](const Message& msg) {
     if (msg.type == MsgType::kAbort) ++aborts_sent;
     return false;
   };

@@ -132,12 +132,9 @@ TEST_P(RealClusterTest, ReliableChannelRepairsLossOnRealRuntimes) {
   options.reliable.enabled = true;
   // The whole coordinator wait; nothing above the channel re-sends.
   options.site.ack_timeout = Microseconds(1187500);
-  TransportFaults faults;
-  faults.drop_probability = 0.10;
-  faults.duplicate_probability = 0.05;
-  faults.seed = 3;
-  options.inproc.faults = faults;
-  options.tcp.faults = faults;
+  options.faults.drop_probability = 0.10;
+  options.faults.duplicate_probability = 0.05;
+  options.faults.seed = 3;
   auto made = MakeCluster(options);
   ASSERT_TRUE(made.ok()) << made.status().ToString();
   auto& cluster = **made;

@@ -1,7 +1,8 @@
-// Unit tests of the ReliableChannel over the simulator transport: loss is
-// repaired by retransmission, duplicates are suppressed, reordering is
-// hidden behind the per-pair FIFO contract, and a permanently silent peer
-// bounds the retransmission effort (abandon after 8 retransmissions).
+// Unit tests of the ReliableChannel over the fault layer and the simulator
+// transport: loss is repaired by retransmission, duplicates are suppressed,
+// reordering is hidden behind the per-pair FIFO contract, and a permanently
+// silent peer bounds the retransmission effort (abandon after 8
+// retransmissions).
 
 #include "net/reliable_channel.h"
 
@@ -11,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/faults.h"
 #include "net/sim_transport.h"
 #include "sim/sim_runtime.h"
 
@@ -28,32 +30,39 @@ class Recorder : public MessageHandler {
   std::vector<TxnId> txns;
 };
 
-/// Two endpoints (0 and 1) each fronted by a ReliableChannel over one
-/// shared SimTransport.
+/// Two endpoints (0 and 1), each a ReliableChannel over its own FaultLayer
+/// over one shared SimTransport: the stack a cluster wires.
 struct Pair {
-  Pair(SimRuntime* sim, const SimTransportOptions& topts)
-      : transport(sim, topts),
-        ch0(0, &transport, sim->RuntimeFor(0), &rec0),
-        ch1(1, &transport, sim->RuntimeFor(1), &rec1) {
-    transport.Register(0, &ch0);
-    transport.Register(1, &ch1);
+  Pair(SimRuntime* sim, const TransportFaults& faults)
+      : transport(sim, SimTransportOptions{}),
+        injector(faults),
+        layer0(&injector, &transport, /*upper=*/nullptr),
+        layer1(&injector, &transport, /*upper=*/nullptr),
+        ch0(0, &layer0, sim->RuntimeFor(0), &rec0),
+        ch1(1, &layer1, sim->RuntimeFor(1), &rec1) {
+    layer0.set_upper(&ch0);
+    layer1.set_upper(&ch1);
+    transport.Register(0, &layer0);
+    transport.Register(1, &layer1);
   }
   SimTransport transport;
+  FaultInjector injector;
+  FaultLayer layer0, layer1;
   Recorder rec0, rec1;
   ReliableChannel ch0, ch1;
 };
 
 TEST(ReliableChannelTest, RetransmitsEveryLostMessageInOrder) {
   SimRuntime sim;
-  SimTransportOptions topts;
+  TransportFaults faults;
   // Drop the FIRST transmission of every data message from site 0; let
   // retransmissions (and everything from site 1) through.
   std::set<uint64_t> seen;
-  topts.faults.drop_filter = [&seen](const Message& msg) {
+  faults.drop_filter = [&seen](const Message& msg) {
     if (msg.from != 0 || msg.seq == 0) return false;
     return seen.insert(msg.seq).second;
   };
-  Pair pair(&sim, topts);
+  Pair pair(&sim, faults);
   for (TxnId t = 1; t <= 10; ++t) {
     ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
   }
@@ -70,9 +79,9 @@ TEST(ReliableChannelTest, RetransmitsEveryLostMessageInOrder) {
 
 TEST(ReliableChannelTest, TransportDuplicatesSuppressedAtReceiver) {
   SimRuntime sim;
-  SimTransportOptions topts;
-  topts.faults.duplicate_probability = 1.0;  // every message arrives twice
-  Pair pair(&sim, topts);
+  TransportFaults faults;
+  faults.duplicate_probability = 1.0;  // every message arrives twice
+  Pair pair(&sim, faults);
   for (TxnId t = 1; t <= 20; ++t) {
     ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
   }
@@ -88,18 +97,18 @@ TEST(ReliableChannelTest, TransportDuplicatesSuppressedAtReceiver) {
 
 TEST(ReliableChannelTest, GapIsBufferedAndReleasedInSequence) {
   SimRuntime sim;
-  SimTransportOptions topts;
+  TransportFaults faults;
   // Lose only seq 1 (once): seqs 2..5 arrive first and must wait for the
   // retransmission to fill the gap, then deliver strictly in order.
   bool dropped = false;
-  topts.faults.drop_filter = [&dropped](const Message& msg) {
+  faults.drop_filter = [&dropped](const Message& msg) {
     if (msg.from == 0 && msg.seq == 1 && !dropped) {
       dropped = true;
       return true;
     }
     return false;
   };
-  Pair pair(&sim, topts);
+  Pair pair(&sim, faults);
   for (TxnId t = 1; t <= 5; ++t) {
     ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
   }
@@ -118,12 +127,12 @@ TEST(ReliableChannelTest, GapIsBufferedAndReleasedInSequence) {
 
 TEST(ReliableChannelTest, AbandonsAfterMaxRetransmits) {
   SimRuntime sim;
-  SimTransportOptions topts;
+  TransportFaults faults;
   // A black hole towards site 1: every data message from 0 is dropped.
-  topts.faults.drop_filter = [](const Message& msg) {
+  faults.drop_filter = [](const Message& msg) {
     return msg.from == 0 && msg.seq > 0;
   };
-  Pair pair(&sim, topts);
+  Pair pair(&sim, faults);
   ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{1})).ok());
   sim.RunUntilIdle();  // terminates: the channel gives up, timers stop
   EXPECT_TRUE(pair.rec1.txns.empty());
@@ -137,8 +146,7 @@ TEST(ReliableChannelTest, UnsequencedDatagramBypassesDedup) {
   // A message from a sender with no channel (seq = 0) must still reach the
   // upper handler — mixed deployments and control probes rely on it.
   SimRuntime sim;
-  SimTransportOptions topts;
-  SimTransport transport(&sim, topts);
+  SimTransport transport(&sim, SimTransportOptions{});
   Recorder rec1;
   ReliableChannel ch1(1, &transport, sim.RuntimeFor(1), &rec1);
   transport.Register(1, &ch1);
@@ -151,7 +159,7 @@ TEST(ReliableChannelTest, UnsequencedDatagramBypassesDedup) {
 
 TEST(ReliableChannelTest, BidirectionalTrafficPiggybacksAcks) {
   SimRuntime sim;
-  Pair pair(&sim, SimTransportOptions{});
+  Pair pair(&sim, TransportFaults{});
   for (TxnId t = 1; t <= 5; ++t) {
     ASSERT_TRUE(pair.ch0.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
     ASSERT_TRUE(pair.ch1.Send(MakeMessage(1, 0, CommitArgs{100 + t})).ok());

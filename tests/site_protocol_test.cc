@@ -238,7 +238,7 @@ TEST(SiteProtocolTest, CommitPhaseTimeoutStillCommits) {
   // dropping the commit message to site 1.
   ClusterOptions options = Options(2);
   SimCluster* cluster_ptr = nullptr;
-  options.transport.faults.drop_filter = [&cluster_ptr](const Message& msg) {
+  options.faults.drop_filter = [&cluster_ptr](const Message& msg) {
     return msg.type == MsgType::kCommit && msg.to == 1 &&
            cluster_ptr != nullptr;
   };
@@ -258,7 +258,7 @@ TEST(SiteProtocolTest, ParticipantDetectsDeadCoordinator) {
   // Drop the commit AND the abort so the participant's patience timer
   // expires: it must discard the staged write and run control type 2.
   ClusterOptions options = Options(3);
-  options.transport.faults.drop_filter = [](const Message& msg) {
+  options.faults.drop_filter = [](const Message& msg) {
     return msg.from == 0 && msg.to == 1 &&
            (msg.type == MsgType::kCommit || msg.type == MsgType::kAbort);
   };

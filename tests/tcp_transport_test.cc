@@ -22,7 +22,6 @@ class Collector : public MessageHandler {
   void OnMessage(const Message& msg) override {
     std::lock_guard<std::mutex> lock(mu);
     messages.push_back(msg);
-    arrivals.push_back(std::chrono::steady_clock::now());
   }
   size_t Count() {
     std::lock_guard<std::mutex> lock(mu);
@@ -33,14 +32,8 @@ class Collector : public MessageHandler {
     return messages.at(i);
   }
 
-  std::chrono::steady_clock::time_point ArrivalAt(size_t i) {
-    std::lock_guard<std::mutex> lock(mu);
-    return arrivals.at(i);
-  }
-
   std::mutex mu;
   std::vector<Message> messages;
-  std::vector<std::chrono::steady_clock::time_point> arrivals;
 };
 
 bool WaitForCount(Collector& collector, size_t n) {
@@ -247,54 +240,6 @@ TEST(TcpTransportStandaloneTest, SendRacingStopLeavesNoOpenFd) {
     b.Stop();
   }
   EXPECT_EQ(OpenFdCount(), baseline);
-}
-
-TEST(TcpTransportStandaloneTest, DuplicateCountsOnceAndFollowsItsOriginal) {
-  constexpr TxnId kCount = 100;
-  for (const Duration delay : {Duration{0}, Milliseconds(2)}) {
-    SCOPED_TRACE(delay);
-    TcpTransportOptions options;
-    options.faults.duplicate_probability = 1.0;
-    options.faults.duplicate_delay = delay;
-    EventLoop loop_a, loop_b;
-    Collector collector_a, collector_b;
-    const uint16_t base = PickEphemeralBasePort();
-    const std::map<SiteId, uint16_t> ports = {
-        {0, base}, {1, static_cast<uint16_t>(base + 1)}};
-    TcpTransport a(0, ports, &loop_a, &collector_a, options);
-    TcpTransport b(1, ports, &loop_b, &collector_b);
-    ASSERT_TRUE(a.Start().ok());
-    ASSERT_TRUE(b.Start().ok());
-    std::vector<std::chrono::steady_clock::time_point> sent;
-    for (TxnId t = 1; t <= kCount; ++t) {
-      sent.push_back(std::chrono::steady_clock::now());
-      ASSERT_TRUE(a.Send(MakeMessage(0, 1, CommitArgs{t})).ok());
-    }
-    ASSERT_TRUE(WaitForCount(collector_b, 2 * kCount));
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    a.Stop();
-    b.Stop();
-    EXPECT_EQ(a.messages_sent(), kCount);
-    ASSERT_EQ(collector_b.Count(), 2 * kCount);
-    // The first arrival of each message is its original, in send order;
-    // the second is its copy, `delay` or more after the Send (with no
-    // delay, right behind the original).
-    std::map<TxnId, int> seen;
-    TxnId next_original = 1;
-    for (size_t i = 0; i < 2 * kCount; ++i) {
-      const TxnId t = collector_b.At(i).As<CommitArgs>().txn;
-      if (++seen[t] == 1) {
-        EXPECT_EQ(t, next_original++);
-        continue;
-      }
-      EXPECT_EQ(seen[t], 2) << "txn " << t;
-      EXPECT_GE(collector_b.ArrivalAt(i) - sent[t - 1],
-                std::chrono::nanoseconds(delay));
-      if (delay == 0) {
-        EXPECT_EQ(collector_b.At(i - 1).As<CommitArgs>().txn, t);
-      }
-    }
-  }
 }
 
 TEST(TcpTransportStandaloneTest, ConnectToDeadPeerFails) {

@@ -107,7 +107,7 @@ TEST(TwoStepRecoveryTest, BatchSurvivesSilentCopySource) {
   // Drop every CopyReply from site 0 so batch copier requests time out:
   // the site must give up (and retry later) rather than hang or crash.
   ClusterOptions options = Options(1.0, 5);
-  options.transport.faults.drop_filter = [](const Message& msg) {
+  options.faults.drop_filter = [](const Message& msg) {
     return msg.type == MsgType::kCopyReply && msg.from == 0;
   };
   auto cluster_owner = MakeSimCluster(options);
