@@ -27,8 +27,9 @@ struct BaselineClusterOptions {
   BaselineSiteOptions site;
   SimOptions sim;
   SimTransportOptions transport;
-  /// Loss and duplication, as ClusterOptions::faults: when it injects
-  /// anything, every endpoint sends and receives through a FaultLayer.
+  /// Loss, as ClusterOptions::faults: when it injects anything, every
+  /// endpoint sends and receives through a FaultLayer. The baselines run
+  /// no reliable channel, so duplication is refused.
   TransportFaults faults;
   ManagingSite::Options managing;
 };

@@ -216,11 +216,10 @@ const std::vector<ActionEffectVocabulary>& AbstractActionVocabulary() {
         "kAbort", "kTxnReply"},
        {"send:kPrepare", "send:kPrepareAck", "send:kCommit", "send:kCommitAck",
         "send:kAbort", "send:kTxnReply", "faillock.set", "faillock.clear",
-        "session.merge", "outcome.record", "lockmgr.acquire",
-        "lockmgr.release"}},
+        "session.merge", "lockmgr.acquire", "lockmgr.release"}},
       {Kind::kDetectFailure,
        "kDetectFailure",
-       {"kFailSite", "kFailureAnnounce", "kFailureAck"},
+       {"kFailSite", "kFailureAnnounce"},
        {"session.mark_down", "session.set", "send:kCopyCreate"}},
       {Kind::kCrash,
        "kCrash",
@@ -242,8 +241,7 @@ const std::vector<ActionEffectVocabulary>& AbstractActionVocabulary() {
        {"faillock.merge", "faillock.clear", "session.merge", "session.set"}},
       {Kind::kRefresh,
        "kRefresh",
-       {"kCopyRequest", "kCopyReply", "kCopyCreate", "kCopyCreateAck",
-        "kClearFailLocks", "kClearFailLocksAck"},
+       {"kCopyRequest", "kCopyReply", "kCopyCreate", "kClearFailLocks"},
        {"send:kCopyRequest", "send:kCopyReply", "send:kCopyCreate",
         "send:kClearFailLocks", "faillock.clear"}},
       {Kind::kBeginCommit,
@@ -255,7 +253,7 @@ const std::vector<ActionEffectVocabulary>& AbstractActionVocabulary() {
        "kEndCommit",
        {"kCommit", "kCommitAck", "kAbort"},
        {"send:kCommitAck", "send:kTxnReply", "faillock.set", "faillock.clear",
-        "lockmgr.release", "outcome.record"}},
+        "lockmgr.release"}},
   };
   return vocab;
 }

@@ -8,9 +8,9 @@
 namespace miniraid {
 
 /// An open-addressing hash index from 64-bit keys to 32-bit values, for
-/// tables that gain and lose an entry per transaction (lock tables, the
-/// recent-outcome cache): it allocates only when it grows, never per
-/// entry. Linear probing with backward-shift deletion, so an erase leaves
+/// tables that gain and lose an entry per transaction (the lock manager's
+/// item and transaction tables): it allocates only when it grows, never
+/// per entry. Linear probing with backward-shift deletion, so an erase leaves
 /// no tombstone and lookups stay short under any churn. The load factor
 /// stays at or below one half. Not thread-safe.
 class FlatIndex {

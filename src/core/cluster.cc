@@ -15,7 +15,12 @@ namespace internal {
 EndpointLayers::EndpointLayers(bool reliable, const TransportFaults& faults)
     : reliable(reliable),
       faults(faults.Any() ? std::make_unique<FaultInjector>(faults)
-                          : nullptr) {}
+                          : nullptr) {
+  // The channel is the only duplicate filter: the engine assumes each
+  // message arrives once (paper assumption 1).
+  MR_CHECK(faults.duplicate_probability <= 0.0 || reliable)
+      << "faults.duplicate_probability needs the reliable channel";
+}
 
 MessageHandler* EndpointLayers::Wire(
     SiteId id, Transport* inner, SiteRuntime* runtime,

@@ -29,6 +29,8 @@ namespace internal {
 /// (ClusterOptions::faults and ::reliable). Each vector holds one layer
 /// per endpoint in id order, and is empty while that layer is off.
 struct EndpointLayers {
+  /// MR_CHECK-fails if `faults` duplicates without `reliable`: the channel
+  /// is the only layer that absorbs a second copy.
   EndpointLayers(bool reliable, const TransportFaults& faults);
 
   /// Builds endpoint `id` over `inner`, its backend's transport: `make`

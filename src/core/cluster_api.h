@@ -61,14 +61,18 @@ struct ClusterOptions {
   /// with `reliable.enabled` every endpoint (sites + managing) sends and
   /// receives through a ReliableChannel, which retransmits lost messages
   /// with exponential backoff and suppresses duplicates at the receiver.
+  /// It is the only layer that repairs loss and the only one that filters
+  /// duplicates: the engine above it assumes each message arrives once.
   /// Pair with `faults` to run the protocol over a lossy network.
   ReliableChannelOptions reliable;
 
   /// Loss and duplication (net/faults.h), on every backend: when it injects
   /// anything, every endpoint sends and receives through a FaultLayer
   /// stacked on its transport, under the channel, and all of them draw
-  /// from one FaultInjector. The default injects nothing and stacks no
-  /// layer: the paper's reliable network.
+  /// from one FaultInjector. Duplication needs `reliable.enabled`: cluster
+  /// construction MR_CHECK-fails on `duplicate_probability > 0` without
+  /// it. The default injects nothing and stacks no layer: the paper's
+  /// reliable network.
   TransportFaults faults;
 
   // -- sim backend only ----------------------------------------------------

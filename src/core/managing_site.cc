@@ -42,18 +42,16 @@ void ManagingSite::OnMessage(const Message& msg) {
   const auto& reply = msg.As<TxnResult>();
   auto it = pending_.find(reply.txn);
   if (it == pending_.end()) {
-    // Not outstanding: either a duplicate of a reply already counted, or —
-    // the interesting case — the real outcome arriving after ClientTimeout
-    // already told the caller kCoordinatorUnreachable. The commit (or
-    // abort) stands in the cluster either way; count the contradiction so
-    // operators can see when the client timeout is lying.
-    if (timed_out_.erase(reply.txn) > 0) {
-      ++late_outcomes_;
-      MR_LOG(kWarn) << "managing site: txn " << reply.txn << " resolved ("
-                    << (reply.outcome == TxnOutcome::kCommitted ? "committed"
-                                                                : "aborted")
-                    << ") after its client timeout already fired";
-    }
+    // Not outstanding: each submission gets one reply, so this is the real
+    // outcome arriving after ClientTimeout already told the caller
+    // kCoordinatorUnreachable. The commit (or abort) stands in the
+    // cluster; count the contradiction so operators can see when the
+    // client timeout is lying.
+    ++late_outcomes_;
+    MR_LOG(kWarn) << "managing site: txn " << reply.txn << " resolved ("
+                  << (reply.outcome == TxnOutcome::kCommitted ? "committed"
+                                                              : "aborted")
+                  << ") after its client timeout already fired";
     return;
   }
   runtime_->CancelTimer(it->second.timer);
@@ -73,20 +71,10 @@ void ManagingSite::ClientTimeout(TxnId txn) {
   PendingTxn pending = std::move(it->second);
   pending_.erase(it);
   ++unreachable_;
-  RecordTimedOut(txn);
   TxnResult synthetic;
   synthetic.txn = txn;
   synthetic.outcome = TxnOutcome::kCoordinatorUnreachable;
   if (pending.callback) pending.callback(synthetic);
-}
-
-void ManagingSite::RecordTimedOut(TxnId txn) {
-  if (!timed_out_.insert(txn).second) return;
-  timed_out_fifo_.push_back(txn);
-  while (timed_out_fifo_.size() > kMaxTimedOut) {
-    timed_out_.erase(timed_out_fifo_.front());
-    timed_out_fifo_.pop_front();
-  }
 }
 
 }  // namespace miniraid

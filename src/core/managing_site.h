@@ -1,10 +1,8 @@
 #ifndef MINIRAID_CORE_MANAGING_SITE_H_
 #define MINIRAID_CORE_MANAGING_SITE_H_
 
-#include <deque>
 #include <functional>
 #include <map>
-#include <set>
 
 #include "common/runtime.h"
 #include "common/thread_annotations.h"
@@ -91,7 +89,6 @@ class ManagingSite : public MessageHandler {
   // managing execution context — annotated so the shared-state pass anchors
   // them there instead of inferring the generic timer (loop) context.
   MR_RUNS_ON(managing) void ClientTimeout(TxnId txn);
-  MR_RUNS_ON(managing) void RecordTimedOut(TxnId txn);
 
   const SiteId id_;
   Transport* const transport_;
@@ -99,13 +96,6 @@ class ManagingSite : public MessageHandler {
   const Options options_;
 
   std::map<TxnId, PendingTxn> pending_;
-  /// Transactions whose client timeout fired, kept (bounded FIFO) so a
-  /// late reply is distinguishable from a duplicate of an already-counted
-  /// reply — the difference between "the cluster contradicted what we told
-  /// the caller" (late_outcomes_) and harmless retransmission noise.
-  std::set<TxnId> timed_out_;
-  std::deque<TxnId> timed_out_fifo_;
-  static constexpr size_t kMaxTimedOut = 1024;
 
   uint64_t submitted_ = 0;
   uint64_t committed_ = 0;

@@ -111,15 +111,26 @@ struct PayloadEncoder {
     enc.PutVector(a.writes, PutItemWrite);
     enc.PutVector(a.session_vector, PutSessionEntry);
     enc.PutVector(a.participants, PutItemId);  // SiteId == ItemId == u32
+    enc.PutVarint(a.attempt);
   }
   void operator()(const PrepareAckArgs& a) {
     enc.PutU64(a.txn);
     enc.PutU8(a.accepted ? 1 : 0);
     enc.PutVector(a.session_vector, PutSessionEntry);
+    enc.PutVarint(a.attempt);
   }
-  void operator()(const CommitArgs& a) { enc.PutU64(a.txn); }
-  void operator()(const CommitAckArgs& a) { enc.PutU64(a.txn); }
-  void operator()(const AbortArgs& a) { enc.PutU64(a.txn); }
+  void operator()(const CommitArgs& a) {
+    enc.PutU64(a.txn);
+    enc.PutVarint(a.attempt);
+  }
+  void operator()(const CommitAckArgs& a) {
+    enc.PutU64(a.txn);
+    enc.PutVarint(a.attempt);
+  }
+  void operator()(const AbortArgs& a) {
+    enc.PutU64(a.txn);
+    enc.PutVarint(a.attempt);
+  }
   void operator()(const CopyRequestArgs& a) {
     enc.PutU64(a.txn);
     enc.PutVector(a.items, PutItemId);
@@ -133,7 +144,6 @@ struct PayloadEncoder {
     enc.PutU32(a.refreshed_site);
     enc.PutVector(a.items, PutItemId);
   }
-  void operator()(const ClearFailLocksAckArgs& a) { enc.PutU64(a.txn); }
   void operator()(const RecoveryAnnounceArgs& a) {
     enc.PutU32(a.recovering_site);
     enc.PutU64(a.new_session);
@@ -145,12 +155,10 @@ struct PayloadEncoder {
   void operator()(const FailureAnnounceArgs& a) {
     enc.PutVector(a.failed_sites, PutFailedSite);
   }
-  void operator()(const FailureAckArgs&) {}
   void operator()(const CopyCreateArgs& a) {
     enc.PutU32(a.backup_site);
     enc.PutVector(a.copies, PutItemCopy);
   }
-  void operator()(const CopyCreateAckArgs&) {}
   void operator()(const FailSiteArgs&) {}
   void operator()(const RecoverSiteArgs&) {}
   void operator()(const ShutdownArgs&) {}
@@ -192,6 +200,7 @@ Status DecodePayload(MsgType type, Decoder& dec, Payload* out) {
       MINIRAID_RETURN_IF_ERROR(
           dec.GetVector(&a.session_vector, GetSessionEntry));
       MINIRAID_RETURN_IF_ERROR(dec.GetVector(&a.participants, GetItemId));
+      MINIRAID_RETURN_IF_ERROR(dec.GetVarint(&a.attempt));
       *out = std::move(a);
       return Status::Ok();
     }
@@ -203,24 +212,28 @@ Status DecodePayload(MsgType type, Decoder& dec, Payload* out) {
       a.accepted = accepted != 0;
       MINIRAID_RETURN_IF_ERROR(
           dec.GetVector(&a.session_vector, GetSessionEntry));
+      MINIRAID_RETURN_IF_ERROR(dec.GetVarint(&a.attempt));
       *out = std::move(a);
       return Status::Ok();
     }
     case MsgType::kCommit: {
       CommitArgs a;
       MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.txn));
+      MINIRAID_RETURN_IF_ERROR(dec.GetVarint(&a.attempt));
       *out = a;
       return Status::Ok();
     }
     case MsgType::kCommitAck: {
       CommitAckArgs a;
       MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.txn));
+      MINIRAID_RETURN_IF_ERROR(dec.GetVarint(&a.attempt));
       *out = a;
       return Status::Ok();
     }
     case MsgType::kAbort: {
       AbortArgs a;
       MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.txn));
+      MINIRAID_RETURN_IF_ERROR(dec.GetVarint(&a.attempt));
       *out = a;
       return Status::Ok();
     }
@@ -246,12 +259,6 @@ Status DecodePayload(MsgType type, Decoder& dec, Payload* out) {
       *out = std::move(a);
       return Status::Ok();
     }
-    case MsgType::kClearFailLocksAck: {
-      ClearFailLocksAckArgs a;
-      MINIRAID_RETURN_IF_ERROR(dec.GetU64(&a.txn));
-      *out = a;
-      return Status::Ok();
-    }
     case MsgType::kRecoveryAnnounce: {
       RecoveryAnnounceArgs a;
       MINIRAID_RETURN_IF_ERROR(dec.GetU32(&a.recovering_site));
@@ -273,9 +280,6 @@ Status DecodePayload(MsgType type, Decoder& dec, Payload* out) {
       *out = std::move(a);
       return Status::Ok();
     }
-    case MsgType::kFailureAck:
-      *out = FailureAckArgs{};
-      return Status::Ok();
     case MsgType::kCopyCreate: {
       CopyCreateArgs a;
       MINIRAID_RETURN_IF_ERROR(dec.GetU32(&a.backup_site));
@@ -283,9 +287,6 @@ Status DecodePayload(MsgType type, Decoder& dec, Payload* out) {
       *out = std::move(a);
       return Status::Ok();
     }
-    case MsgType::kCopyCreateAck:
-      *out = CopyCreateAckArgs{};
-      return Status::Ok();
     case MsgType::kFailSite:
       *out = FailSiteArgs{};
       return Status::Ok();
@@ -331,20 +332,14 @@ std::string_view MsgTypeName(MsgType type) {
       return "CopyReply";
     case MsgType::kClearFailLocks:
       return "ClearFailLocks";
-    case MsgType::kClearFailLocksAck:
-      return "ClearFailLocksAck";
     case MsgType::kRecoveryAnnounce:
       return "RecoveryAnnounce";
     case MsgType::kRecoveryInfo:
       return "RecoveryInfo";
     case MsgType::kFailureAnnounce:
       return "FailureAnnounce";
-    case MsgType::kFailureAck:
-      return "FailureAck";
     case MsgType::kCopyCreate:
       return "CopyCreate";
-    case MsgType::kCopyCreateAck:
-      return "CopyCreateAck";
     case MsgType::kFailSite:
       return "FailSite";
     case MsgType::kRecoverSite:
@@ -407,7 +402,7 @@ Result<Message> DecodeMessage(const uint8_t* data, size_t size) {
   Decoder dec(data, size);
   uint8_t type_byte = 0;
   MINIRAID_RETURN_IF_ERROR(dec.GetU8(&type_byte));
-  // kChannelAck is the last type with a payload; 21-24 are retired.
+  // kChannelAck is the last type with a payload; 18-21 are retired.
   if (type_byte > static_cast<uint8_t>(MsgType::kChannelAck)) {
     return Status::Corruption("unknown message type byte");
   }

@@ -36,32 +36,30 @@ enum class MsgType : uint8_t {
   kCopyRequest = 7,        // recovering coordinator -> up-to-date site
   kCopyReply = 8,          // copies back to the requester
   kClearFailLocks = 9,     // special txn: announce refreshed copies
-  kClearFailLocksAck = 10,
+                           // (fire-and-forget, like types 2 and 3)
 
   // Control transactions.
-  kRecoveryAnnounce = 11,  // type 1: recovering site -> operational sites
-  kRecoveryInfo = 12,      // session vector + fail-locks back
-  kFailureAnnounce = 13,   // type 2: failure detector -> operational sites
-  kFailureAck = 14,
-  kCopyCreate = 15,        // type 3 (extension): place copy on backup site
-  kCopyCreateAck = 16,
+  kRecoveryAnnounce = 10,  // type 1: recovering site -> operational sites
+  kRecoveryInfo = 11,      // session vector + fail-locks back
+  kFailureAnnounce = 12,   // type 2: failure detector -> operational sites
+  kCopyCreate = 13,        // type 3 (extension): place copy on backup site
 
   // Managing-site control plane.
-  kFailSite = 17,     // managing -> site: stop participating (simulated
+  kFailSite = 14,     // managing -> site: stop participating (simulated
                       // crash; the site ignores everything until recovery)
-  kRecoverSite = 18,  // managing -> site: start the type-1 protocol
-  kShutdown = 19,     // managing -> site: terminate cleanly
+  kRecoverSite = 15,  // managing -> site: start the type-1 protocol
+  kShutdown = 16,     // managing -> site: terminate cleanly
 
   // Reliable-delivery machinery (lossy-network extension).
-  kChannelAck = 20,  // ReliableChannel ack (value rides in the header)
+  kChannelAck = 17,  // ReliableChannel ack (value rides in the header)
 
   // Retired group-commit frames. No payload carries them and the decoder
   // refuses their type bytes; the names stay only because
   // e2ebench/main.cc lists them.
-  kBatchPrepare = 21,
-  kBatchPrepareAck = 22,
-  kBatchCommit = 23,
-  kBatchCommitAck = 24,
+  kBatchPrepare = 18,
+  kBatchPrepareAck = 19,
+  kBatchCommit = 20,
+  kBatchCommitAck = 21,
 };
 
 std::string_view MsgTypeName(MsgType type);
@@ -141,6 +139,11 @@ struct PrepareArgs {
   /// this set: those are the copies that miss the write, regardless of
   /// what each participant currently believes about their status.
   std::vector<SiteId> participants;
+  /// The coordinator's number for this coordination, never reused at that
+  /// site. Every 2PC message of the transaction carries it, so a message
+  /// of an earlier attempt under the same id (a retried retryable() abort)
+  /// is told apart from the live one.
+  uint64_t attempt = 0;
   friend bool operator==(const PrepareArgs&, const PrepareArgs&) = default;
 };
 
@@ -157,22 +160,26 @@ struct PrepareAckArgs {
   /// so the coordinator can catch up before the client retries. Empty
   /// otherwise.
   std::vector<SessionEntryWire> session_vector;
+  uint64_t attempt = 0;  // the Prepare's (PrepareArgs::attempt)
   friend bool operator==(const PrepareAckArgs&,
                          const PrepareAckArgs&) = default;
 };
 
 struct CommitArgs {
   TxnId txn = 0;
+  uint64_t attempt = 0;  // PrepareArgs::attempt
   friend bool operator==(const CommitArgs&, const CommitArgs&) = default;
 };
 
 struct CommitAckArgs {
   TxnId txn = 0;
+  uint64_t attempt = 0;  // PrepareArgs::attempt
   friend bool operator==(const CommitAckArgs&, const CommitAckArgs&) = default;
 };
 
 struct AbortArgs {
   TxnId txn = 0;
+  uint64_t attempt = 0;  // PrepareArgs::attempt
   friend bool operator==(const AbortArgs&, const AbortArgs&) = default;
 };
 
@@ -196,12 +203,6 @@ struct ClearFailLocksArgs {
   std::vector<ItemId> items;
   friend bool operator==(const ClearFailLocksArgs&,
                          const ClearFailLocksArgs&) = default;
-};
-
-struct ClearFailLocksAckArgs {
-  TxnId txn = 0;
-  friend bool operator==(const ClearFailLocksAckArgs&,
-                         const ClearFailLocksAckArgs&) = default;
 };
 
 struct RecoveryAnnounceArgs {
@@ -234,11 +235,6 @@ struct FailureAnnounceArgs {
                          const FailureAnnounceArgs&) = default;
 };
 
-struct FailureAckArgs {
-  friend bool operator==(const FailureAckArgs&, const FailureAckArgs&) =
-      default;
-};
-
 /// Control type 3 (extension): the sender holds the last operational
 /// up-to-date copies of `copies` and directs `backup_site` to install
 /// them. Broadcast to all operational sites so everyone's holders table
@@ -247,11 +243,6 @@ struct CopyCreateArgs {
   SiteId backup_site = 0;
   std::vector<ItemCopy> copies;
   friend bool operator==(const CopyCreateArgs&, const CopyCreateArgs&) =
-      default;
-};
-
-struct CopyCreateAckArgs {
-  friend bool operator==(const CopyCreateAckArgs&, const CopyCreateAckArgs&) =
       default;
 };
 
@@ -284,9 +275,8 @@ struct BatchCommitArgs;
 using Payload =
     std::variant<TxnRequestArgs, TxnResult, PrepareArgs, PrepareAckArgs,
                  CommitArgs, CommitAckArgs, AbortArgs, CopyRequestArgs,
-                 CopyReplyArgs, ClearFailLocksArgs, ClearFailLocksAckArgs,
-                 RecoveryAnnounceArgs, RecoveryInfoArgs, FailureAnnounceArgs,
-                 FailureAckArgs, CopyCreateArgs, CopyCreateAckArgs,
+                 CopyReplyArgs, ClearFailLocksArgs, RecoveryAnnounceArgs,
+                 RecoveryInfoArgs, FailureAnnounceArgs, CopyCreateArgs,
                  FailSiteArgs, RecoverSiteArgs, ShutdownArgs,
                  ChannelAckArgs>;
 

@@ -16,9 +16,11 @@ namespace miniraid {
 /// The fault model of a cluster (ClusterOptions::faults), the same on every
 /// backend: a lossy-network experiment configured once runs anywhere. The
 /// paper assumes a reliable network ("no messages were lost"); these knobs
-/// deliberately break that assumption to exercise the reliable channel and
-/// the protocol's duplicate tolerance. A FaultLayer applies them above the
-/// transport, which itself only delivers.
+/// deliberately break that assumption to exercise the reliable channel,
+/// which repairs loss and absorbs duplicates so the protocol above it
+/// still sees each message once. A cluster refuses duplication without
+/// the channel. A FaultLayer applies them above the transport, which
+/// itself only delivers.
 struct TransportFaults {
   /// Probability that a message is silently dropped, drawn per send.
   double drop_probability = 0.0;
@@ -26,7 +28,8 @@ struct TransportFaults {
   /// Probability that a message is handed up twice, back to back, drawn
   /// per delivery from an RNG stream separate from the drops'. A copy
   /// never moves its original's arrival and draws nothing from the drop
-  /// stream (the messages it provokes, such as re-acks, do).
+  /// stream (the messages it provokes, such as the channel's re-acks, do).
+  /// In a cluster it needs ClusterOptions::reliable.enabled.
   double duplicate_probability = 0.0;
 
   /// Seed for the drop and duplicate decision streams (deterministic under

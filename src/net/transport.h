@@ -41,9 +41,8 @@ class MessageHandler {
 /// directly through a raw transport must tolerate silent loss; code
 /// receiving behind a ReliableChannel may assume per-pair FIFO and no
 /// duplicates, because the channel is the only layer that re-sends (the
-/// protocol engine sends each message once). The protocol handlers still
-/// tolerate duplicates, which reach them when the channel is off and the
-/// fault layer injects copies.
+/// protocol engine sends each message once) and the only one that filters
+/// copies: a cluster refuses injected duplication with the channel off.
 ///
 /// What stays true on every backend: messages that are delivered arrive
 /// in the order sent per (from, to) pair, and Send never blocks on the

@@ -69,11 +69,9 @@ struct SiteCounters {
   // fail-locked every held copy.
   uint64_t recovery_blind_completions = 0;
 
-  // -- duplicate tolerance -------------------------------------------------
-  // Messages recognized as protocol-level duplicates and ignored or
-  // re-acked without side effects (duplicate Prepare / CommitDecision /
-  // RecoveryInfo / TxnRequest and friends).
-  uint64_t duplicate_msgs_ignored = 0;
+  // -- guards (docs/PROTOCOL.md §8.4) -------------------------------------
+  // Messages kept off live state they do not belong to.
+  uint64_t stray_msgs_ignored = 0;
 
   // -- timing distributions (virtual time under the simulator) ------------
   DurationStats coord_txn_time;        // TxnRequest received -> reply sent

@@ -121,8 +121,6 @@ void Site::OnMessage(const Message& msg) {
     case MsgType::kClearFailLocks:
       HandleClearFailLocks(msg);
       break;
-    case MsgType::kClearFailLocksAck:
-      break;  // the special transaction is fire-and-forget
     case MsgType::kRecoveryAnnounce:
       HandleRecoveryAnnounce(msg);
       break;
@@ -132,13 +130,9 @@ void Site::OnMessage(const Message& msg) {
     case MsgType::kFailureAnnounce:
       HandleFailureAnnounce(msg);
       break;
-    case MsgType::kFailureAck:
-      break;  // type 2 is fire-and-forget
     case MsgType::kCopyCreate:
       HandleCopyCreate(msg);
       break;
-    case MsgType::kCopyCreateAck:
-      break;  // type 3 is fire-and-forget
     case MsgType::kFailSite:
       Crash();
       break;
@@ -188,7 +182,6 @@ void Site::Crash() {
     // as stable storage (see SiteOptions::lose_state_on_crash).
     db_ = MakeDatabase(id_, options_);
     fail_locks_ = FailLockTable(options_.db_size, options_.n_sites);
-    recent_outcomes_.Clear();
     state_lost_ = true;
     return;
   }
@@ -202,18 +195,11 @@ void Site::Crash() {
 
 void Site::HandleTxnRequest(const Message& msg) {
   if (status_ != SiteStatus::kUp) return;  // client will time out
-  // A duplicated request (transport fault or client retransmission) for a
-  // transaction this site is already serving, has queued, or recently
-  // finished must not run the transaction twice.
+  // A request whose id this site is coordinating would alias that live
+  // coordination: drop it, and its client times out.
   const TxnId incoming = msg.As<TxnRequestArgs>().txn.id;
-  const bool serving = coords_.count(incoming) > 0;
-  const bool queued = std::any_of(
-      queued_requests_.begin(), queued_requests_.end(),
-      [incoming](const Message& q) {
-        return q.As<TxnRequestArgs>().txn.id == incoming;
-      });
-  if (serving || queued || RecentOutcome(incoming).has_value()) {
-    ++counters_.duplicate_msgs_ignored;
+  if (coords_.count(incoming) > 0) {
+    ++counters_.stray_msgs_ignored;
     return;
   }
   if (batch_ ||
@@ -228,11 +214,23 @@ void Site::HandleTxnRequest(const Message& msg) {
     }
     return;
   }
+  if (participations_.count(incoming) > 0) {
+    // An earlier attempt of this transaction, prepared here by another
+    // coordinator, is still staged (its Abort is on the way) and holds its
+    // locks under this id. This attempt dies as a younger conflicting
+    // writer would, and the client retries.
+    ++counters_.stray_msgs_ignored;
+    Charge(options_.costs.reply_format);
+    SendTo(msg.from,
+           TxnResult{incoming, TxnOutcome::kAbortedLockConflict, 0, {}});
+    return;
+  }
   ++counters_.txns_coordinated;
   Coordination& c = coords_[incoming];
   c.txn = msg.As<TxnRequestArgs>().txn;
   c.client = msg.from;
   c.start_time = runtime_->Now();
+  c.attempt = ++last_attempt_;
   counters_.max_concurrent_coordinations =
       std::max<uint64_t>(counters_.max_concurrent_coordinations,
                          coords_.size());
@@ -532,7 +530,7 @@ void Site::ExecuteAndPrepare(Coordination& c) {
   std::sort(wire_participants.begin(), wire_participants.end());
   SendTo(c.participants, options_.costs.prepare_send_per_site,
          PrepareArgs{c.txn.id, c.writes, session_vector_.ToWire(),
-                     std::move(wire_participants)});
+                     std::move(wire_participants), c.attempt});
   const TxnId txn = c.txn.id;
   c.timer = runtime_->ScheduleAfter(options_.ack_timeout,
                                     [this, txn] { CoordinationTimeout(txn); });
@@ -546,6 +544,12 @@ void Site::HandlePrepareAck(const Message& msg) {
     return;
   }
   Coordination& c = it->second;
+  if (args.attempt != c.attempt) {
+    // A vote on an earlier attempt's Prepare: this coordination sent it no
+    // Prepare, so it counts neither as a yes nor as a no.
+    ++counters_.stray_msgs_ignored;
+    return;
+  }
   if (!args.accepted) {
     // A participant refused (wait-die lock conflict or session-vector
     // veto): abort everywhere. On a veto the refusal carries the
@@ -566,7 +570,7 @@ void Site::HandlePrepareAck(const Message& msg) {
       // A read-only vote left nothing at any participant to discard.
       for (SiteId p : c.participants) {
         Charge(options_.costs.ack_format);
-        SendTo(p, AbortArgs{c.txn.id});
+        SendTo(p, AbortArgs{c.txn.id, c.attempt});
       }
     }
     if (stale_view) {
@@ -598,20 +602,25 @@ void Site::StartCommitPhase(Coordination& c) {
   c.phase = Coordination::Phase::kCommit;
   c.phase_start = runtime_->Now();
   c.awaiting = c.participants;
-  SendTo(c.participants, options_.costs.ack_format, CommitArgs{c.txn.id});
+  SendTo(c.participants, options_.costs.ack_format,
+         CommitArgs{c.txn.id, c.attempt});
   const TxnId txn = c.txn.id;
   c.timer = runtime_->ScheduleAfter(options_.ack_timeout,
                                     [this, txn] { CoordinationTimeout(txn); });
 }
 
 void Site::HandleCommitAck(const Message& msg) {
-  const TxnId txn = msg.As<CommitAckArgs>().txn;
-  auto it = coords_.find(txn);
+  const auto& args = msg.As<CommitAckArgs>();
+  auto it = coords_.find(args.txn);
   if (it == coords_.end() ||
       it->second.phase != Coordination::Phase::kCommit) {
     return;
   }
   Coordination& c = it->second;
+  if (args.attempt != c.attempt) {
+    ++counters_.stray_msgs_ignored;  // acks a Commit this one never sent
+    return;
+  }
   std::erase(c.awaiting, msg.from);
   if (c.awaiting.empty()) {
     runtime_->CancelTimer(c.timer);
@@ -664,7 +673,7 @@ void Site::CoordinationTimeout(TxnId txn) {
       for (SiteId p : c.participants) {
         if (!Contains(c.awaiting, p) && !FinishesAtPhaseOne(c.writes)) {
           Charge(options_.costs.ack_format);
-          SendTo(p, AbortArgs{c.txn.id});
+          SendTo(p, AbortArgs{c.txn.id, c.attempt});
         }
       }
       ++counters_.txns_aborted_participant;
@@ -705,9 +714,6 @@ void Site::ReplyAndClear(Coordination& c, TxnOutcome outcome) {
     Trace(outcome == TxnOutcome::kCommitted ? TraceEvent::kTxnCommitted
                                             : TraceEvent::kTxnAborted,
           txn, static_cast<uint64_t>(outcome));
-    // Remember the outcome so duplicated requests and duplicated 2PC
-    // traffic arriving after this teardown are answered consistently.
-    RecordOutcome(txn, outcome == TxnOutcome::kCommitted);
     Charge(options_.costs.reply_format);
     SendTo(c.client, TxnResult{txn, outcome, c.copier_count, c.reads});
     const Duration elapsed = runtime_->Now() - c.start_time;
@@ -745,32 +751,15 @@ void Site::OnExecutorIdle() {
 
 void Site::HandlePrepare(const Message& msg) {
   const auto& args = msg.As<PrepareArgs>();
-  auto existing = participations_.find(args.txn);
-  if (existing != participations_.end()) {
-    // Duplicate prepare (a fault-layer copy): re-ack, keep the
-    // staging. With the locking extension, an ack before the queued locks
-    // are granted would let the coordinator commit writes this site has
-    // not locked — stay silent and let SendPrepareAck run when the locks
-    // arrive.
-    ++counters_.duplicate_msgs_ignored;
-    if (existing->second.lock_waits_pending == 0) {
-      Charge(options_.costs.ack_format);
-      SendTo(msg.from, PrepareAckArgs{args.txn, /*accepted=*/true, {}});
-    }
-    return;
-  }
-  const std::optional<bool> finished = RecentOutcome(args.txn);
-  if (finished.has_value()) {
-    // Duplicate prepare arriving after this participation was torn down.
-    // If the transaction committed here, the staging is long applied:
-    // re-ack, repeating the answer the original got. If it aborted (or
-    // was discarded in doubt), re-staging a finished transaction's writes
-    // would resurrect it — drop.
-    ++counters_.duplicate_msgs_ignored;
-    if (*finished) {
-      Charge(options_.costs.ack_format);
-      SendTo(msg.from, PrepareAckArgs{args.txn, /*accepted=*/true, {}});
-    }
+  if (participations_.count(args.txn) > 0 || coords_.count(args.txn) > 0) {
+    // Another attempt of this transaction is live here (a retry under the
+    // same id met a late message of the earlier attempt, in either order)
+    // and holds its locks under this id. Refuse this one as a younger
+    // conflicting writer would be refused; its coordinator aborts it.
+    ++counters_.stray_msgs_ignored;
+    Charge(options_.costs.ack_format);
+    SendTo(msg.from,
+           PrepareAckArgs{args.txn, /*accepted=*/false, {}, args.attempt});
     return;
   }
   ++counters_.prepares_handled;
@@ -788,7 +777,8 @@ void Site::HandlePrepare(const Message& msg) {
         ++counters_.prepare_session_vetoes;
         Charge(options_.costs.ack_format);
         SendTo(msg.from, PrepareAckArgs{args.txn, /*accepted=*/false,
-                                        session_vector_.ToWire()});
+                                        session_vector_.ToWire(),
+                                        args.attempt});
         return;
       }
     }
@@ -804,11 +794,11 @@ void Site::HandlePrepare(const Message& msg) {
 
   if (FinishesAtPhaseOne(args.writes)) {
     // Read-only vote: nothing to stage, lock or maintain, so no
-    // Participation, patience timer or outcome record. No Commit or
-    // Abort follows, and a duplicated Prepare is simply voted on again.
+    // Participation or patience timer. No Commit or Abort follows.
     Trace(TraceEvent::kPrepareHandled, args.txn, 0);
     Charge(options_.costs.ack_format);
-    SendTo(msg.from, PrepareAckArgs{args.txn, /*accepted=*/true, {}});
+    SendTo(msg.from,
+           PrepareAckArgs{args.txn, /*accepted=*/true, {}, args.attempt});
     MaybeStartBatchCopier();
     return;
   }
@@ -816,6 +806,7 @@ void Site::HandlePrepare(const Message& msg) {
   Participation& part = participations_[args.txn];
   part.txn = args.txn;
   part.coordinator = msg.from;
+  part.attempt = args.attempt;
   part.participants = args.participants;
   part.start_time = runtime_->Now();
   for (const ItemWrite& write : args.writes) {
@@ -842,7 +833,8 @@ void Site::HandlePrepare(const Message& msg) {
         runtime_->CancelTimer(part.timer);
         participations_.erase(txn);
         Charge(options_.costs.ack_format);
-        SendTo(msg.from, PrepareAckArgs{txn, /*accepted=*/false, {}});
+        SendTo(msg.from,
+               PrepareAckArgs{txn, /*accepted=*/false, {}, args.attempt});
         return;
       }
       if (outcome == LockManager::Outcome::kQueued) {
@@ -864,36 +856,27 @@ void Site::OnParticipantLockGranted(TxnId txn) {
 
 void Site::SendPrepareAck(Participation& part) {
   Charge(options_.costs.ack_format);
-  SendTo(part.coordinator, PrepareAckArgs{part.txn, /*accepted=*/true, {}});
+  SendTo(part.coordinator,
+         PrepareAckArgs{part.txn, /*accepted=*/true, {}, part.attempt});
 }
 
 void Site::HandleCommit(const Message& msg) {
-  const TxnId txn = msg.As<CommitArgs>().txn;
-  auto it = participations_.find(txn);
-  if (it == participations_.end()) {
-    // Duplicated Commit after this participation was torn down. If the
-    // commit already happened here, re-ack: the original ack may have been
-    // lost while the coordinator still waits. Anything else (aborted,
-    // discarded in doubt, or too old to remember) must stay a no-op: the
-    // staging is gone, so there is nothing correct to apply.
-    const std::optional<bool> finished = RecentOutcome(txn);
-    if (finished.has_value()) {
-      ++counters_.duplicate_msgs_ignored;
-      if (*finished) {
-        Charge(options_.costs.ack_format);
-        SendTo(msg.from, CommitAckArgs{txn});
-      }
-    }
+  const auto& args = msg.As<CommitArgs>();
+  auto it = participations_.find(args.txn);
+  // A Commit after the participation was discarded in doubt: the staging
+  // is gone, so there is nothing correct to apply.
+  if (it == participations_.end()) return;
+  Participation& part = it->second;
+  if (msg.from != part.coordinator || args.attempt != part.attempt) {
+    ++counters_.stray_msgs_ignored;  // another attempt's: not this staging
     return;
   }
-  Participation& part = it->second;
   runtime_->CancelTimer(part.timer);
   CommitLocalWrites(part.txn, part.staged, part.participants);
   if (options_.concurrency.locking()) lock_manager_.ReleaseAll(part.txn);
   Trace(TraceEvent::kParticipantCommitted, part.txn, part.staged.size());
-  RecordOutcome(part.txn, /*committed=*/true);
   Charge(options_.costs.ack_format);
-  SendTo(part.coordinator, CommitAckArgs{part.txn});
+  SendTo(part.coordinator, CommitAckArgs{part.txn, part.attempt});
   ++counters_.commits_handled;
   counters_.participant_time.Add(runtime_->Now() - part.start_time);
   participations_.erase(it);
@@ -901,18 +884,21 @@ void Site::HandleCommit(const Message& msg) {
 }
 
 void Site::HandleAbort(const Message& msg) {
-  const TxnId txn = msg.As<AbortArgs>().txn;
-  auto it = participations_.find(txn);
-  if (it == participations_.end()) {
-    // Duplicated Abort after teardown: the discard already happened (or
-    // there was never anything staged); nothing to undo twice.
-    if (RecentOutcome(txn).has_value()) ++counters_.duplicate_msgs_ignored;
+  const auto& args = msg.As<AbortArgs>();
+  auto it = participations_.find(args.txn);
+  // Nothing staged (a refused prepare, or one discarded in doubt): nothing
+  // to discard.
+  if (it == participations_.end()) return;
+  if (msg.from != it->second.coordinator ||
+      args.attempt != it->second.attempt) {
+    // An earlier attempt's Abort: the live attempt keeps its staging and
+    // its locks.
+    ++counters_.stray_msgs_ignored;
     return;
   }
   runtime_->CancelTimer(it->second.timer);
   ++counters_.aborts_handled;
   if (options_.concurrency.locking()) lock_manager_.ReleaseAll(it->first);
-  RecordOutcome(txn, /*committed=*/false);
   participations_.erase(it);  // "discard the copy updates"
 }
 
@@ -925,9 +911,6 @@ void Site::ParticipationTimeout(TxnId txn) {
   ++counters_.coordinator_failures_detected;
   const SiteId coordinator = part.coordinator;
   if (options_.concurrency.locking()) lock_manager_.ReleaseAll(it->first);
-  // The in-doubt discard is a local abort; remember it so a late-arriving
-  // CommitDecision duplicate cannot be mistaken for an applicable commit.
-  RecordOutcome(txn, /*committed=*/false);
   participations_.erase(it);
   RunControlType2({coordinator});
 }
@@ -1046,14 +1029,16 @@ void Site::HandleRecoveryAnnounce(const Message& msg) {
   const SessionNumber recorded = session_vector_.session(args.recovering_site);
   if (args.new_session < recorded) return;
   if (args.new_session == recorded) {
-    // Same session again: the announce itself was duplicated. If our
-    // vector still shows the site up for this session we already
-    // served it — re-serve the info (a fresh snapshot is at least as
+    // Same session again. Not only a second copy: a Prepare's piggybacked
+    // vector can carry the recovering site's new session as up before its
+    // announce arrives here (SessionVector::MergeFrom adopts it), and the
+    // site still waits for this reply. While our vector shows the site up
+    // for this session, serve the info (a fresh snapshot is at least as
     // complete) without touching the vector. If we recorded it down at
     // this session, "down wins": serving would let a site everyone
     // considers failed complete recovery.
     if (!session_vector_.IsUp(args.recovering_site)) return;
-    ++counters_.duplicate_msgs_ignored;
+    ++counters_.stray_msgs_ignored;
     const std::vector<FailLockRow> rows =
         RecoveryInfoRows(args.recovering_site);
     Charge(options_.costs.recovery_format_base +
@@ -1123,18 +1108,19 @@ std::vector<FailLockRow> Site::RecoveryInfoRows(SiteId recovering) const {
 
 void Site::HandleRecoveryInfo(const Message& msg) {
   if (!recovery_) {
-    // Info arriving after recovery completed (or was never started):
-    // a duplicate or a straggler. Either way the table union is done;
-    // installing more rows now would clobber post-recovery state.
-    ++counters_.duplicate_msgs_ignored;
+    // Info arriving after recovery completed (or was never started): a
+    // straggler that lost the race to the recovery timer, or a stray. The
+    // table union is done; installing more rows now would clobber
+    // post-recovery state.
+    ++counters_.stray_msgs_ignored;
     return;
   }
   if (recovery_->awaiting.erase(msg.from) == 0) {
-    // Second info from the same responder (a duplicated reply, or the
-    // reply to a duplicated announce): the first one is already
-    // in `infos`, and unioning a newer snapshot of the same table could
-    // resurrect fail-locks the special transaction cleared in between.
-    ++counters_.duplicate_msgs_ignored;
+    // Second info from the same responder (it also answered an earlier
+    // incarnation's announce): the first one is already in `infos`, and
+    // unioning another snapshot of the same table could resurrect
+    // fail-locks the special transaction cleared in between.
+    ++counters_.stray_msgs_ignored;
     return;
   }
   Charge(options_.costs.recovery_install);
@@ -1368,14 +1354,6 @@ void Site::CommitLocalWrites(TxnId writer, const std::vector<ItemWrite>& writes,
       }
     }
   }
-}
-
-void Site::RecordOutcome(TxnId txn, bool committed) {
-  recent_outcomes_.Record(txn, committed);
-}
-
-std::optional<bool> Site::RecentOutcome(TxnId txn) const {
-  return recent_outcomes_.Find(txn);
 }
 
 bool Site::SetFailLock(ItemId item, SiteId site) {

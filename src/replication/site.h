@@ -16,7 +16,6 @@
 #include "replication/lock_manager.h"
 #include "replication/options.h"
 #include "replication/placement.h"
-#include "replication/recent_outcomes.h"
 #include "replication/session_vector.h"
 
 namespace miniraid {
@@ -123,6 +122,8 @@ class Site : public MessageHandler {
     TxnSpec txn;
     SiteId client = kInvalidSite;
     TimePoint start_time = 0;
+    /// This coordination's number (see PrepareArgs::attempt).
+    uint64_t attempt = 0;
 
     enum class Phase {
       kCopier,      // waiting for copy replies
@@ -166,6 +167,7 @@ class Site : public MessageHandler {
   struct Participation {
     TxnId txn = 0;
     SiteId coordinator = kInvalidSite;
+    uint64_t attempt = 0;  // the Prepare's (PrepareArgs::attempt)
     TimePoint start_time = 0;
     std::vector<ItemWrite> staged;  // writes of items this site holds
     // The transaction's participant set from the prepare, for commit-time
@@ -311,13 +313,6 @@ class Site : public MessageHandler {
   /// when idle and below the threshold.
   void MaybeStartBatchCopier();
 
-  /// Records a transaction's final outcome in the bounded recent-outcome
-  /// cache, which lets this site answer duplicated 2PC messages after the
-  /// live state is torn down.
-  void RecordOutcome(TxnId txn, bool committed);
-  /// Looks up a recent outcome; nullopt if the id fell out of the cache.
-  std::optional<bool> RecentOutcome(TxnId txn) const;
-
   void Charge(Duration amount) { runtime_->ChargeCpu(amount); }
   void SendTo(SiteId to, Payload payload);
   /// Sends `payload` to each site of `to` in order, charging
@@ -364,20 +359,15 @@ class Site : public MessageHandler {
   /// site's own execution remains serial (one event at a time).
   std::map<TxnId, Participation> participations_;
   std::optional<Recovery> recovery_;
+  /// The last Coordination::attempt handed out. Never reset, not even by
+  /// a crash, so a number names one coordination at this site.
+  uint64_t last_attempt_ = 0;
 
   /// Bound on the coordinator request queue; beyond it requests are
   /// dropped and the client times out.
   static constexpr size_t kMaxQueuedRequests = 64;
   /// Set by a lose-state crash; consumed by the next CompleteRecovery.
   bool state_lost_ = false;
-
-  /// Final outcomes of recently finished transactions (true = committed),
-  /// both coordinated here and participated in. Bounded FIFO. Duplicated
-  /// Prepares and Commits for transactions whose live state is gone are
-  /// answered from this cache; anything older than the cache window is
-  /// forgotten. Wiped by a lose-state crash (the cache is volatile, like
-  /// the paper's site memory).
-  RecentOutcomes recent_outcomes_;
 };
 
 }  // namespace miniraid

@@ -209,14 +209,13 @@ TEST(ActionVocabularyTest, EffectGoldenStaysInsideTheVocabulary) {
     for (std::string_view e : v.effects) known_effects.emplace(e);
   }
 
-  // Pure acks and client-side replies carry no effects, so no abstract
-  // action claims them; they are still legitimate golden entries. So are
-  // the retired group-commit types, which the dispatcher ignores.
+  // The channel's ack, shutdown and the client-side reply carry no
+  // effects, so no abstract action claims them; they are still legitimate
+  // golden entries. So are the retired group-commit types, which the
+  // dispatcher ignores.
   const std::set<std::string> pure_wire_steps = {
-      "kChannelAck",     "kClearFailLocksAck", "kCopyCreateAck",
-      "kFailureAck",     "kShutdown",          "kTxnReply",
-      "kBatchPrepare",   "kBatchPrepareAck",   "kBatchCommit",
-      "kBatchCommitAck"};
+      "kChannelAck",      "kShutdown",   "kTxnReply",      "kBatchPrepare",
+      "kBatchPrepareAck", "kBatchCommit", "kBatchCommitAck"};
 
   std::string line;
   int handlers_seen = 0;

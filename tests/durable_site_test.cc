@@ -159,8 +159,9 @@ TEST(DuplicateDeliveryTest, ProtocolToleratesRetransmittingTransport) {
   ClusterOptions options;
   options.n_sites = 3;
   options.db_size = 12;
+  // Duplication needs the channel, the only layer that absorbs copies.
+  options.reliable.enabled = true;
   options.faults.duplicate_probability = 0.3;
-  options.transport.jitter_seed = 4;
   auto cluster_owner = MakeSimCluster(options);
   SimCluster& cluster = *cluster_owner;
   UniformWorkloadOptions wopts;

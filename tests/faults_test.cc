@@ -241,5 +241,22 @@ INSTANTIATE_TEST_SUITE_P(Backends, ClusterFaultsTest,
                                            ClusterBackend::kTcp),
                          BackendParamName);
 
+using ClusterFaultsDeathTest = ClusterFaultsTest;
+
+TEST_P(ClusterFaultsDeathTest, DuplicationWithoutTheChannelIsRefused) {
+  // The channel is the only layer that absorbs a second copy, so every
+  // backend refuses duplication with it off, before any loop starts.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  ClusterOptions options = Options();
+  options.faults.duplicate_probability = 0.5;
+  EXPECT_DEATH((void)MakeCluster(options), "needs the reliable channel");
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, ClusterFaultsDeathTest,
+                         ::testing::Values(ClusterBackend::kSim,
+                                           ClusterBackend::kInProc,
+                                           ClusterBackend::kTcp),
+                         BackendParamName);
+
 }  // namespace
 }  // namespace miniraid

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "replication/recent_outcomes.h"
 
 namespace miniraid {
 namespace {
@@ -44,31 +43,6 @@ TEST(FlatIndexTest, MatchesAMapUnderRandomChurn) {
   index.Clear();
   EXPECT_EQ(index.size(), 0u);
   EXPECT_EQ(index.Find(model.begin()->first), nullptr);
-}
-
-TEST(RecentOutcomesTest, EvictsInFirstRecordedOrder) {
-  RecentOutcomes outcomes;
-  for (TxnId txn = 1; txn <= RecentOutcomes::kCapacity; ++txn) {
-    outcomes.Record(txn, txn % 2 == 0);
-  }
-  // Overwriting keeps an entry's age: txn 1 is still the oldest.
-  outcomes.Record(1, true);
-  EXPECT_EQ(outcomes.Find(1), std::optional<bool>(true));
-  outcomes.Record(1000, false);
-  EXPECT_EQ(outcomes.Find(1), std::nullopt);
-  EXPECT_EQ(outcomes.Find(2), std::optional<bool>(true));
-  EXPECT_EQ(outcomes.Find(3), std::optional<bool>(false));
-  EXPECT_EQ(outcomes.Find(1000), std::optional<bool>(false));
-  for (TxnId txn = 2000; txn < 2000 + RecentOutcomes::kCapacity - 1; ++txn) {
-    outcomes.Record(txn, true);
-  }
-  // Only the newest kCapacity ids remain: 1000 and the 255 just recorded.
-  EXPECT_EQ(outcomes.Find(RecentOutcomes::kCapacity), std::nullopt);
-  EXPECT_EQ(outcomes.Find(1000), std::optional<bool>(false));
-  outcomes.Clear();
-  EXPECT_EQ(outcomes.Find(1000), std::nullopt);
-  outcomes.Record(5, true);
-  EXPECT_EQ(outcomes.Find(5), std::optional<bool>(true));
 }
 
 }  // namespace

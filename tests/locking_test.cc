@@ -117,6 +117,25 @@ TEST(LockingTest, YoungerConflictingWriterDiesAndCanRetry) {
   EXPECT_TRUE(cluster.CheckReplicaAgreement().ok());
 }
 
+TEST(LockingTest, LockConflictAbortRetriesUnderItsOwnId) {
+  // A retryable() abort is re-submitted unchanged, under the id by which
+  // wait-die ages it: the coordinator must run it again, not take it for a
+  // second copy of the transaction it aborted.
+  auto cluster_owner = MakeSimCluster(Options(2, 4));
+  SimCluster& cluster = *cluster_owner;
+  const TxnSpec younger = MakeTxn(2, {Operation::Write(1, 21)});
+  const auto replies = RunConcurrently(
+      cluster, {{MakeTxn(1, {Operation::Write(0, 10), Operation::Write(1, 11),
+                             Operation::Write(2, 12)}),
+                 0},
+                {younger, 0}});
+  EXPECT_EQ(replies[0].outcome, TxnOutcome::kCommitted);
+  ASSERT_EQ(replies[1].outcome, TxnOutcome::kAbortedLockConflict);
+  ASSERT_TRUE(replies[1].retryable());
+  EXPECT_EQ(cluster.RunTxn(younger, 0).outcome, TxnOutcome::kCommitted);
+  EXPECT_TRUE(cluster.CheckReplicaAgreement().ok());
+}
+
 TEST(LockingTest, NoLocksLeakAcrossHeavyConcurrency) {
   auto cluster_owner = MakeSimCluster(Options(4, 10));
   SimCluster& cluster = *cluster_owner;
@@ -280,8 +299,10 @@ TEST(LockingTest, VetoedReadOnlyPrepareAbortsWithoutAbortMessages) {
   ASSERT_LT(cluster.site(0).session_vector().session(2),
             cluster.site(1).session_vector().session(2));
 
-  const TxnResult reply = cluster.RunTxn(MakeTxn(1, {Operation::Read(0)}), 0);
+  const TxnSpec read = MakeTxn(1, {Operation::Read(0)});
+  const TxnResult reply = cluster.RunTxn(read, 0);
   EXPECT_EQ(reply.outcome, TxnOutcome::kAbortedStaleView);
+  EXPECT_TRUE(reply.retryable());
   EXPECT_GE(cluster.site(1).counters().prepare_session_vetoes, 1u);
   // The veto caught the coordinator up, and no participant kept anything
   // an Abort would have to discard.
@@ -291,9 +312,9 @@ TEST(LockingTest, VetoedReadOnlyPrepareAbortsWithoutAbortMessages) {
   for (SiteId s = 0; s < 3; ++s) {
     EXPECT_TRUE(cluster.site(s).IsIdle()) << "site " << s;
   }
-  // The retry commits against the caught-up view.
-  EXPECT_EQ(cluster.RunTxn(MakeTxn(2, {Operation::Read(0)}), 0).outcome,
-            TxnOutcome::kCommitted);
+  // The retry, under the transaction's own id, commits against the
+  // caught-up view.
+  EXPECT_EQ(cluster.RunTxn(read, 0).outcome, TxnOutcome::kCommitted);
 }
 
 TEST(LockingTest, ReadOnlyPrepareStillDetectsAFailedParticipant) {

@@ -64,6 +64,8 @@ TEST(ManagingSiteTest, LateReplyAfterTimeoutIgnored) {
   EXPECT_EQ(cluster.managing().submitted(), 1u);
   EXPECT_EQ(cluster.managing().committed(), 0u);
   EXPECT_EQ(cluster.managing().unreachable(), 1u);
+  // The reply that lost the race is counted as a late outcome.
+  EXPECT_EQ(cluster.managing().late_outcomes(), 1u);
 }
 
 TEST(ManagingSiteTest, CallbackInvokedExactlyOnce) {

@@ -32,22 +32,19 @@ std::vector<Payload> EveryPayloadSample() {
       request,
       TxnResult{42, TxnOutcome::kAbortedLockConflict, 3,
                 {ItemCopy{1, -10, 2}}},
-      PrepareArgs{7, {ItemWrite{49, -9}}, {terminating}, {2, 5}},
-      PrepareAckArgs{7, /*accepted=*/false, {recovering}},
-      CommitArgs{8},
-      CommitAckArgs{9},
-      AbortArgs{10},
+      PrepareArgs{7, {ItemWrite{49, -9}}, {terminating}, {2, 5}, 300},
+      PrepareAckArgs{7, /*accepted=*/false, {recovering}, 300},
+      CommitArgs{8, 1},
+      CommitAckArgs{9, 2},
+      AbortArgs{10, 3},
       CopyRequestArgs{11, {4, 8}},
       CopyReplyArgs{12, {ItemCopy{4, 400, 12}}},
       ClearFailLocksArgs{13, 2, {4, 8}},
-      ClearFailLocksAckArgs{14},
       RecoveryAnnounceArgs{3, 17},
       RecoveryInfoArgs{{SessionEntryWire{1, SiteStatus::kUp}},
                        {FailLockRow{49, 0b1010}}},
       FailureAnnounceArgs{{FailedSiteEntry{1, 4}}},
-      FailureAckArgs{},
       CopyCreateArgs{2, {ItemCopy{11, 5, 3}}},
-      CopyCreateAckArgs{},
       FailSiteArgs{},
       RecoverSiteArgs{},
       ShutdownArgs{},
@@ -104,16 +101,19 @@ TEST(MessageTest, RoundTripTwoPhaseCommitMessages) {
   prepare.session_vector = {SessionEntryWire{1, SiteStatus::kUp},
                             SessionEntryWire{4, SiteStatus::kDown}};
   prepare.participants = {0, 1};
+  prepare.attempt = 5;
   ExpectRoundTrip(MakeMessage(0, 1, std::move(prepare)));
-  ExpectRoundTrip(MakeMessage(1, 0, PrepareAckArgs{7, true, {}}));
+  ExpectRoundTrip(MakeMessage(1, 0, PrepareAckArgs{7, true, {}, 5}));
   // A session-vector veto: refused, with the participant's vector riding
   // back for the coordinator to merge.
   PrepareAckArgs veto{7, /*accepted=*/false,
-                      {SessionEntryWire{2, SiteStatus::kUp}}};
+                      {SessionEntryWire{2, SiteStatus::kUp}}, 5};
   ExpectRoundTrip(MakeMessage(1, 0, std::move(veto)));
-  ExpectRoundTrip(MakeMessage(0, 1, CommitArgs{7}));
-  ExpectRoundTrip(MakeMessage(1, 0, CommitAckArgs{7}));
-  ExpectRoundTrip(MakeMessage(0, 1, AbortArgs{7}));
+  ExpectRoundTrip(MakeMessage(0, 1, CommitArgs{7, 5}));
+  ExpectRoundTrip(MakeMessage(1, 0, CommitAckArgs{7, 5}));
+  ExpectRoundTrip(MakeMessage(0, 1, AbortArgs{7, 5}));
+  // The attempt is a varint; the widest one still round-trips.
+  ExpectRoundTrip(MakeMessage(0, 1, AbortArgs{7, ~uint64_t{0}}));
 }
 
 TEST(MessageTest, RoundTripCopierMessages) {
@@ -132,7 +132,6 @@ TEST(MessageTest, RoundTripCopierMessages) {
   clear.refreshed_site = 2;
   clear.items = {4, 8};
   ExpectRoundTrip(MakeMessage(2, 1, std::move(clear)));
-  ExpectRoundTrip(MakeMessage(1, 2, ClearFailLocksAckArgs{9}));
 }
 
 TEST(MessageTest, RoundTripControlMessages) {
@@ -149,13 +148,11 @@ TEST(MessageTest, RoundTripControlMessages) {
   FailureAnnounceArgs failure;
   failure.failed_sites = {FailedSiteEntry{1, 4}, FailedSiteEntry{2, 1}};
   ExpectRoundTrip(MakeMessage(0, 3, std::move(failure)));
-  ExpectRoundTrip(MakeMessage(3, 0, FailureAckArgs{}));
 
   CopyCreateArgs create;
   create.backup_site = 2;
   create.copies = {ItemCopy{11, 5, 3}};
   ExpectRoundTrip(MakeMessage(1, 2, std::move(create)));
-  ExpectRoundTrip(MakeMessage(2, 1, CopyCreateAckArgs{}));
 }
 
 TEST(MessageTest, RoundTripControlPlane) {
@@ -179,9 +176,10 @@ TEST(MessageTest, UnknownTypeByteRejected) {
   // Frames of retired payloads, byte for byte as earlier builds encoded
   // them, no longer decode: the group-commit types (BatchPrepare,
   // BatchPrepareAck, BatchCommit, BatchCommitAck, then 22-25; their names
-  // stay, now 21-24, with no payload) and the participant's decision query
-  // for txn 42 (then 20, now ChannelAck's byte, whose empty payload leaves
-  // the txn id trailing).
+  // stay, now 18-21, with no payload) and the participant's decision query
+  // for txn 42 (then 20, now the retired BatchCommit's byte). The three
+  // acks nothing sent (then 10, 14 and 16) kept no name: their bytes now
+  // carry the types that followed them.
   const std::vector<std::vector<uint8_t>> retired = {
       {0x16, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x09,
        0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x02, 0x02, 0x00, 0x00, 0x00,
@@ -288,17 +286,17 @@ TEST(MessageTest, RandomBytesNeverCrashDecoder) {
 }
 
 TEST(MessageTest, MsgTypeNamesAreUnique) {
-  // Bytes 0-20 carry payloads (kChannelAck last), 21-24 are the retired
-  // group-commit names, and byte 25 has no name.
-  ASSERT_EQ(static_cast<int>(MsgType::kChannelAck), 20);
-  ASSERT_EQ(static_cast<int>(MsgType::kBatchCommitAck), 24);
+  // Bytes 0-17 carry payloads (kChannelAck last), 18-21 are the retired
+  // group-commit names, and byte 22 has no name.
+  ASSERT_EQ(static_cast<int>(MsgType::kChannelAck), 17);
+  ASSERT_EQ(static_cast<int>(MsgType::kBatchCommitAck), 21);
   std::set<std::string_view> names;
   for (int t = 0; t <= static_cast<int>(MsgType::kBatchCommitAck); ++t) {
     names.insert(MsgTypeName(static_cast<MsgType>(t)));
   }
-  EXPECT_EQ(names.size(), 25u);
+  EXPECT_EQ(names.size(), 22u);
   EXPECT_EQ(names.count("Unknown"), 0u);
-  EXPECT_EQ(MsgTypeName(static_cast<MsgType>(25)), "Unknown");
+  EXPECT_EQ(MsgTypeName(static_cast<MsgType>(22)), "Unknown");
 }
 
 TEST(MessageTest, ChannelSequenceNumbersRoundTrip) {

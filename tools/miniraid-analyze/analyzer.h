@@ -442,7 +442,7 @@ LockGraph BuildLockGraph(const Model& model, const CheckOptions& opts,
 // summary is the union of effect tokens produced by the region's calls and
 // their transitive callees (lambda bodies excluded: deferred continuations
 // are not part of the handler's synchronous effect). Tokens: "send:<kEnum>",
-// "faillock.*", "session.*", "lockmgr.*", "outcome.record".
+// "faillock.*", "session.*", "lockmgr.*".
 // ---------------------------------------------------------------------------
 struct EffectMap {
   // dispatch enumerator -> sorted effect tokens (empty set = pure handler)

@@ -18,7 +18,6 @@
 //   session.*            SessionVector writes (set / mark_down / mark_up /
 //                        merge)
 //   lockmgr.*            item-lock manager ops (acquire / release)
-//   outcome.record       transaction-outcome cache writes
 //
 // The computed map is diffed against a checked-in golden
 // (tools/miniraid-analyze/effects_golden.txt); any drift — a handler gaining
@@ -179,7 +178,6 @@ constexpr char kEffectGoldenHeader[] =
 #   session.*        session-vector write       (kDetectFailure /
 #                                                kBeginRecovery / kEndRecovery)
 #   lockmgr.*        item-lock manager op       (kBeginCommit / kEndCommit)
-#   outcome.record   transaction-outcome cache  (kCommit decision durability)
 #
 # Intentional drift fails CI ("protocol-effect" findings): update this file
 # AND re-justify the change against the abstract model in src/check.
